@@ -7,88 +7,26 @@ winning weather scenario, and a lexicon/bulletin layer renders it as a
 human-readable forecast.
 """
 
+from .bulletin import extract_scenario, render_document, render_sharp, render_smooth
 from .errors import ForecastError
-from .kb import KnowledgeBase, accuracy_of, load_kb, override_winner, save_kb
-from .ingest import parse_source_map, validate_source_map
-from .model import (
-    AssertionalMap,
-    Compass,
-    Condition,
-    Label,
-    LabeledAssertionalMap,
-    Location,
-    TimeRef,
-    Value,
-    conflicts_with,
-    horizon_index,
-)
-from .reasoner import ConclusionSet, conclusions, oracle_conclusions
-from .theory import (
-    DefeasibleTheory,
-    Literal,
-    Rule,
-    RuleKind,
-    decode_atom,
-    encode_atom,
-    parse_theory,
-    serialize_theory,
-)
-from .tournament import Prevalence, build_theory, prevails, sift, supremacy
-from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
-from .bulletin import (
-    BulletinDocument,
-    WeatherScenario,
-    extract_scenario,
-    render_document,
-    render_sharp,
-    render_smooth,
-)
+from .lexicon import classify
+from .model import Compass, Condition
+from .reasoner import conclusions
+from .theory import serialize_theory
+from .tournament import build_theory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssertionalMap",
-    "BulletinDocument",
     "Compass",
-    "ConclusionSet",
     "Condition",
-    "DEFAULT_LEXICON",
-    "DefeasibleTheory",
     "ForecastError",
-    "KnowledgeBase",
-    "Label",
-    "LabeledAssertionalMap",
-    "LexiconTable",
-    "Literal",
-    "Location",
-    "Prevalence",
-    "Rule",
-    "RuleKind",
-    "TimeRef",
-    "Value",
-    "WeatherScenario",
-    "accuracy_of",
     "build_theory",
     "classify",
     "conclusions",
-    "conflicts_with",
-    "decode_atom",
-    "direction_name",
-    "encode_atom",
     "extract_scenario",
-    "horizon_index",
-    "load_kb",
-    "oracle_conclusions",
-    "override_winner",
-    "parse_source_map",
-    "parse_theory",
-    "prevails",
     "render_document",
     "render_sharp",
     "render_smooth",
-    "save_kb",
     "serialize_theory",
-    "sift",
-    "supremacy",
-    "validate_source_map",
 ]

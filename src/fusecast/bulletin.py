@@ -11,11 +11,12 @@ from __future__ import annotations
 import html as _html
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from string import Formatter
 from typing import Mapping, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
+from .inputs import exact_number, parse_horizon, read_json_object
 from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
 from .model import Compass, Condition, Value, decimal_str
 from .reasoner import ConclusionSet
@@ -242,23 +243,14 @@ def load_templates(data: bytes) -> SmoothTemplates:
          "uncertainty_threshold": 0.2, "uncertainty_prefix": "possible ",
          "lowercase_clauses": false}
     """
-    try:
-        doc = json.loads(data.decode("utf-8"),
-                         parse_float=lambda s: Fraction(Decimal(s)))
-    except (UnicodeDecodeError, json.JSONDecodeError, InvalidOperation) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top level must be an object")
+    doc = read_json_object(data)
     fragments = dict(DEFAULT_FRAGMENTS)
     threshold = None
     prefix = "possible "
     lowercase = False
     for key, value in doc.items():
         if key == "uncertainty_threshold":
-            if value is not None and (not isinstance(value, (int, Fraction))
-                                      or isinstance(value, bool)):
-                raise SchemaError(key, "must be a number")
-            threshold = None if value is None else Fraction(value)
+            threshold = None if value is None else exact_number(value, key)
         elif key == "uncertainty_prefix":
             if not isinstance(value, str):
                 raise SchemaError(key, "must be a string")
@@ -272,8 +264,9 @@ def load_templates(data: bytes) -> SmoothTemplates:
                 condition = Condition(key)
             except ValueError:
                 raise SchemaError(key, "unknown condition kind") from None
-            if not isinstance(value, str):
-                raise SchemaError(key, "fragment must be a string")
+            if not isinstance(value, str) or not _plain_fragment(value):
+                raise SchemaError(key, "fragment must be a string whose only "
+                                       "placeholders are {term} and {direction}")
             fragments[condition] = value
     return SmoothTemplates(
         fragments=fragments,
@@ -281,6 +274,17 @@ def load_templates(data: bytes) -> SmoothTemplates:
         uncertainty_prefix=prefix,
         lowercase_clauses=lowercase,
     )
+
+
+def _plain_fragment(fragment: str) -> bool:
+    """No format spec, conversion or attribute: a template cannot make
+    rendering fail or allocate without bound."""
+    try:
+        fields = list(Formatter().parse(fragment))
+    except ValueError:
+        return False
+    return all(name in (None, "term", "direction") and not spec and not conversion
+               for _, name, spec, conversion in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +338,7 @@ def _to_json(doc: BulletinDocument) -> bytes:
 
 def bulletin_from_json(data: bytes) -> BulletinDocument:
     """Inverse of the JSON rendering (headings are recomputed, not trusted)."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from exc
+    payload = read_json_object(data)
     header = BulletinHeader(
         generated_at=payload.get("header", {}).get("generated_at"),
         sources=tuple(payload.get("header", {}).get("sources", ())),
@@ -357,7 +358,8 @@ def bulletin_from_json(data: bytes) -> BulletinDocument:
                     margin=Fraction(raw["margin"]) if "margin" in raw else None,
                 ))
             blocks.append(LocationBlock(location, tuple(entries)))
-        sections.append(BulletinSection(section["horizon"], tuple(blocks)))
+        sections.append(BulletinSection(parse_horizon(f"h{section['horizon']}"),
+                                        tuple(blocks)))
     return BulletinDocument(header, tuple(sections))
 
 

@@ -18,16 +18,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import bulletin as bulletin_mod
 from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
 from . import tournament
 from .errors import ForecastError
+from .inputs import exact_number
 from .model import TimeRef, parse_timeref
 
 
@@ -52,7 +54,9 @@ class PipelineConfig:
 
 
 class _StageError(Exception):
-    def __init__(self, stage: str, path: Optional[Path], cause: Exception):
+    """A failure in one stage; `path` names its input file or command-line flag."""
+
+    def __init__(self, stage: str, path: Union[Path, str, None], cause: Exception):
         self.stage = stage
         self.path = path
         self.cause = cause
@@ -60,17 +64,12 @@ class _StageError(Exception):
         super().__init__(f"[{stage}]{where}: {cause}")
 
 
-def _stage(stage: str, path: Optional[Path] = None):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, (ForecastError, OSError)):
-                raise _StageError(stage, path, exc) from exc
-            return False
-
-    return _Ctx()
+@contextmanager
+def _stage(stage: str, path: Union[Path, str, None] = None):
+    try:
+        yield
+    except (ForecastError, OSError) as exc:
+        raise _StageError(stage, path, exc) from exc
 
 
 def _read(path: Path) -> bytes:
@@ -84,12 +83,12 @@ def _write(path: Optional[Path], data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def _load_kb(config: PipelineConfig) -> kb_mod.KnowledgeBase:
-    with _stage("kb", config.kb_path):
-        knowledge = kb_mod.load_kb(_read(config.kb_path))
-    if config.min_accuracy is not None:
-        knowledge = kb_mod.KnowledgeBase(
-            knowledge.accuracies, knowledge.overrides, config.min_accuracy)
+def _load_kb(path: Path, min_accuracy: Optional[Fraction]) -> kb_mod.KnowledgeBase:
+    with _stage("kb", path):
+        knowledge = kb_mod.load_kb(_read(path))
+        if min_accuracy is not None:
+            knowledge = kb_mod.KnowledgeBase(
+                knowledge.accuracies, knowledge.overrides, min_accuracy)
     return knowledge
 
 
@@ -153,7 +152,7 @@ def run_pipeline(config: PipelineConfig) -> int:
         timings.append((stage, time.perf_counter() - start))
         return result
 
-    knowledge = timed("kb", lambda: _load_kb(config))
+    knowledge = timed("kb", lambda: _load_kb(config.kb_path, config.min_accuracy))
     lams = timed("ingest", lambda: _load_lams(config))
     with _stage("tournament"):
         built = timed("tournament",
@@ -205,16 +204,18 @@ def _parse_now(text: Optional[str]) -> TimeRef:
         from datetime import datetime, timezone
 
         return TimeRef.absolute(datetime.now(timezone.utc))
-    return parse_timeref(text)
+    with _stage("args", "--now"):
+        return parse_timeref(text)
 
 
-def _parse_fraction(text: Optional[str]) -> Optional[Fraction]:
+def _parse_min_accuracy(text: Optional[str]) -> Optional[Fraction]:
     if text is None:
         return None
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
-        raise ForecastError(f"bad number {text!r}") from exc
+    with _stage("args", "--min-accuracy"):
+        try:
+            return exact_number(Decimal(text), "")
+        except InvalidOperation:
+            raise ForecastError(f"bad number {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tournament(args) -> int:
     config = PipelineConfig(
         sources=list(args.source), kb_path=args.kb, now=_parse_now(args.now),
-        obs_path=args.obs, min_accuracy=_parse_fraction(args.min_accuracy),
+        obs_path=args.obs, min_accuracy=_parse_min_accuracy(args.min_accuracy),
     )
-    knowledge = _load_kb(config)
+    knowledge = _load_kb(config.kb_path, config.min_accuracy)
     lams = _load_lams(config)
     with _stage("tournament"):
         built = tournament.build_theory(lams, knowledge, config.now)
@@ -281,7 +282,7 @@ def _cmd_bulletin(args) -> int:
     with _stage("bulletin", args.conclusions):
         concls = reasoner.conclusions_from_json(_read(args.conclusions))
     rendered = _render_bulletin(
-        concls, parse_timeref(args.now) if args.now else None,
+        concls, _parse_now(args.now) if args.now else None,
         args.lexicon, args.templates, args.format)
     _write(args.out, rendered)
     return 0
@@ -294,21 +295,24 @@ def _cmd_pipeline(args) -> int:
         templates_path=args.templates, out_format=args.format,
         out_path=args.out, emit_theory=args.emit_theory,
         emit_conclusions=args.emit_conclusions,
-        min_accuracy=_parse_fraction(args.min_accuracy),
+        min_accuracy=_parse_min_accuracy(args.min_accuracy),
         timings=args.timings,
     )
     return run_pipeline(config)
 
 
 def _cmd_validate(args) -> int:
+    """Lint with the parsers `pipeline` uses, so it accepts exactly what
+    `pipeline` ingests."""
+    _parse_now(args.now)
+    min_accuracy = _parse_min_accuracy(args.min_accuracy)
     status = 0
-    if args.kb is not None:
-        try:
-            kb_mod.load_kb(_read(args.kb))
-            print(f"{args.kb}: ok")
-        except (ForecastError, OSError) as exc:
-            print(f"{args.kb}: error: {exc}")
-            status = 1
+    try:
+        _load_kb(args.kb, min_accuracy)
+        print(f"{args.kb}: ok")
+    except _StageError as exc:
+        print(f"{args.kb}: error: {exc.cause}")
+        status = 1
     paths = list(args.source) + ([args.obs] if args.obs else [])
     for path in paths:
         try:

@@ -15,14 +15,13 @@ are normalized to a registered named point (exact match only).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
+from decimal import Decimal
 from typing import Optional
 
 from .errors import ForecastError, SchemaError
+from .inputs import exact_number, read_json_object
 from .model import (
     AssertionalMap,
     Compass,
@@ -38,7 +37,6 @@ from .model import (
 )
 
 _METHOD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_json_fraction = lambda s: Fraction(Decimal(s))
 
 #: A hindcast entry is tolerated but flagged once it trails the generation
 #: time by more than one horizon (day).
@@ -94,13 +92,10 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
         diags.append(Diagnostic("error", path, message))
 
     try:
-        doc = json.loads(data.decode("utf-8"), parse_float=_json_fraction)
-    except (UnicodeDecodeError, json.JSONDecodeError, InvalidOperation) as exc:
-        err("", f"not valid JSON: {exc}")
+        doc = read_json_object(data)
+    except SchemaError as exc:
+        err(exc.path, exc.message)
         return SourceMapDocument("invalid", TimeRef.symbolic(0), ()), diags
-    if not isinstance(doc, dict):
-        err("", "top level must be an object")
-        doc = {}
     for key in doc:
         if key not in ("method", "generated_at", "entries"):
             err(key, "unknown key")
@@ -124,8 +119,10 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
         raw_entries = []
     for i, raw in enumerate(raw_entries):
         path = f"entries[{i}]"
-        entry = _scan_entry(raw, path, registry, err)
-        if entry is None:
+        try:
+            entry = _scan_entry(raw, path, registry)
+        except SchemaError as exc:
+            err(exc.path, exc.message)
             continue
         key = (entry.condition, str(entry.location), entry.valid_at)
         if key in seen:
@@ -144,53 +141,50 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
     return SourceMapDocument(method, generated_at, tuple(entries)), diags
 
 
-def _scan_entry(raw, path: str, registry: LocationRegistry, err) -> Optional[AssertionalMap]:
+def _scan_entry(raw, path: str, registry: LocationRegistry) -> AssertionalMap:
+    """One entry; raises SchemaError at the first problem."""
     if not isinstance(raw, dict):
-        err(path, "entry must be an object")
-        return None
+        raise SchemaError(path, "entry must be an object")
     for key in raw:
         if key not in ("condition", "location", "valid_at", "magnitude", "direction"):
-            err(f"{path}.{key}", "unknown key")
-            return None
+            raise SchemaError(f"{path}.{key}", "unknown key")
     try:
         condition = Condition(raw.get("condition"))
     except ValueError:
-        err(f"{path}.condition", f"unknown condition kind {raw.get('condition')!r}")
-        return None
+        raise SchemaError(f"{path}.condition",
+                          f"unknown condition kind {raw.get('condition')!r}") from None
 
     loc_raw = raw.get("location")
+    if isinstance(loc_raw, dict):
+        coords = {"alt": Decimal(0), **loc_raw}
+        lat, lon, alt = (exact_number(coords.get(k), f"{path}.location.{k}")
+                         for k in ("lat", "lon", "alt"))
     try:
         if isinstance(loc_raw, str):
             location = registry.resolve(Location.point(loc_raw))
         elif isinstance(loc_raw, dict):
-            location = registry.resolve(Location.at(
-                loc_raw.get("lat"), loc_raw.get("lon"), loc_raw.get("alt", 0)))
+            location = registry.resolve(Location.at(lat, lon, alt))
         else:
             raise ForecastError("location must be a name or {lat, lon, alt}")
-    except (ForecastError, SchemaError) as exc:
-        err(f"{path}.location", getattr(exc, "message", None) or str(exc))
-        return None
+    except ForecastError as exc:
+        raise SchemaError(f"{path}.location",
+                          getattr(exc, "message", None) or str(exc)) from None
 
     try:
         valid_at = parse_timeref(str(raw.get("valid_at", "")))
     except ForecastError as exc:
-        err(f"{path}.valid_at", str(exc))
-        return None
+        raise SchemaError(f"{path}.valid_at", str(exc)) from None
 
-    magnitude = raw.get("magnitude")
-    if not isinstance(magnitude, (int, Fraction)) or isinstance(magnitude, bool):
-        err(f"{path}.magnitude", "must be a number")
-        return None
+    magnitude = exact_number(raw.get("magnitude"), f"{path}.magnitude")
     direction = None
     if "direction" in raw:
         try:
             direction = Compass(raw["direction"])
         except ValueError:
-            err(f"{path}.direction", f"unknown compass point {raw['direction']!r}")
-            return None
+            raise SchemaError(f"{path}.direction",
+                              f"unknown compass point {raw['direction']!r}") from None
     try:
-        value = make_value(condition, Fraction(magnitude), direction)
+        value = make_value(condition, magnitude, direction)
         return AssertionalMap(condition, location, valid_at, value)
     except ForecastError as exc:
-        err(path, str(exc))
-        return None
+        raise SchemaError(path, str(exc)) from None

@@ -1,0 +1,86 @@
+"""The input boundary: one JSON reader, one number check, one horizon parser,
+and the cycle check that KB overrides and theory superiority share.
+
+The bounds are fixed. A value outside them is an error at its path; it is
+never expanded into an oversized integer or Fraction first.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
+from typing import Hashable, Iterable
+
+from .errors import ForecastError, SchemaError
+
+#: Numbers need |x| < 10**MAX_INT_DIGITS and at most MAX_PLACES digits after
+#: the point, so they carry at most 15 significant digits.
+MAX_INT_DIGITS = 9
+MAX_PLACES = 6
+#: Symbolic horizons run h0..h366: a year of days ahead.
+MAX_HORIZON = 366
+
+HORIZON_RE = re.compile(r"h([0-9]+)\Z")
+
+
+def read_json_object(data: bytes) -> dict:
+    """The top-level object of a UTF-8 JSON document.
+
+    Every JSON number comes back as an exact Decimal for exact_number to
+    bound; none is converted to a float or an int here.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_float=Decimal, parse_int=Decimal)
+    except (ValueError, InvalidOperation, RecursionError) as exc:
+        raise SchemaError("", f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("", "top level must be an object")
+    return doc
+
+
+def exact_number(value, path: str) -> Fraction:
+    """The exact value of a JSON number, checked against the bounds before
+    any Fraction is built. Trailing zeros after the point do not count."""
+    if not isinstance(value, Decimal) or not value.is_finite():
+        raise SchemaError(path, "must be a number")
+    _, digits, exponent = value.as_tuple()
+    if exponent < -MAX_PLACES:
+        significant = "".join(map(str, digits)).rstrip("0")
+        exponent += len(digits) - len(significant)
+        digits = significant
+    if value and (exponent < -MAX_PLACES or len(digits) + exponent > MAX_INT_DIGITS):
+        raise SchemaError(path, f"out of bounds: numbers need |x| < 1e{MAX_INT_DIGITS} "
+                                f"and at most {MAX_PLACES} digits after the point")
+    return Fraction(value)
+
+
+def parse_horizon(text: str) -> int:
+    """k of a symbolic horizon "h<k>", for 0 <= k <= MAX_HORIZON; a long
+    digit string is refused before int() would convert it."""
+    m = HORIZON_RE.match(text)
+    if m is None or len(m[1]) > 9 or int(m[1]) > MAX_HORIZON:
+        raise ForecastError(f"bad horizon {text!r}: expected h0..h{MAX_HORIZON}")
+    return int(m[1])
+
+
+def has_cycle(edges: Iterable[tuple[Hashable, Hashable]]) -> bool:
+    """Whether the directed graph given by its edges has a cycle.
+
+    Kahn's algorithm: it peels off nodes with no incoming edge, and a cycle
+    is what remains. Iterative, so a long chain cannot exhaust the stack.
+    """
+    successors: dict[Hashable, list] = {}
+    indegree: dict[Hashable, int] = {}
+    for a, b in edges:
+        successors.setdefault(a, []).append(b)
+        indegree.setdefault(a, 0)
+        indegree[b] = indegree.get(b, 0) + 1
+    ready = [node for node, n in indegree.items() if n == 0]
+    for node in ready:
+        for nxt in successors.get(node, ()):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    return len(ready) < len(indegree)

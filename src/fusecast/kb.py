@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SchemaError, UnknownMethodError
+from .errors import ForecastError, SchemaError, UnknownMethodError
+from .inputs import MAX_HORIZON, exact_number, has_cycle, parse_horizon, read_json_object
 from .model import Condition, OBSERVATION_METHOD, decimal_str
-
-_json_fraction = lambda s: Fraction(Decimal(s))
 
 
 @dataclass(frozen=True)
@@ -100,25 +99,7 @@ def _validate(kb: KnowledgeBase) -> None:
             raise SchemaError(f"overrides[{i}]", "winner equals loser")
         by_scope.setdefault((ov.condition, ov.location), []).append(ov)
     for scope, ovs in by_scope.items():
-        _check_acyclic(scope, ovs)
-
-
-def _check_acyclic(scope: tuple, overrides: list[PriorityOverride]) -> None:
-    edges: dict[str, set[str]] = {}
-    for ov in overrides:
-        edges.setdefault(ov.winner, set()).add(ov.loser)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(node: str) -> bool:
-        state[node] = 1
-        for nxt in edges.get(node, ()):
-            if state.get(nxt) == 1 or (state.get(nxt) is None and visit(nxt)):
-                return True
-        state[node] = 2
-        return False
-
-    for node in list(edges):
-        if state.get(node) is None and visit(node):
+        if has_cycle((ov.winner, ov.loser) for ov in ovs):
             raise SchemaError(
                 "overrides",
                 f"priority overrides form a cycle within scope {scope}",
@@ -171,12 +152,7 @@ def override_winner(
 
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse and validate a KB document."""
-    try:
-        doc = json.loads(data.decode("utf-8"), parse_float=_json_fraction)
-    except (UnicodeDecodeError, json.JSONDecodeError, InvalidOperation) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top level must be an object")
+    doc = read_json_object(data)
     for key in doc:
         if key not in ("accuracies", "overrides", "min_accuracy"):
             raise SchemaError(key, "unknown key")
@@ -190,26 +166,28 @@ def load_kb(data: bytes) -> KnowledgeBase:
             raise SchemaError(f"accuracies.{method}",
                               "must be a non-empty object keyed by horizon")
         for h, acc in horizons.items():
+            path = f"accuracies.{method}.{h}"
             try:
-                horizon = int(h)
-            except ValueError:
-                raise SchemaError(f"accuracies.{method}.{h}",
-                                  "horizon keys are integers") from None
-            if not isinstance(acc, (int, Fraction)) or isinstance(acc, bool):
-                raise SchemaError(f"accuracies.{method}.{h}", "accuracy must be a number")
-            records.append(AccuracyRecord(method, horizon, Fraction(acc)))
+                horizon = parse_horizon(f"h{h}")
+            except ForecastError:
+                raise SchemaError(path, f"horizon keys are integers 0..{MAX_HORIZON}") from None
+            records.append(AccuracyRecord(method, horizon, exact_number(acc, path)))
 
+    raw_overrides = doc.get("overrides", [])
+    if not isinstance(raw_overrides, list):
+        raise SchemaError("overrides", "must be a list")
     overrides = []
-    for i, item in enumerate(doc.get("overrides", [])):
+    for i, item in enumerate(raw_overrides):
         if not isinstance(item, dict):
             raise SchemaError(f"overrides[{i}]", "must be an object")
         for key in item:
             if key not in ("winner", "loser", "condition", "location"):
                 raise SchemaError(f"overrides[{i}].{key}", "unknown key")
-        try:
-            winner, loser = item["winner"], item["loser"]
-        except KeyError as exc:
-            raise SchemaError(f"overrides[{i}]", f"missing {exc.args[0]}") from None
+        winner, loser, location = item.get("winner"), item.get("loser"), item.get("location")
+        if not (isinstance(winner, str) and isinstance(loser, str)):
+            raise SchemaError(f"overrides[{i}]", "winner and loser must be method ids")
+        if location is not None and not isinstance(location, str):
+            raise SchemaError(f"overrides[{i}].location", "must be a location name")
         condition = None
         if "condition" in item:
             try:
@@ -217,13 +195,10 @@ def load_kb(data: bytes) -> KnowledgeBase:
             except ValueError:
                 raise SchemaError(f"overrides[{i}].condition",
                                   f"unknown condition {item['condition']!r}") from None
-        overrides.append(PriorityOverride(winner, loser, condition,
-                                          item.get("location")))
+        overrides.append(PriorityOverride(winner, loser, condition, location))
 
-    min_acc = doc.get("min_accuracy", 0)
-    if not isinstance(min_acc, (int, Fraction)) or isinstance(min_acc, bool):
-        raise SchemaError("min_accuracy", "must be a number")
-    return KnowledgeBase(tuple(records), tuple(overrides), Fraction(min_acc))
+    min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
+    return KnowledgeBase(tuple(records), tuple(overrides), min_acc)
 
 
 def save_kb(kb: KnowledgeBase) -> bytes:

@@ -12,14 +12,13 @@ temperature/pressure/humidity) must be configured explicitly before use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
-from .model import Compass, Condition, Value, decimal_str
+from .inputs import exact_number, read_json_object
+from .model import Compass, Condition, Value
 
 Band = tuple[Optional[Fraction], str]  # (exclusive upper bound, None = ∞), term
 
@@ -173,13 +172,7 @@ def direction_name(point: Compass, table: LexiconTable = DEFAULT_LEXICON) -> str
 def load_lexicon(data: bytes) -> LexiconTable:
     """Defaults overridden per condition from a JSON document:
     {"cloudiness": [[10, "Clear or Sunny Skies"], ..., [null, "Overcast"]]}"""
-    try:
-        doc = json.loads(data.decode("utf-8"),
-                         parse_float=lambda s: Fraction(Decimal(s)))
-    except (UnicodeDecodeError, json.JSONDecodeError, InvalidOperation) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top level must be an object")
+    doc = read_json_object(data)
     bands = dict(DEFAULT_BANDS)
     for key, raw_bands in doc.items():
         try:
@@ -195,9 +188,7 @@ def load_lexicon(data: bytes) -> LexiconTable:
                 raise SchemaError(f"{key}[{i}]", "expected [bound, term]")
             bound, term = pair
             if bound is not None:
-                if not isinstance(bound, (int, Fraction)) or isinstance(bound, bool):
-                    raise SchemaError(f"{key}[{i}]", "bound must be a number or null")
-                bound = Fraction(bound)
+                bound = exact_number(bound, f"{key}[{i}]")
             parsed.append((bound, term))
         bands[condition] = tuple(parsed)
     try:
@@ -205,18 +196,3 @@ def load_lexicon(data: bytes) -> LexiconTable:
     except LexiconError as exc:
         raise SchemaError("", str(exc)) from exc
 
-
-def describe_band(condition: Condition, term: str,
-                  table: LexiconTable = DEFAULT_LEXICON) -> str:
-    """Human-readable band range for a term, e.g. "[40, 80) %"."""
-    lo = Fraction(0)
-    for i, (upper, t) in enumerate(table.bands.get(condition, ())):
-        if t == term:
-            hi = "∞" if upper is None else decimal_str(upper)
-            lo_s = decimal_str(lo)
-            if i == 0 and upper == 0:
-                return f"exactly 0 {condition.unit}"
-            return f"[{lo_s}, {hi}) {condition.unit}"
-        if upper is not None:
-            lo = upper
-    raise LexiconError(f"{condition.value}: no band for term {term!r}")

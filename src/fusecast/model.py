@@ -22,12 +22,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ForecastError, SchemaError
+from .inputs import parse_horizon
 
 #: Reserved method id for ground-truth observations.
 OBSERVATION_METHOD = "O"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_HORIZON_RE = re.compile(r"h(\d+)\Z")
 
 Rational = Union[int, str, Fraction]
 
@@ -201,14 +201,13 @@ class TimeRef:
 
 
 def parse_timeref(text: str) -> TimeRef:
-    """Parse "h<k>" or an ISO-8601 timestamp."""
-    m = _HORIZON_RE.match(text.strip())
-    if m:
-        return TimeRef.symbolic(int(m.group(1)))
+    """Parse "h<k>" (bounded by parse_horizon) or an ISO-8601 timestamp."""
+    text = text.strip()
+    if text.startswith("h"):
+        return TimeRef.symbolic(parse_horizon(text))
     try:
-        raw = text.strip().replace("Z", "+00:00")
-        return TimeRef.absolute(datetime.fromisoformat(raw))
-    except ValueError as exc:
+        return TimeRef.absolute(datetime.fromisoformat(text.replace("Z", "+00:00")))
+    except (ValueError, OverflowError) as exc:
         raise ForecastError(f"unparseable time reference: {text!r}") from exc
 
 
@@ -238,7 +237,10 @@ def resolve_instant(t: TimeRef, now: TimeRef) -> Union[datetime, int]:
             "cannot order an absolute time reference against a symbolic 'now'"
         )
     if t.is_symbolic:
-        return now.instant + timedelta(days=t.horizon)
+        try:
+            return now.instant + timedelta(days=t.horizon)
+        except OverflowError:
+            raise ForecastError(f"{now} + {t} is past the last representable date") from None
     return t.instant
 
 
@@ -314,9 +316,6 @@ class LocationRegistry:
                            lon=as_fraction(lon, "lon"), alt=as_fraction(alt, "alt"))
         self._points[name] = loc
         return loc
-
-    def names(self) -> list[str]:
-        return sorted(self._points)
 
     def resolve(self, loc: Location) -> Location:
         """Map a location onto a registered named point."""

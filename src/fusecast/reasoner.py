@@ -26,23 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import OracleLimitError, SchemaError
+from .errors import OracleLimitError, SchemaError, TheoryError
+from .inputs import read_json_object
 from .theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_literal, validate_theory
-
-
-@dataclass(frozen=True)
-class ProofTag:
-    polarity: str  # "+" or "-"
-    strength: str  # "D" (definite) or "d" (defeasible)
-
-    def __str__(self) -> str:
-        return self.polarity + self.strength
-
-
-PLUS_DEFINITE = ProofTag("+", "D")
-MINUS_DEFINITE = ProofTag("-", "D")
-PLUS_DEFEASIBLE = ProofTag("+", "d")
-MINUS_DEFEASIBLE = ProofTag("-", "d")
 
 
 @dataclass(frozen=True)
@@ -80,13 +66,8 @@ class _Index:
         self.universe = frozenset(mentioned) | {lit.complement() for lit in mentioned}
 
 
-def definite_closure(theory: DefeasibleTheory) -> tuple[frozenset[Literal], frozenset[Literal]]:
-    """(+Δ, −Δ) — strict least fixpoint and its complement over the universe."""
-    idx = _Index(theory)
-    return _definite(idx)
-
-
 def _definite(idx: _Index) -> tuple[frozenset[Literal], frozenset[Literal]]:
+    """(+Δ, −Δ) — strict least fixpoint and its complement over the universe."""
     plus: set[Literal] = set(idx.facts)
     changed = True
     while changed:
@@ -100,18 +81,10 @@ def _definite(idx: _Index) -> tuple[frozenset[Literal], frozenset[Literal]]:
     return frozenset(plus), frozenset(idx.universe - plus)
 
 
-def defeasible_closure(
-    theory: DefeasibleTheory,
-    definite: tuple[frozenset[Literal], frozenset[Literal]],
-) -> tuple[frozenset[Literal], frozenset[Literal]]:
-    """(+∂, −∂) given the definite tags."""
-    idx = _Index(theory)
-    return _defeasible(idx, *definite)
-
-
 def _defeasible(
     idx: _Index, plus_def: frozenset[Literal], minus_def: frozenset[Literal]
 ) -> tuple[frozenset[Literal], frozenset[Literal]]:
+    """(+∂, −∂) given the definite tags."""
     plus: set[Literal] = set()
     minus: set[Literal] = set()
 
@@ -306,19 +279,14 @@ def conclusions_to_json(cs: ConclusionSet) -> bytes:
 
 
 def conclusions_from_json(data: bytes) -> ConclusionSet:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top level must be an object")
+    doc = read_json_object(data)
     sets = {}
     for key, attr in _JSON_KEYS:
         items = doc.get(key, [])
-        if not isinstance(items, list):
-            raise SchemaError(key, "must be a list of literals")
+        if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+            raise SchemaError(key, "must be a list of literal strings")
         try:
             sets[attr] = frozenset(parse_literal(s) for s in items)
-        except Exception as exc:
+        except TheoryError as exc:
             raise SchemaError(key, f"bad literal: {exc}") from exc
     return ConclusionSet(**sets)

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
+from .inputs import HORIZON_RE, MAX_HORIZON, exact_number, has_cycle, parse_horizon
 from .model import Compass, Condition, Location, Value, decimal_str, make_value
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
-_HSEG_RE = re.compile(r"h\d+\Z")
 _MAG_RE = re.compile(r"\d+(p\d+)?\Z")
 _LOC_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -128,7 +128,6 @@ def validate_theory(theory: DefeasibleTheory) -> None:
         if rule.id in by_id:
             raise TheoryError(f"duplicate rule id {rule.id!r}")
         by_id[rule.id] = rule
-    edges: dict[str, set[str]] = {}
     for winner, loser in theory.superiority:
         for rid in (winner, loser):
             if rid not in by_id:
@@ -138,20 +137,8 @@ def validate_theory(theory: DefeasibleTheory) -> None:
                 f"superiority {winner} > {loser} relates non-complementary heads "
                 f"({by_id[winner].head} vs {by_id[loser].head})"
             )
-        edges.setdefault(winner, set()).add(loser)
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        state[node] = 1
-        for nxt in edges.get(node, ()):
-            if state.get(nxt) == 1 or (state.get(nxt) is None and visit(nxt)):
-                return True
-        state[node] = 2
-        return False
-
-    for node in list(edges):
-        if state.get(node) is None and visit(node):
-            raise TheoryError("superiority relation contains a cycle")
+    if has_cycle(theory.superiority):
+        raise TheoryError("superiority relation contains a cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +157,7 @@ class DecodedAtom:
 def source_tag(method: str) -> str:
     """Lowercase method tag usable inside an atom."""
     tag = method.lower()
-    if not _SRC_RE.match(tag) or _HSEG_RE.match(tag):
+    if not _SRC_RE.match(tag) or HORIZON_RE.match(tag):
         raise ForecastError(
             f"method id {method!r} cannot be embedded in atoms "
             "(must be alphanumeric and not look like a horizon segment)"
@@ -200,8 +187,8 @@ def encode_atom(
     parts = [head]
     if source is not None:
         parts.append(source_tag(source))
-    if horizon < 0:
-        raise ForecastError(f"atoms cannot encode a negative horizon ({horizon})")
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise ForecastError(f"atoms encode horizons 0..{MAX_HORIZON}, not {horizon}")
     parts.append(f"h{horizon}")
     mag = decimal_str(value.magnitude).replace(".", "p")
     if condition is Condition.WIND:
@@ -228,21 +215,16 @@ def decode_atom(atom: str) -> DecodedAtom:
         rest = f"_{tail}" if tail else ""
     else:
         raise opaque()
-    if not _LOC_RE.match(name) or not rest.startswith("_"):
+    if not rest.startswith("_"):
         raise opaque()
     parts = rest[1:].split("_")
     source: Optional[str] = None
     if len(parts) == 3:
         source, hseg, vseg = parts
-        if not _SRC_RE.match(source) or _HSEG_RE.match(source):
-            raise opaque()
     elif len(parts) == 2:
         hseg, vseg = parts
     else:
         raise opaque()
-    if not _HSEG_RE.match(hseg):
-        raise opaque()
-    horizon = int(hseg[1:])
     direction = None
     if condition is Condition.WIND:
         for d in _DIRECTIONS:
@@ -254,7 +236,9 @@ def decode_atom(atom: str) -> DecodedAtom:
     if not _MAG_RE.match(vseg):
         raise opaque()
     try:
-        value = make_value(condition, Fraction(vseg.replace("p", ".")), direction)
+        horizon = parse_horizon(hseg)
+        magnitude = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
+        value = make_value(condition, magnitude, direction)
         decoded = DecodedAtom(condition, source, name, horizon, value)
         if encode_atom(condition, source, name, horizon, value) != atom:
             raise opaque()

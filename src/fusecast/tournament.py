@@ -129,7 +129,6 @@ def _pick_biased(v_first: Value, v_second: Value, a_first: Fraction,
 
 BIASED_BLEND = SupremacyStrategy("biased-blend", _biased_blend)
 PICK_BIASED = SupremacyStrategy("pick-biased", _pick_biased)
-STRATEGIES = {s.name: s for s in (BIASED_BLEND, PICK_BIASED)}
 
 
 def supremacy(v_first: Value, v_second: Value, a_first: Fraction,

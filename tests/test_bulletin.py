@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,15 @@ class TestTemplateLoading:
 
         with pytest.raises(SchemaError):
             load_templates(b'{"fog": "{term}"}')
+
+    @pytest.mark.parametrize("fragment", [
+        "{term.upper}", "{term:>999999999}", "{term!r}", "{0}", "{", "{term[0]}",
+    ])
+    def test_fragment_that_would_fail_to_render_rejected(self, fragment):
+        from fusecast.errors import SchemaError
+
+        with pytest.raises(SchemaError, match="placeholders"):
+            load_templates(json.dumps({"wind": fragment}).encode())
 
     def test_lowercase_clause_joining(self, seaside_scenario):
         templates = load_templates(b'{"lowercase_clauses": true}')

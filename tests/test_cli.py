@@ -1,5 +1,11 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast.cli import main
 
@@ -145,3 +151,192 @@ class TestReason:
         bad.write_text("r1: => A\n???\n")
         assert main(["reason", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+
+def _parent(doc, pointer):
+    for key in pointer[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _seaside_with(tmp_path, name, pointer, raw):
+    """A seaside fixture document with the value at `pointer` (a key path)
+    replaced by the raw JSON text `raw`, written under tmp_path."""
+    doc = json.loads((SEASIDE / name).read_text())
+    _parent(doc, pointer)[pointer[-1]] = "@RAW@"
+    path = tmp_path / name
+    path.write_text(json.dumps(doc).replace('"@RAW@"', raw))
+    return path
+
+
+def _swap(args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = str(value)
+    return args
+
+
+def _staged_error(capsys, stage, where):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"fusecast: error [{stage}] ({where}): "), err
+    return err
+
+
+VALIDATE = ["validate", "--kb", str(SEASIDE / "kb.json"),
+            "--source", str(SEASIDE / "gfs.json"), "--now", "h0"]
+
+
+class TestInputBoundary:
+    """Out-of-bounds input ends in a staged error, in `validate` as in `pipeline`."""
+
+    @pytest.mark.parametrize("pointer, raw", [
+        (("entries", 0, "magnitude"), "1e5000"),
+        (("entries", 0, "magnitude"), "1e-5000"),
+        (("entries", 0, "magnitude"), "9" * 5000),
+        (("entries", 0, "location"), '{"lat": 1e5000, "lon": 0}'),
+        (("entries", 0, "valid_at"), '"h' + "9" * 5000 + '"'),
+    ], ids=["huge", "tiny", "long-int", "lat", "long-horizon"])
+    def test_out_of_bounds_source_value(self, tmp_path, capsys, pointer, raw):
+        bad = _seaside_with(tmp_path, "gfs.json", pointer, raw)
+        assert main(_swap(VALIDATE, "--source", bad)) == 1
+        assert "error at entries[0]" in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), "--source", bad)) == 1
+        _staged_error(capsys, "source", bad)
+
+    def test_huge_exponent_is_rejected_quickly(self, tmp_path, capsys):
+        bad = _seaside_with(tmp_path, "gfs.json", ("entries", 0, "magnitude"),
+                            "1e999999999")
+        start = time.perf_counter()
+        assert main(_swap(pipeline_args(tmp_path), "--source", bad)) == 1
+        assert time.perf_counter() - start < 1.0
+        _staged_error(capsys, "source", bad)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-accuracy", "1e5000"),
+        ("--min-accuracy", "many"),
+        ("--now", "bogus"),
+        ("--now", "h367"),
+        ("--now", "0001-01-01T00:00:00+05:00"),
+    ])
+    def test_bad_flag_fails_validate_as_it_fails_pipeline(
+            self, tmp_path, capsys, flag, value):
+        assert main(pipeline_args(tmp_path, extra=[flag, value])) == 1
+        _staged_error(capsys, "args", flag)
+        assert main([*VALIDATE, flag, value]) == 1
+        _staged_error(capsys, "args", flag)
+
+    def test_min_accuracy_outside_unit_interval(self, tmp_path, capsys):
+        assert main(pipeline_args(tmp_path, extra=["--min-accuracy", "2"])) == 1
+        _staged_error(capsys, "kb", SEASIDE / "kb.json")
+        assert main([*VALIDATE, "--min-accuracy", "2", "--now", "bogus"]) == 1
+        _staged_error(capsys, "args", "--now")
+        assert main([*VALIDATE, "--min-accuracy", "2"]) == 1
+        assert "min_accuracy: 2 outside [0, 1]" in capsys.readouterr().out
+
+    def test_out_of_bounds_atoms_are_opaque_to_the_bulletin(self, tmp_path):
+        conclusions = tmp_path / "conclusions.json"
+        conclusions.write_text(json.dumps({"+d": [
+            "CNorth_h1_" + "9" * 5000, "CNorth_h" + "9" * 5000 + "_75",
+            "CNorth_h400_75", "CSouth_h1_75"]}))
+        assert main(["bulletin", str(conclusions), "--out",
+                     str(tmp_path / "b.txt")]) == 0
+        assert (tmp_path / "b.txt").read_text() == \
+            "Tomorrow\nSouth: Mostly Cloudy.\n"
+
+    def test_non_string_literal_is_a_schema_error(self, tmp_path, capsys):
+        conclusions = tmp_path / "conclusions.json"
+        conclusions.write_text('{"+d": [5]}')
+        assert main(["bulletin", str(conclusions)]) == 1
+        err = _staged_error(capsys, "bulletin", conclusions)
+        assert "+d: must be a list of literal strings" in err
+
+    def test_superiority_chain_of_1500_rules(self, tmp_path, capsys):
+        rules = [f"r{i}: => {'-' * (i % 2)}A" for i in range(1500)]
+        sups = [f"r{i} > r{i + 1}" for i in range(1499)]
+        theory = tmp_path / "chain.dfl"
+        theory.write_text("\n".join(rules + sups) + "\nr1499 > r0\n")
+        assert main(["reason", str(theory)]) == 1
+        assert "cycle" in _staged_error(capsys, "reason", theory)
+
+    def test_override_chain_of_1500_methods(self, tmp_path, capsys):
+        chain = [{"winner": f"M{i}", "loser": f"M{i + 1}"} for i in range(1499)]
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps({"accuracies": {"ECMWF": {"1": 0.85}, "GFS": {"1": 0.45}},
+                                  "overrides": chain}))
+        assert main(_swap(VALIDATE, "--kb", kb)) == 0
+        kb.write_text(json.dumps({"overrides": chain + [{"winner": "M1499", "loser": "M0"}]}))
+        assert main(_swap(VALIDATE, "--kb", kb)) == 1
+        assert "form a cycle" in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), "--kb", kb)) == 1
+        _staged_error(capsys, "kb", kb)
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        kb = tmp_path / "kb.json"
+        kb.write_text('{"overrides": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(_swap(pipeline_args(tmp_path), "--kb", kb)) == 1
+        assert "not valid JSON" in _staged_error(capsys, "kb", kb)
+
+
+_DOCS = ("kb.json", "gfs.json", "ecmwf.json", "obs.json")
+
+_RAW = st.one_of(
+    st.sampled_from([
+        "1e5000", "-1e5000", "1e-5000", "9" * 5000, "1e999999999", "-0",
+        "0.1234567", "999999999.999999", "1000000000", "1.5", "120", "-3",
+        "true", "null", "[]", "{}", '[1, "a"]', '""', '"x"', '"O"', '"GFS"',
+        '"wind"', '"NE"', '"Sea"', '"h1"', '"h366"', '"h367"', '"h' + "9" * 50 + '"',
+        '"2026-01-01T00:00:00Z"', '"0001-01-01T00:00:00+05:00"',
+        '"9999-12-31T23:00:00Z"', '{"lat": 1, "lon": 2}', '{"lat": 1e5000, "lon": 0}',
+    ]),
+    st.integers().map(str),
+    st.from_regex(r"-?[0-9]{1,12}(\.[0-9]{1,9})?([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+)
+
+
+def _pointers(node, prefix=()):
+    """Every key path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _pointers(child, prefix + (key,))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    return status, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_end_in_staged_errors(tmp_path_factory, data):
+    """Any mutation of the seaside documents exits 0 or 1 without a traceback,
+    and documents that `validate` passes never fail at ingest in `pipeline`."""
+    docs = {name: json.loads((SEASIDE / name).read_text()) for name in _DOCS}
+    raws = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = docs[data.draw(st.sampled_from(_DOCS))]
+        pointer = data.draw(st.sampled_from(list(_pointers(doc))))
+        parent = _parent(doc, pointer)
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[pointer[-1]]
+        else:
+            parent[pointer[-1]] = f"@RAW{len(raws)}@"
+            raws.append(data.draw(_RAW))
+    tmp = tmp_path_factory.mktemp("mutated")
+    for name, doc in docs.items():
+        text = json.dumps(doc)
+        for i, raw in enumerate(raws):
+            text = text.replace(f'"@RAW{i}@"', raw)
+        (tmp / name).write_text(text)
+    inputs = ["--kb", str(tmp / "kb.json"), "--source", str(tmp / "gfs.json"),
+              "--source", str(tmp / "ecmwf.json"), "--obs", str(tmp / "obs.json"),
+              "--now", "h0"]
+    validated, _ = _run(["validate", *inputs])
+    status, err = _run(["pipeline", *inputs, "--out", str(tmp / "bulletin.txt")])
+    assert validated in (0, 1) and status in (0, 1)
+    assert "Traceback" not in err
+    if validated == 0:
+        assert not any(stage in err for stage in ("[source]", "[obs]", "[kb]")), err

@@ -81,6 +81,29 @@ class TestParseSourceMap:
         lams = parse_source_map(doc_bytes(entries=[entry(magnitude=0.85)]))
         assert lams[0].map.value.magnitude == Fraction(17, 20)
 
+    @pytest.mark.parametrize("raw, value", [
+        ("999999999.999999", Fraction(999999999999999, 10**6)),
+        ("0.000001", Fraction(1, 10**6)),
+        ("0.10000000", Fraction(1, 10)),
+        ("1E+2", Fraction(100)),
+        ("0E-5000", Fraction(0)),
+        ("-0E+999999999", Fraction(0)),
+    ])
+    def test_magnitudes_inside_the_bounds(self, raw, value):
+        data = doc_bytes(entries=[entry(condition="sea", location="Sea", magnitude="@")])
+        lams = parse_source_map(data.replace(b'"@"', raw.encode()))
+        assert lams[0].map.value.magnitude == value
+
+    @pytest.mark.parametrize("raw", [
+        "1000000000", "1e9", "0.0000001", "1e5000", "1e-5000",
+        pytest.param("9" * 5000, id="5000-digits"),
+        "1e999999999", "NaN", "Infinity", '"75"', "true", "null",
+    ])
+    def test_magnitudes_outside_the_bounds(self, raw):
+        data = doc_bytes(entries=[entry(magnitude="@")]).replace(b'"@"', raw.encode())
+        diags = validate_source_map(data)
+        assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].magnitude")]
+
     def test_coordinates_resolve_against_registry(self):
         reg = LocationRegistry()
         reg.declare("North", lat="45.43", lon="11.80")

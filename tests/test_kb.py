@@ -118,6 +118,12 @@ class TestValidation:
                 AccuracyRecord("GFS", 1, Fraction(1, 3)),
             ))
 
+    def test_override_chain_of_1500_methods(self):
+        chain = tuple(PriorityOverride(f"M{i}", f"M{i + 1}") for i in range(1499))
+        assert len(KnowledgeBase(overrides=chain).overrides) == 1499
+        with pytest.raises(SchemaError, match="cycle"):
+            KnowledgeBase(overrides=chain + (PriorityOverride("M1499", "M0"),))
+
     def test_observation_not_overridable(self):
         with pytest.raises(SchemaError):
             KnowledgeBase(accuracies=(AccuracyRecord("O", 1, Fraction(1, 2)),))
@@ -139,6 +145,24 @@ class TestDocumentFormat:
         with pytest.raises(SchemaError) as err:
             load_kb(b'{"accuracies": {"GFS": {"1": 1.3}}}')
         assert "GFS" in str(err.value)
+
+    @pytest.mark.parametrize("doc, path", [
+        ('{"accuracies": {"GFS": {"367": 0.5}}}', "accuracies.GFS.367"),
+        pytest.param('{"accuracies": {"GFS": {"%s": 0.5}}}' % ("9" * 5000),
+                     "accuracies.GFS.999", id="5000-digit-horizon"),
+        ('{"accuracies": {"GFS": {"1": 1e-5000}}}', "accuracies.GFS.1"),
+        ('{"accuracies": {"GFS": {"1": "0.5"}}}', "accuracies.GFS.1"),
+        pytest.param('{"min_accuracy": %s}' % ("1" * 5000), "min_accuracy",
+                     id="5000-digit-min-accuracy"),
+        ('{"overrides": 5}', "overrides"),
+        ('{"overrides": [{"winner": 5, "loser": "GFS"}]}', "overrides[0]"),
+        ('{"overrides": [{"winner": "A", "loser": "B", "location": []}]}',
+         "overrides[0].location"),
+    ])
+    def test_out_of_bounds_or_mistyped_value_rejected(self, doc, path):
+        with pytest.raises(SchemaError) as err:
+            load_kb(doc.encode())
+        assert err.value.path.startswith(path)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(SchemaError) as err:

@@ -131,6 +131,12 @@ class TestOverrides:
         with pytest.raises(SchemaError):
             load_lexicon(b'{"sea": [[100, "Calm"], [50, "Slight"], [null, "Rough"]]}')
 
+    @pytest.mark.parametrize("bound", ["1e5000", "1e-5000", "0.1234567", '"50"', "true"])
+    def test_bound_outside_the_number_bounds_rejected(self, bound):
+        with pytest.raises(SchemaError) as err:
+            load_lexicon(f'{{"sea": [[{bound}, "Calm"], [null, "Rough"]]}}'.encode())
+        assert err.value.path == "sea[0]"
+
     def test_uncovered_range_rejected(self):
         with pytest.raises(SchemaError):
             load_lexicon(b'{"sea": [[100, "Calm"]]}')

@@ -22,6 +22,7 @@ from fusecast.model import (
     horizon_index,
     make_value,
     parse_timeref,
+    resolve_instant,
 )
 
 H = TimeRef.symbolic
@@ -84,6 +85,18 @@ class TestTimeRef:
         t = parse_timeref("2026-08-08T14:05:00Z")
         assert not t.is_symbolic
         assert str(t) == "2026-08-08T14:05:00Z"
+
+    def test_symbolic_horizons_stop_at_366(self):
+        assert parse_timeref("h366") == H(366)
+        for text in ("h367", "h" + "9" * 5000, "h-1", "hx"):
+            with pytest.raises(ForecastError):
+                parse_timeref(text)
+
+    def test_out_of_range_instants_are_errors(self):
+        with pytest.raises(ForecastError):
+            parse_timeref("0001-01-01T00:00:00+05:00")
+        with pytest.raises(ForecastError):
+            resolve_instant(H(2), parse_timeref("9999-12-31T12:00:00Z"))
 
     def test_exactly_one_form(self):
         with pytest.raises(ForecastError):

@@ -2,18 +2,12 @@ import random
 
 import pytest
 
-from fusecast.errors import OracleLimitError
+from fusecast.errors import OracleLimitError, SchemaError
 from fusecast.reasoner import (
-    MINUS_DEFEASIBLE,
-    MINUS_DEFINITE,
-    PLUS_DEFEASIBLE,
-    PLUS_DEFINITE,
     ConclusionSet,
     conclusions,
     conclusions_from_json,
     conclusions_to_json,
-    defeasible_closure,
-    definite_closure,
     oracle_conclusions,
 )
 from fusecast.theory import DefeasibleTheory, Literal, parse_theory
@@ -31,26 +25,22 @@ def lits(*ss):
 
 class TestDefiniteClosure:
     def test_fact_is_definite(self):
-        t = parse_theory(">> A\n")
-        plus, minus = definite_closure(t)
-        assert plus == lits("A")
-        assert minus == lits("-A")
+        cs = conclusions(parse_theory(">> A\n"))
+        assert cs.plus_definite == lits("A")
+        assert cs.minus_definite == lits("-A")
 
     def test_strict_chain(self):
-        t = parse_theory(">> A\ns1: A -> B\n")
-        plus, _ = definite_closure(t)
-        assert plus == lits("A", "B")
+        cs = conclusions(parse_theory(">> A\ns1: A -> B\n"))
+        assert cs.plus_definite == lits("A", "B")
 
     def test_no_facts_no_strict_rules(self):
-        t = parse_theory("r1: => A\nr2: B => C\n")
-        plus, minus = definite_closure(t)
-        assert plus == frozenset()
-        assert minus == lits("A", "-A", "B", "-B", "C", "-C")
+        cs = conclusions(parse_theory("r1: => A\nr2: B => C\n"))
+        assert cs.plus_definite == frozenset()
+        assert cs.minus_definite == lits("A", "-A", "B", "-B", "C", "-C")
 
     def test_defeasible_rules_do_not_feed_definite(self):
-        t = parse_theory(">> A\nr1: A => B\n")
-        plus, _ = definite_closure(t)
-        assert plus == lits("A")
+        cs = conclusions(parse_theory(">> A\nr1: A => B\n"))
+        assert cs.plus_definite == lits("A")
 
 
 class TestDefeasibleClosure:
@@ -119,21 +109,8 @@ class TestDefeasibleClosure:
         assert lit("-CNorth_h1_88") in cs.plus_defeasible
         assert lit("CNorth_h1_88") in cs.minus_defeasible
 
-    def test_two_stage_composition_matches_conclusions(self, seaside_reference_theory):
-        t = seaside_reference_theory
-        definite = definite_closure(t)
-        plus, minus = defeasible_closure(t, definite)
-        cs = conclusions(t)
-        assert plus | cs.plus_definite == cs.plus_defeasible
-        assert minus == cs.minus_defeasible
-
 
 class TestConclusionSetLaws:
-    def test_proof_tag_surface_forms(self):
-        assert [str(t) for t in (PLUS_DEFINITE, MINUS_DEFINITE,
-                                 PLUS_DEFEASIBLE, MINUS_DEFEASIBLE)] == \
-            ["+D", "-D", "+d", "-d"]
-
     def test_empty_theory(self):
         cs = conclusions(DefeasibleTheory())
         assert cs == ConclusionSet()
@@ -142,6 +119,11 @@ class TestConclusionSetLaws:
         cs = conclusions(seaside_reference_theory)
         data = conclusions_to_json(cs)
         assert conclusions_from_json(data) == cs
+
+    @pytest.mark.parametrize("doc", [b'{"+d": [5]}', b'{"+d": "A"}', b'{"-d": ["A B"]}'])
+    def test_json_rejects_non_literals(self, doc):
+        with pytest.raises(SchemaError):
+            conclusions_from_json(doc)
 
     def test_json_sorted(self):
         cs = conclusions(parse_theory("r1: => B\nr2: => A\n"))

@@ -70,6 +70,10 @@ class TestAtomCodec:
         "xyzzy", "CNorth", "CNorth_h1", "CNorth_h1_78_9", "C_h1_78",
         "CNorth_h1_078", "CNorth_H1_78", "WNorth_h1_78", "CNorth_h1_N7",
         "Sea_h1_NE5", "Sea78", "CNorth_g_e_h1_78", "CNorth_h1_0p50",
+        "CNorth_h367_78",
+        pytest.param("CNorth_h" + "9" * 5000 + "_78", id="5000-digit-horizon"),
+        pytest.param("CNorth_h1_" + "9" * 5000, id="5000-digit-magnitude"),
+        "CNorth_h1_1000000000", "CNorth_h1_0p0000001",
     ])
     def test_opaque_atoms(self, atom):
         with pytest.raises(OpaqueAtomError):
@@ -86,6 +90,16 @@ class TestAtomCodec:
 
         with pytest.raises(ForecastError):
             encode_atom(Condition.RAIN, None, "North", -1, Value(Fraction(5)))
+
+    def test_horizons_stop_at_366(self):
+        from fusecast.errors import ForecastError
+
+        atom = encode_atom(Condition.RAIN, None, "North", 366,
+                           Value(Fraction(999999999999999, 10**6)))
+        assert atom == "RNorth_h366_999999999p999999"
+        assert decode_atom(atom).horizon == 366
+        with pytest.raises(ForecastError):
+            encode_atom(Condition.RAIN, None, "North", 367, Value(Fraction(5)))
 
     def test_method_tag_lowering(self):
         atom = encode_atom(Condition.RAIN, "ECMWF", "North", 1, Value(Fraction(5)))
@@ -210,6 +224,14 @@ class TestValidation:
         validate_theory(DefeasibleTheory((), rules, (("r1", "r2"),)))
         with pytest.raises(TheoryError):
             validate_theory(DefeasibleTheory((), rules, (("r1", "r1"),)))
+
+    def test_superiority_chain_of_1500_rules(self):
+        rules = tuple(Rule(f"r{i}", RuleKind.DEFEASIBLE, (), Literal("A", i % 2 == 0))
+                      for i in range(1500))
+        chain = tuple((f"r{i}", f"r{i + 1}") for i in range(1499))
+        validate_theory(DefeasibleTheory((), rules, chain))
+        with pytest.raises(TheoryError, match="cycle"):
+            validate_theory(DefeasibleTheory((), rules, chain + (("r1499", "r0"),)))
 
 
 @settings(max_examples=150)
