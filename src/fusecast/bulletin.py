@@ -11,11 +11,12 @@ from __future__ import annotations
 import html as _html
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from string import Formatter
 from typing import Mapping, Optional
 
-from .errors import ScenarioError, SchemaError, TemplateError
+from .errors import ForecastError, ScenarioError, SchemaError, TemplateError
 from .inputs import exact_number, parse_horizon, read_json_object
 from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
 from .model import Compass, Condition, Value, decimal_str
@@ -336,30 +337,79 @@ def _to_json(doc: BulletinDocument) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+_REQUIRED = object()
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", Decimal: "a number"}
+
+
+def _field(obj: dict, key: str, path: str, kind: type, default=_REQUIRED):
+    """obj[key] checked to be a `kind`. A missing key gives `default`, and so
+    does null when the default is None; with no default it is an error."""
+    value = obj.get(key, default)
+    if value is _REQUIRED or not (isinstance(value, kind) or value is default):
+        path = f"{path}.{key}" if path else key
+        raise SchemaError(path, "missing" if value is _REQUIRED
+                          else f"must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _enum(kind, value: str, path: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise SchemaError(path, f"unknown {kind.__name__.lower()} {value!r}") from None
+
+
+def _decimal(text: str, path: str) -> Fraction:
+    try:
+        return exact_number(Decimal(text), path)
+    except InvalidOperation:
+        raise SchemaError(path, "must be a decimal number") from None
+
+
 def bulletin_from_json(data: bytes) -> BulletinDocument:
-    """Inverse of the JSON rendering (headings are recomputed, not trusted)."""
+    """Inverse of the JSON rendering (headings are recomputed, not trusted).
+
+    A missing key or a value of the wrong type is a SchemaError naming its
+    path, e.g. "sections[0].locations.North[1].condition".
+    """
     payload = read_json_object(data)
-    header = BulletinHeader(
-        generated_at=payload.get("header", {}).get("generated_at"),
-        sources=tuple(payload.get("header", {}).get("sources", ())),
-    )
+    head = _field(payload, "header", "", dict, {})
+    sources = _field(head, "sources", "header", list, [])
+    if not all(isinstance(s, str) for s in sources):
+        raise SchemaError("header.sources", "must be a list of strings")
+    header = BulletinHeader(_field(head, "generated_at", "header", str, None), tuple(sources))
     sections = []
-    for section in payload.get("sections", []):
+    for i, section in enumerate(_field(payload, "sections", "", list, [])):
+        path = f"sections[{i}]"
+        if not isinstance(section, dict):
+            raise SchemaError(path, "must be an object")
+        horizon = _field(section, "horizon", path, Decimal)
+        try:
+            horizon = parse_horizon(f"h{horizon}")
+        except ForecastError as exc:
+            raise SchemaError(f"{path}.horizon", str(exc)) from None
+        locations = _field(section, "locations", path, dict, {})
         blocks = []
-        for location in sorted(section.get("locations", {})):
+        for location in sorted(locations):
             entries = []
-            for raw in section["locations"][location]:
-                direction = Compass(raw["direction"]) if raw.get("direction") else None
+            for j, raw in enumerate(_field(locations, location, f"{path}.locations", list)):
+                at = f"{path}.locations.{location}[{j}]"
+                if not isinstance(raw, dict):
+                    raise SchemaError(at, "must be an object")
+                condition = _field(raw, "condition", at, str)
+                direction = _field(raw, "direction", at, str, None)
+                direction = _enum(Compass, direction, f"{at}.direction") if direction else None
+                margin = _field(raw, "margin", at, str, None)
                 entries.append(BulletinEntry(
-                    condition=Condition(raw["condition"]),
-                    term=raw["term"],
-                    phrase=raw.get("phrase"),
-                    value=Value(Fraction(raw["magnitude"]), direction),
-                    margin=Fraction(raw["margin"]) if "margin" in raw else None,
+                    condition=_enum(Condition, condition, f"{at}.condition"),
+                    term=_field(raw, "term", at, str),
+                    phrase=_field(raw, "phrase", at, str, None),
+                    value=Value(_decimal(_field(raw, "magnitude", at, str), f"{at}.magnitude"),
+                                direction),
+                    margin=None if margin is None else _decimal(margin, f"{at}.margin"),
                 ))
             blocks.append(LocationBlock(location, tuple(entries)))
-        sections.append(BulletinSection(parse_horizon(f"h{section['horizon']}"),
-                                        tuple(blocks)))
+        sections.append(BulletinSection(horizon, tuple(blocks)))
     return BulletinDocument(header, tuple(sections))
 
 

@@ -12,10 +12,18 @@ defeasible rules for a head, R all rules for a head including defeaters):
         every s in R[~q] is discarded (some body −∂) or beaten by an
         applicable t in R_sd[q] with t > s.
   −∂q : −Δq, and: +Δ~q, or every r in R_sd[q] is discarded, or some s in
-        R[~q] is applicable and no applicable t in R_sd[q] has t > s.
+        R[~q] is applicable and no t in R_sd[q] that is not discarded has
+        t > s.
 
-Both defeasible tags grow as a mutually-inductive least fixpoint; literals
-that end up with neither tag (derivation loops) are reported undetermined.
+`conclusions` runs one worklist over interned literals, after Maher
+("Propositional defeasible logic has linear complexity", TPLP 2001) without
+his theory transformations. Atom k gives literal ids 2k and 2k + 1, so ~q is
+q ^ 1. Counts stand for the quantifiers above, so checking a literal is O(1);
+it is checked once, then only when a rule for q or ~q becomes applicable or
+discarded. Termination is structural: in each pass (+Δ, then ±∂) a literal
+is tagged at most once, and a rule changes state at most once, enqueueing its
+head and the head's complement: O(|literals| + |rules| + |superiority| +
+|bodies|) work in all. Literals left untagged (derivation loops) are undetermined.
 
 `oracle_conclusions` recomputes the tags by depth-bounded top-down proof
 search — a structurally different algorithm used for differential testing.
@@ -45,8 +53,133 @@ class ConclusionSet:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
 
+def conclusions(theory: DefeasibleTheory) -> ConclusionSet:
+    """All four proof-tag sets for a valid theory, plus undetermined literals."""
+    validate_theory(theory)
+    lits, definite, tag = _close(theory)
+    return ConclusionSet(
+        plus_definite=_pick(lits, definite, 1),
+        minus_definite=_pick(lits, definite, 0),
+        plus_defeasible=_pick(lits, tag, 1),
+        minus_defeasible=_pick(lits, tag, 2),
+        undetermined=_pick(lits, tag, 0),
+    )
+
+
+def _pick(lits: list[Literal], flags: bytearray, value: int) -> frozenset[Literal]:
+    # Copied from a set, a frozenset's table fits; filled one by one, it can double.
+    return frozenset({q for q, f in zip(lits, flags) if f == value})
+
+
+def _close(theory: DefeasibleTheory) -> tuple[list[Literal], bytearray, bytearray]:
+    """The literals by id, their +Δ flags, and their tags (1 +∂, 2 −∂)."""
+    atoms: dict[str, int] = {}
+    lits: list = []                 # literal id -> Literal, None until seen
+
+    def intern(lit: Literal) -> int:
+        i = 2 * atoms.setdefault(lit.atom, len(atoms)) + (not lit.positive)
+        if i >= len(lits):
+            lits.extend((None, None))
+        lits[i] = lit
+        return i
+
+    heads, sizes = [], []                 # rule -> head literal, body length
+    kinds = bytearray()                   # rule -> 2 strict, 1 defeasible, 0 defeater
+    occurs: dict[int, list[int]] = {}     # literal -> rules with it in the body, per occurrence
+    for j, rule in enumerate(theory.rules):
+        heads.append(intern(rule.head))
+        sizes.append(len(rule.body))
+        kinds.append((rule.kind is not RuleKind.DEFEATER) + (rule.kind is RuleKind.STRICT))
+        for b in rule.body:
+            occurs.setdefault(intern(b), []).append(j)
+    number = {rule.id: j for j, rule in enumerate(theory.rules)}
+    beats: dict[int, list[int]] = {}      # supporting rule -> rules it is superior to
+    unbeaten = [0] * len(heads)           # rule -> superior supporting rules not discarded
+    for w, l in theory.superiority:
+        if kinds[number[w]]:
+            beats.setdefault(number[w], []).append(number[l])
+            unbeaten[number[l]] += 1
+    work = [intern(f) for f in theory.facts]
+    work += [h for h, k, z in zip(heads, kinds, sizes) if k == 2 and not z]
+    lits = [q or lits[i ^ 1].complement() for i, q in enumerate(lits)]
+
+    # +Δ: count down each strict rule's body; a rule at zero fires its head.
+    definite = bytearray(len(lits))
+    left = sizes[:]
+    while work:
+        q = work.pop()
+        if not definite[q]:
+            definite[q] = 1
+            for j in occurs.get(q, ()):
+                left[j] -= 1
+                if not left[j] and kinds[j] == 2:
+                    work.append(heads[j])
+
+    # ±∂. Per rule j: `left[j]` body literals not yet +∂ (0: applicable), and
+    # `settled[j]` once j is discarded or beaten by an applicable rule. Per
+    # literal q: `ready[q]` some rule in R_sd[q] is applicable, `backed[q]`
+    # rules in R_sd[q] not discarded, `threats[q]` rules in R[~q] not settled,
+    # `lost[q]` some applicable s in R[~q] has every superior rule discarded.
+    tag = bytearray(len(lits))
+    left = sizes[:]
+    discarded, settled = bytearray(len(heads)), bytearray(len(heads))
+    ready, lost = bytearray(len(lits)), bytearray(len(lits))
+    backed, threats = [0] * len(lits), [0] * len(lits)
+    for h, k in zip(heads, kinds):
+        backed[h] += k > 0
+        threats[h ^ 1] += 1
+
+    def settle(s: int) -> None:
+        if not settled[s]:
+            settled[s] = 1
+            threats[heads[s] ^ 1] -= 1
+
+    def applicable(j: int) -> None:
+        h = heads[j]
+        ready[h] |= kinds[j] > 0
+        for s in beats.get(j, ()):
+            settle(s)
+        lost[h ^ 1] |= not unbeaten[j]
+        work.extend((h, h ^ 1))
+
+    for j in [j for j, z in enumerate(sizes) if not z]:
+        applicable(j)
+    for start in range(len(lits)):
+        work.append(start)
+        while work:
+            q = work.pop()
+            if tag[q]:
+                continue
+            if definite[q] or not definite[q ^ 1] and ready[q] and not threats[q]:
+                tag[q] = 1
+                for j in occurs.get(q, ()):
+                    left[j] -= 1
+                    if not left[j]:
+                        applicable(j)
+            elif not definite[q] and (definite[q ^ 1] or not backed[q] or lost[q]):
+                tag[q] = 2
+                for j in occurs.get(q, ()):
+                    if discarded[j]:
+                        continue
+                    discarded[j] = 1
+                    backed[heads[j]] -= kinds[j] > 0
+                    settle(j)
+                    for s in beats.get(j, ()):
+                        unbeaten[s] -= 1
+                        lost[heads[j]] |= not unbeaten[s] and not left[s]
+                    work += (heads[j], heads[j] ^ 1)
+    return lits, definite, tag
+
+
+# ---------------------------------------------------------------------------
+# Differential-testing oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_MAX_ATOMS = 12
+
+
 class _Index:
-    """Rule lookup tables for one theory."""
+    """The oracle's Literal-keyed rule tables for one theory."""
 
     def __init__(self, theory: DefeasibleTheory):
         self.facts = frozenset(theory.facts)
@@ -64,109 +197,6 @@ class _Index:
             if rule.kind is RuleKind.STRICT:
                 self.strict.setdefault(rule.head, []).append(rule)
         self.universe = frozenset(mentioned) | {lit.complement() for lit in mentioned}
-
-
-def _definite(idx: _Index) -> tuple[frozenset[Literal], frozenset[Literal]]:
-    """(+Δ, −Δ) — strict least fixpoint and its complement over the universe."""
-    plus: set[Literal] = set(idx.facts)
-    changed = True
-    while changed:
-        changed = False
-        for head, rules in idx.strict.items():
-            if head in plus:
-                continue
-            if any(all(b in plus for b in r.body) for r in rules):
-                plus.add(head)
-                changed = True
-    return frozenset(plus), frozenset(idx.universe - plus)
-
-
-def _defeasible(
-    idx: _Index, plus_def: frozenset[Literal], minus_def: frozenset[Literal]
-) -> tuple[frozenset[Literal], frozenset[Literal]]:
-    """(+∂, −∂) given the definite tags."""
-    plus: set[Literal] = set()
-    minus: set[Literal] = set()
-
-    def applicable(rule: Rule) -> bool:
-        return all(b in plus for b in rule.body)
-
-    def discarded(rule: Rule) -> bool:
-        return any(b in minus for b in rule.body)
-
-    def provable(q: Literal) -> bool:
-        if q in plus_def:
-            return True
-        neg = q.complement()
-        if neg not in minus_def:
-            return False
-        supports = [r for r in idx.support.get(q, ()) if applicable(r)]
-        if not supports:
-            return False
-        for s in idx.attackers.get(neg, ()):
-            if discarded(s):
-                continue
-            if not any((t.id, s.id) in idx.beats for t in supports):
-                return False
-        return True
-
-    def refutable(q: Literal) -> bool:
-        if q not in minus_def:
-            return False
-        neg = q.complement()
-        if neg in plus_def:
-            return True
-        supports = idx.support.get(q, ())
-        if all(discarded(r) for r in supports):
-            return True
-        undefeated = [t for t in supports if not discarded(t)]
-        for s in idx.attackers.get(neg, ()):
-            if applicable(s) and not any((t.id, s.id) in idx.beats for t in undefeated):
-                return True
-        return False
-
-    # Mutually-inductive fixpoint; each pass adds at least one tag or stops,
-    # so it closes within 2 * |universe| iterations.
-    pending = set(idx.universe)
-    rounds = 0
-    changed = True
-    while changed and pending:
-        rounds += 1
-        assert rounds <= 2 * len(idx.universe) + 2, "fixpoint failed to close"
-        changed = False
-        for q in sorted(pending, key=str):
-            if q in plus or q in minus:
-                continue
-            if provable(q):
-                plus.add(q)
-                changed = True
-            elif refutable(q):
-                minus.add(q)
-                changed = True
-        pending -= plus | minus
-    return frozenset(plus), frozenset(minus)
-
-
-def conclusions(theory: DefeasibleTheory) -> ConclusionSet:
-    """All four proof-tag sets for a valid theory, plus undetermined literals."""
-    validate_theory(theory)
-    idx = _Index(theory)
-    plus_def, minus_def = _definite(idx)
-    plus, minus = _defeasible(idx, plus_def, minus_def)
-    return ConclusionSet(
-        plus_definite=plus_def,
-        minus_definite=minus_def,
-        plus_defeasible=plus | plus_def,
-        minus_defeasible=minus,
-        undetermined=idx.universe - plus - plus_def - minus,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Differential-testing oracle
-# ---------------------------------------------------------------------------
-
-ORACLE_MAX_ATOMS = 12
 
 
 def oracle_conclusions(theory: DefeasibleTheory) -> ConclusionSet:

@@ -152,6 +152,43 @@ class TestRenderDocument:
         data = render_document(BulletinDocument(), "json")
         assert bulletin_from_json(data) == BulletinDocument()
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"sections": [{"horizon": 1, "locations": {"N": [{}]}}]},
+         "sections[0].locations.N[0].condition"),
+        ({"sections": [{"locations": {}}]}, "sections[0].horizon"),
+        ({"sections": 5}, "sections"),
+        ({"sections": [5]}, "sections[0]"),
+        ({"sections": [{"horizon": "1"}]}, "sections[0].horizon"),
+        ({"sections": [{"horizon": 1.5}]}, "sections[0].horizon"),
+        ({"sections": [{"horizon": 1, "locations": []}]}, "sections[0].locations"),
+        ({"sections": [{"horizon": 1, "locations": {"N": {}}}]}, "sections[0].locations.N"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [{"condition": "fog"}]}}]},
+         "sections[0].locations.N[0].condition"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "rain", "term": "Dry"}]}}]}, "sections[0].locations.N[0].magnitude"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "rain", "term": "Dry", "magnitude": 0}]}}]},
+         "sections[0].locations.N[0].magnitude"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "rain", "term": "Dry", "magnitude": "1e999999999"}]}}]},
+         "sections[0].locations.N[0].magnitude"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "wind", "term": "Calm", "magnitude": "1", "direction": "UP"}]}}]},
+         "sections[0].locations.N[0].direction"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "rain", "term": "Dry", "magnitude": "0", "margin": 0.1}]}}]},
+         "sections[0].locations.N[0].margin"),
+        ({"header": []}, "header"),
+        ({"header": {"sources": ["e", 5]}}, "header.sources"),
+        ({"header": {"generated_at": 5}}, "header.generated_at"),
+    ])
+    def test_json_shape_errors_name_the_path(self, doc, path):
+        from fusecast.errors import SchemaError
+
+        with pytest.raises(SchemaError) as info:
+            bulletin_from_json(json.dumps(doc).encode())
+        assert info.value.path == path
+
     def test_html_escapes_and_carries_lines(self, seaside_scenario):
         html = render_document(render_sharp(seaside_scenario), "html").decode()
         assert "<strong>North</strong>: Mostly Cloudy, Light Winds from North East." in html

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from fusecast.reasoner import (
     conclusions_to_json,
     oracle_conclusions,
 )
-from fusecast.theory import DefeasibleTheory, Literal, parse_theory
+from fusecast.theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_theory
 
 from genutil import random_theory
 
@@ -166,3 +167,101 @@ def test_differential_and_laws_on_random_theories(seed):
     cs = conclusions(theory)
     _check_laws(cs)
     assert oracle_conclusions(theory) == cs
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_differential_and_laws_on_dense_random_theories(seed):
+    # Up to 40 rules over 12 atoms: long enough derivations to exercise the
+    # per-rule counters and repeated re-queuing of the same head.
+    theory = random_theory(random.Random(seed), max_rules=40, atoms="abcdefghijkl")
+    cs = conclusions(theory)
+    _check_laws(cs)
+    assert oracle_conclusions(theory) == cs
+
+
+@pytest.mark.parametrize("text", [
+    "r: a, a => b\n>> a\n",                    # duplicated body literal
+    "r: a, a => b\ns: => -a\nt: => a\n",      # ... that gets discarded
+    "r: a => a\n",                             # self-support loop
+    "r: -> a\ns: a -> b\nt: => -b\n",         # empty-body strict rule
+    ">> a\nr: => a\ns: => -a\ns > r\n",       # fact that also heads a defeasible rule
+    "r: => b\nd: b ~> -a\ns: => a\n",         # defeater with a body
+    "r: => b\nd: b ~> -a\ns: => a\ns > d\n",  # ... beaten by the supporting rule
+])
+def test_edge_cases_against_oracle(text):
+    theory = parse_theory(text)
+    cs = conclusions(theory)
+    _check_laws(cs)
+    assert oracle_conclusions(theory) == cs
+
+
+def test_self_support_loop_is_undetermined():
+    cs = conclusions(parse_theory("r: a => a\n"))
+    assert cs.undetermined == lits("a")
+    assert cs.minus_defeasible == lits("-a")
+
+
+def _attacked_chain(links: int, reverse: bool) -> DefeasibleTheory:
+    """A strict chain s000 -> ... -> s100, then links d_i: prev => c_i, each
+    attacked by x_i: prev => -c_i (a defeater on odd i) with d_i > x_i.
+
+    With `reverse`, atom names and rule order run against the dependency
+    order, which is the worst case for a closure that re-scans pending
+    literals in name order. Both orders use the same names.
+    """
+    def name(prefix: str, i: int, last: int) -> str:
+        return f"{prefix}{(last - i if reverse else i):05d}"
+
+    order = range(links, 0, -1) if reverse else range(1, links + 1)
+    strict = [Literal(name("s", i, 100)) for i in range(101)]
+    chain = [strict[-1]] + [Literal(name("c", i, links + 1)) for i in range(1, links + 1)]
+    rules, sups = [], []
+    for i in order:
+        kind = RuleKind.DEFEATER if i % 2 else RuleKind.DEFEASIBLE
+        rules.append(Rule(f"d{chain[i]}", RuleKind.DEFEASIBLE, (chain[i - 1],), chain[i]))
+        rules.append(Rule(f"x{chain[i]}", kind, (chain[i - 1],), chain[i].complement()))
+        sups.append((f"d{chain[i]}", f"x{chain[i]}"))
+    rules += [Rule(f"t{strict[i]}", RuleKind.STRICT, (strict[i - 1],), strict[i])
+              for i in (range(100, 0, -1) if reverse else range(1, 101))]
+    return DefeasibleTheory((strict[0],), tuple(rules), tuple(sups))
+
+
+def test_attacked_chain_closes_in_linear_time():
+    links = 6400
+    theory = _attacked_chain(links, reverse=True)
+    start = time.perf_counter()
+    cs = conclusions(theory)
+    elapsed = time.perf_counter() - start
+    strict = frozenset(Literal(f"s{i:05d}") for i in range(101))
+    chain = frozenset(Literal(f"c{i:05d}") for i in range(1, links + 1))
+    neg = lambda ls: frozenset(q.complement() for q in ls)
+    assert cs.plus_definite == strict
+    assert cs.minus_definite == chain | neg(strict) | neg(chain)
+    assert cs.plus_defeasible == strict | chain
+    assert cs.minus_defeasible == neg(strict) | neg(chain)
+    assert cs.undetermined == frozenset()
+    # Linear work takes about 0.2 s here; a closure that re-scans every
+    # pending literal per pass needs minutes.
+    assert elapsed <= 5.0
+    assert conclusions(_attacked_chain(links, reverse=False)) == cs
+
+
+def test_head_with_many_rules_closes_in_linear_time():
+    # 32,000 rules for `a` become applicable last-listed first while an
+    # undetermined attacker keeps `a` open, so `a` is re-checked after each
+    # one. A closure that re-scans the rules for `a` at each check needs
+    # about half a minute.
+    n = 32000
+    a, c = Literal("a"), Literal("c")
+    bodies = [Literal(f"b{i:05d}") for i in range(n)]
+    rules = [Rule(f"f{i:05d}", RuleKind.DEFEASIBLE, (), bodies[i]) for i in reversed(range(n))]
+    rules += [Rule(f"r{i:05d}", RuleKind.DEFEASIBLE, (bodies[i],), a) for i in range(n)]
+    rules += [Rule("s", RuleKind.DEFEASIBLE, (c,), a.complement()),
+              Rule("loop", RuleKind.DEFEASIBLE, (c,), c)]
+    theory = DefeasibleTheory((), tuple(rules), ())
+    start = time.perf_counter()
+    cs = conclusions(theory)
+    elapsed = time.perf_counter() - start
+    assert cs.undetermined == lits("a", "c")
+    assert cs.plus_defeasible == frozenset(bodies)
+    assert elapsed <= 5.0
