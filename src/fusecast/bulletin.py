@@ -19,9 +19,9 @@ from typing import Mapping, Optional
 from .errors import ForecastError, ScenarioError, SchemaError, TemplateError
 from .inputs import exact_number, parse_horizon, read_json_object
 from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
-from .model import Compass, Condition, Value, decimal_str
+from .model import Compass, Condition, Value, decimal_str, make_value
 from .reasoner import ConclusionSet
-from .theory import OpaqueAtomError, decode_atom
+from .theory import RESERVED_TAG_RE, OpaqueAtomError, decode_atom
 
 #: Display order of conditions within a location's bulletin line.
 _DISPLAY_ORDER = [Condition.CLOUDINESS, Condition.WIND, Condition.SEA, Condition.RAIN]
@@ -39,12 +39,12 @@ class ScenarioEntry:
     value: Value
     witness: str   # the literal this entry was read from
     strength: str  # "+D" (fact-backed) or "+d"
-    margin: Optional[Fraction] = None  # accuracy gap hook for uncertainty wording
 
 
 @dataclass(frozen=True)
 class WeatherScenario:
     entries: tuple[ScenarioEntry, ...] = ()
+    sources: tuple[str, ...] = ()  # model tags of the +d literals, sorted
 
     def at(self, horizon: int) -> list[ScenarioEntry]:
         return [e for e in self.entries if e.horizon == horizon]
@@ -54,20 +54,24 @@ class WeatherScenario:
 
 
 def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
-    """The winning value per slot, from positive untagged decodable literals.
+    """The winning value per slot, from positive untagged decodable literals,
+    and the model tags found on +d literals of either sign.
 
-    Source-tagged and opaque atoms are skipped; two distinct winners on one
-    slot mean the theory was malformed and raise ScenarioError.
+    Opaque atoms and the fold rounds' reserved tags are skipped; two distinct
+    winners on one slot mean the theory was malformed and raise ScenarioError.
     """
     by_slot: dict[tuple, ScenarioEntry] = {}
+    sources: set[str] = set()
     for lit in sorted(conclusions.plus_defeasible, key=str):
-        if not lit.positive:
-            continue
         try:
             decoded = decode_atom(lit.atom)
         except OpaqueAtomError:
             continue
         if decoded.source is not None:
+            if not RESERVED_TAG_RE.match(decoded.source):
+                sources.add(decoded.source)
+            continue
+        if not lit.positive:
             continue
         slot = (decoded.condition, decoded.location, decoded.horizon)
         strength = "+D" if lit in conclusions.plus_definite else "+d"
@@ -85,7 +89,7 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
         by_slot.values(),
         key=lambda e: (e.horizon, e.location, _DISPLAY_RANK[e.condition]),
     )
-    return WeatherScenario(tuple(entries))
+    return WeatherScenario(tuple(entries), tuple(sorted(sources)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,6 @@ class BulletinEntry:
     term: str
     phrase: Optional[str]  # direction phrase, wind only
     value: Value
-    margin: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def render_sharp(scenario: WeatherScenario,
             if entry.condition is Condition.WIND:
                 phrase = direction_name(entry.value.direction, lexicon)
             blocks.setdefault(entry.location, []).append(
-                BulletinEntry(entry.condition, term, phrase, entry.value, entry.margin))
+                BulletinEntry(entry.condition, term, phrase, entry.value))
         sections.append(BulletinSection(
             horizon,
             tuple(
@@ -170,19 +173,12 @@ DEFAULT_FRAGMENTS: dict[Condition, str] = {
 
 @dataclass(frozen=True)
 class SmoothTemplates:
-    """Sentence fragments per condition, plus rendering hooks.
-
-    When `uncertainty_threshold` is set, entries whose accuracy margin falls
-    below it are prefixed with `uncertainty_prefix` ("possible Light Rains");
-    the margin is only populated by callers that track it, so the default
-    pipeline renders without hedging adjectives. `lowercase_clauses` joins
-    the per-condition clauses in lowercase instead of the vocabulary casing.
+    """Sentence fragments per condition. `lowercase_clauses` joins the
+    per-condition clauses in lowercase instead of the vocabulary casing.
     """
 
     fragments: Mapping[Condition, str] = field(
         default_factory=lambda: dict(DEFAULT_FRAGMENTS))
-    uncertainty_threshold: Optional[Fraction] = None
-    uncertainty_prefix: str = "possible "
     lowercase_clauses: bool = False
 
     def __post_init__(self):
@@ -216,10 +212,6 @@ def _sentence_body(block: LocationBlock, templates: SmoothTemplates) -> str:
             clause = fragment.format(term=entry.term, direction=entry.phrase or "")
         except (KeyError, IndexError) as exc:
             raise TemplateError(f"bad template for {entry.condition.value!r}: {exc}")
-        if (templates.uncertainty_threshold is not None
-                and entry.margin is not None
-                and entry.margin < templates.uncertainty_threshold):
-            clause = templates.uncertainty_prefix + clause
         if templates.lowercase_clauses:
             clause = clause.lower()
         clauses.append(clause.strip())
@@ -238,25 +230,16 @@ def horizon_heading(horizon: int) -> str:
 
 def load_templates(data: bytes) -> SmoothTemplates:
     """Template override file: a flat mapping of condition kinds to fragments
-    with {term}/{direction} placeholders, plus optional rendering keys:
+    with {term}/{direction} placeholders, plus an optional lowercase switch:
 
         {"wind": "{term} {direction}", "sea": "sea state {term}",
-         "uncertainty_threshold": 0.2, "uncertainty_prefix": "possible ",
          "lowercase_clauses": false}
     """
     doc = read_json_object(data)
     fragments = dict(DEFAULT_FRAGMENTS)
-    threshold = None
-    prefix = "possible "
     lowercase = False
     for key, value in doc.items():
-        if key == "uncertainty_threshold":
-            threshold = None if value is None else exact_number(value, key)
-        elif key == "uncertainty_prefix":
-            if not isinstance(value, str):
-                raise SchemaError(key, "must be a string")
-            prefix = value
-        elif key == "lowercase_clauses":
+        if key == "lowercase_clauses":
             if not isinstance(value, bool):
                 raise SchemaError(key, "must be a boolean")
             lowercase = value
@@ -269,12 +252,7 @@ def load_templates(data: bytes) -> SmoothTemplates:
                 raise SchemaError(key, "fragment must be a string whose only "
                                        "placeholders are {term} and {direction}")
             fragments[condition] = value
-    return SmoothTemplates(
-        fragments=fragments,
-        uncertainty_threshold=threshold,
-        uncertainty_prefix=prefix,
-        lowercase_clauses=lowercase,
-    )
+    return SmoothTemplates(fragments=fragments, lowercase_clauses=lowercase)
 
 
 def _plain_fragment(fragment: str) -> bool:
@@ -304,16 +282,13 @@ def render_document(doc: BulletinDocument, format: str = "text",
 
 
 def _entry_dict(entry: BulletinEntry) -> dict:
-    out = {
+    return {
         "condition": entry.condition.value,
         "term": entry.term,
         "phrase": entry.phrase,
         "magnitude": decimal_str(entry.value.magnitude),
         "direction": entry.value.direction.value if entry.value.direction else None,
     }
-    if entry.margin is not None:
-        out["margin"] = decimal_str(entry.margin)
-    return out
 
 
 def _to_json(doc: BulletinDocument) -> bytes:
@@ -396,18 +371,18 @@ def bulletin_from_json(data: bytes) -> BulletinDocument:
                 at = f"{path}.locations.{location}[{j}]"
                 if not isinstance(raw, dict):
                     raise SchemaError(at, "must be an object")
-                condition = _field(raw, "condition", at, str)
+                condition = _enum(Condition, _field(raw, "condition", at, str),
+                                  f"{at}.condition")
                 direction = _field(raw, "direction", at, str, None)
                 direction = _enum(Compass, direction, f"{at}.direction") if direction else None
-                margin = _field(raw, "margin", at, str, None)
-                entries.append(BulletinEntry(
-                    condition=_enum(Condition, condition, f"{at}.condition"),
-                    term=_field(raw, "term", at, str),
-                    phrase=_field(raw, "phrase", at, str, None),
-                    value=Value(_decimal(_field(raw, "magnitude", at, str), f"{at}.magnitude"),
-                                direction),
-                    margin=None if margin is None else _decimal(margin, f"{at}.margin"),
-                ))
+                term = _field(raw, "term", at, str)
+                phrase = _field(raw, "phrase", at, str, None)
+                magnitude = _decimal(_field(raw, "magnitude", at, str), f"{at}.magnitude")
+                try:
+                    value = make_value(condition, magnitude, direction)
+                except ForecastError as exc:
+                    raise SchemaError(at, str(exc)) from None
+                entries.append(BulletinEntry(condition, term, phrase, value))
             blocks.append(LocationBlock(location, tuple(entries)))
         sections.append(BulletinSection(horizon, tuple(blocks)))
     return BulletinDocument(header, tuple(sections))

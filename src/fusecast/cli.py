@@ -19,7 +19,6 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -31,26 +30,6 @@ from . import tournament
 from .errors import ForecastError
 from .inputs import exact_number
 from .model import TimeRef, parse_timeref
-
-
-@dataclass
-class PipelineConfig:
-    sources: list[Path]
-    kb_path: Path
-    now: TimeRef
-    obs_path: Optional[Path] = None
-    lexicon_path: Optional[Path] = None
-    templates_path: Optional[Path] = None
-    out_format: str = "text"
-    out_path: Optional[Path] = None
-    emit_theory: Optional[Path] = None
-    emit_conclusions: Optional[Path] = None
-    min_accuracy: Optional[Fraction] = None
-    timings: bool = False
-
-    def __post_init__(self):
-        if not self.sources:
-            raise ForecastError("at least one --source map is required")
 
 
 class _StageError(Exception):
@@ -92,29 +71,15 @@ def _load_kb(path: Path, min_accuracy: Optional[Fraction]) -> kb_mod.KnowledgeBa
     return knowledge
 
 
-def _load_lams(config: PipelineConfig):
+def _load_lams(sources: Sequence[Path], obs: Optional[Path]):
     lams = []
-    for path in config.sources:
+    for path in sources:
         with _stage("source", path):
             lams.extend(ingest.parse_source_map(_read(path)))
-    if config.obs_path is not None:
-        with _stage("obs", config.obs_path):
-            lams.extend(ingest.parse_source_map(_read(config.obs_path)))
+    if obs is not None:
+        with _stage("obs", obs):
+            lams.extend(ingest.parse_source_map(_read(obs)))
     return lams
-
-
-def _conclusion_sources(conclusions: reasoner.ConclusionSet) -> tuple[str, ...]:
-    """Source tags present in the conclusions; lets the bulletin stage name
-    its inputs identically whether run standalone or inside the pipeline."""
-    tags = set()
-    for lit in conclusions.plus_defeasible:
-        try:
-            decoded = theory_mod.decode_atom(lit.atom)
-        except theory_mod.OpaqueAtomError:
-            continue
-        if decoded.source:
-            tags.add(decoded.source)
-    return tuple(sorted(tags))
 
 
 def _render_bulletin(
@@ -134,43 +99,14 @@ def _render_bulletin(
             templates = bulletin_mod.load_templates(_read(templates_path))
     with _stage("bulletin"):
         scenario = bulletin_mod.extract_scenario(conclusions)
+        # The header is read from the conclusions alone, so the bulletin stage
+        # names the same sources standalone as inside the pipeline.
         header = bulletin_mod.BulletinHeader(
             generated_at=None if now is None else str(now),
-            sources=_conclusion_sources(conclusions),
+            sources=scenario.sources,
         )
         doc = bulletin_mod.render_sharp(scenario, lex, header)
         return bulletin_mod.render_document(doc, out_format, templates)
-
-
-def run_pipeline(config: PipelineConfig) -> int:
-    """All stages; returns the process exit status."""
-    timings: list[tuple[str, float]] = []
-
-    def timed(stage, fn):
-        start = time.perf_counter()
-        result = fn()
-        timings.append((stage, time.perf_counter() - start))
-        return result
-
-    knowledge = timed("kb", lambda: _load_kb(config.kb_path, config.min_accuracy))
-    lams = timed("ingest", lambda: _load_lams(config))
-    with _stage("tournament"):
-        built = timed("tournament",
-                      lambda: tournament.build_theory(lams, knowledge, config.now))
-    if config.emit_theory is not None:
-        _write(config.emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
-    with _stage("reason"):
-        concls = timed("reason", lambda: reasoner.conclusions(built))
-    if config.emit_conclusions is not None:
-        _write(config.emit_conclusions, reasoner.conclusions_to_json(concls))
-    rendered = timed("bulletin", lambda: _render_bulletin(
-        concls, config.now, config.lexicon_path, config.templates_path,
-        config.out_format))
-    _write(config.out_path, rendered)
-    if config.timings:
-        for stage, seconds in timings:
-            print(f"{stage:>12}: {seconds * 1000:8.2f} ms", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tournament(args) -> int:
-    config = PipelineConfig(
-        sources=list(args.source), kb_path=args.kb, now=_parse_now(args.now),
-        obs_path=args.obs, min_accuracy=_parse_min_accuracy(args.min_accuracy),
-    )
-    knowledge = _load_kb(config.kb_path, config.min_accuracy)
-    lams = _load_lams(config)
+    now = _parse_now(args.now)
+    knowledge = _load_kb(args.kb, _parse_min_accuracy(args.min_accuracy))
+    lams = _load_lams(args.source, args.obs)
     with _stage("tournament"):
-        built = tournament.build_theory(lams, knowledge, config.now)
+        built = tournament.build_theory(lams, knowledge, now)
     _write(args.out, theory_mod.serialize_theory(built).encode("utf-8"))
     return 0
 
@@ -289,16 +222,34 @@ def _cmd_bulletin(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig(
-        sources=list(args.source), kb_path=args.kb, now=_parse_now(args.now),
-        obs_path=args.obs, lexicon_path=args.lexicon,
-        templates_path=args.templates, out_format=args.format,
-        out_path=args.out, emit_theory=args.emit_theory,
-        emit_conclusions=args.emit_conclusions,
-        min_accuracy=_parse_min_accuracy(args.min_accuracy),
-        timings=args.timings,
-    )
-    return run_pipeline(config)
+    """All stages, composed as `tournament`, `reason` and `bulletin` are."""
+    now = _parse_now(args.now)
+    min_accuracy = _parse_min_accuracy(args.min_accuracy)
+    timings: list[tuple[str, float]] = []
+
+    def timed(stage, fn):
+        start = time.perf_counter()
+        result = fn()
+        timings.append((stage, time.perf_counter() - start))
+        return result
+
+    knowledge = timed("kb", lambda: _load_kb(args.kb, min_accuracy))
+    lams = timed("ingest", lambda: _load_lams(args.source, args.obs))
+    with _stage("tournament"):
+        built = timed("tournament", lambda: tournament.build_theory(lams, knowledge, now))
+    if args.emit_theory is not None:
+        _write(args.emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
+    with _stage("reason"):
+        concls = timed("reason", lambda: reasoner.conclusions(built))
+    if args.emit_conclusions is not None:
+        _write(args.emit_conclusions, reasoner.conclusions_to_json(concls))
+    rendered = timed("bulletin", lambda: _render_bulletin(
+        concls, now, args.lexicon, args.templates, args.format))
+    _write(args.out, rendered)
+    if args.timings:
+        for stage, seconds in timings:
+            print(f"{stage:>12}: {seconds * 1000:8.2f} ms", file=sys.stderr)
+    return 0
 
 
 def _cmd_validate(args) -> int:

@@ -9,16 +9,12 @@ One document = one method + one generation time, mirroring the label granularity
                  {"condition": "wind", "location": "North",
                   "valid_at": "h1", "magnitude": 5, "direction": "NE"}, ...]}
 
-Locations are names or {"lat": .., "lon": .., "alt": ..} objects; coordinates
-are normalized to a registered named point (exact match only).
+Locations are names; each name is one Location object within a document.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Optional
 
 from .errors import ForecastError, SchemaError
 from .inputs import exact_number, read_json_object
@@ -29,14 +25,12 @@ from .model import (
     Label,
     LabeledAssertionalMap,
     Location,
-    LocationRegistry,
+    NAME_RE,
     TimeRef,
     hindcast_days,
     make_value,
     parse_timeref,
 )
-
-_METHOD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 #: A hindcast entry is tolerated but flagged once it trails the generation
 #: time by more than one horizon (day).
@@ -53,39 +47,23 @@ class Diagnostic:
         return f"{self.severity} at {self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SourceMapDocument:
-    method: str
-    generated_at: TimeRef
-    entries: tuple[AssertionalMap, ...]
-
-    def to_lams(self) -> list[LabeledAssertionalMap]:
-        label = Label(self.method, self.generated_at)
-        return [LabeledAssertionalMap(label, m) for m in self.entries]
-
-
-def parse_source_map(
-    data: bytes, registry: Optional[LocationRegistry] = None
-) -> list[LabeledAssertionalMap]:
+def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
     """One labeled assertion per entry, in document order; raises on the first
     error-grade problem."""
-    doc, diagnostics = _scan(data, registry)
+    lams, diagnostics = _scan(data)
     for diag in diagnostics:
         if diag.severity == "error":
             raise SchemaError(diag.path, diag.message)
-    return doc.to_lams()
+    return lams
 
 
-def validate_source_map(
-    data: bytes, registry: Optional[LocationRegistry] = None
-) -> list[Diagnostic]:
+def validate_source_map(data: bytes) -> list[Diagnostic]:
     """All diagnostics for a document; empty iff parsing would be clean."""
-    _, diagnostics = _scan(data, registry)
+    _, diagnostics = _scan(data)
     return diagnostics
 
 
-def _scan(data: bytes, registry: Optional[LocationRegistry]):
-    registry = registry if registry is not None else LocationRegistry()
+def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     diags: list[Diagnostic] = []
 
     def err(path: str, message: str) -> None:
@@ -95,13 +73,13 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
         doc = read_json_object(data)
     except SchemaError as exc:
         err(exc.path, exc.message)
-        return SourceMapDocument("invalid", TimeRef.symbolic(0), ()), diags
+        return [], diags
     for key in doc:
         if key not in ("method", "generated_at", "entries"):
             err(key, "unknown key")
 
     method = doc.get("method")
-    if not isinstance(method, str) or not _METHOD_RE.match(method):
+    if not isinstance(method, str) or not NAME_RE.match(method):
         err("method", "must be an identifier matching [A-Za-z][A-Za-z0-9]*")
         method = "invalid"
 
@@ -111,7 +89,9 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
     except ForecastError as exc:
         err("generated_at", str(exc))
 
-    entries: list[AssertionalMap] = []
+    label = Label(method, generated_at)
+    lams: list[LabeledAssertionalMap] = []
+    locations: dict[str, Location] = {}
     seen: set[tuple] = set()
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
@@ -120,7 +100,7 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
     for i, raw in enumerate(raw_entries):
         path = f"entries[{i}]"
         try:
-            entry = _scan_entry(raw, path, registry)
+            entry = _scan_entry(raw, path, locations)
         except SchemaError as exc:
             err(exc.path, exc.message)
             continue
@@ -136,13 +116,14 @@ def _scan(data: bytes, registry: Optional[LocationRegistry]):
                 "warning", path,
                 f"hindcast entry: valid {-days} days before generation",
             ))
-        entries.append(entry)
+        lams.append(LabeledAssertionalMap(label, entry))
 
-    return SourceMapDocument(method, generated_at, tuple(entries)), diags
+    return lams, diags
 
 
-def _scan_entry(raw, path: str, registry: LocationRegistry) -> AssertionalMap:
-    """One entry; raises SchemaError at the first problem."""
+def _scan_entry(raw, path: str, locations: dict[str, Location]) -> AssertionalMap:
+    """One entry; raises SchemaError at the first problem. `locations` keeps
+    one Location per name across the document's entries."""
     if not isinstance(raw, dict):
         raise SchemaError(path, "entry must be an object")
     for key in raw:
@@ -154,21 +135,15 @@ def _scan_entry(raw, path: str, registry: LocationRegistry) -> AssertionalMap:
         raise SchemaError(f"{path}.condition",
                           f"unknown condition kind {raw.get('condition')!r}") from None
 
-    loc_raw = raw.get("location")
-    if isinstance(loc_raw, dict):
-        coords = {"alt": Decimal(0), **loc_raw}
-        lat, lon, alt = (exact_number(coords.get(k), f"{path}.location.{k}")
-                         for k in ("lat", "lon", "alt"))
-    try:
-        if isinstance(loc_raw, str):
-            location = registry.resolve(Location.point(loc_raw))
-        elif isinstance(loc_raw, dict):
-            location = registry.resolve(Location.at(lat, lon, alt))
-        else:
-            raise ForecastError("location must be a name or {lat, lon, alt}")
-    except ForecastError as exc:
-        raise SchemaError(f"{path}.location",
-                          getattr(exc, "message", None) or str(exc)) from None
+    name = raw.get("location")
+    if not isinstance(name, str):
+        raise SchemaError(f"{path}.location", "must be a location name")
+    location = locations.get(name)
+    if location is None:
+        try:
+            location = locations[name] = Location.point(name)
+        except ForecastError as exc:
+            raise SchemaError(f"{path}.location", str(exc)) from None
 
     try:
         valid_at = parse_timeref(str(raw.get("valid_at", "")))

@@ -24,20 +24,45 @@ MAX_HORIZON = 366
 
 HORIZON_RE = re.compile(r"h([0-9]+)\Z")
 
+#: A lone surrogate can only come from a \ud800-\udfff escape in the text.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 
 def read_json_object(data: bytes) -> dict:
     """The top-level object of a UTF-8 JSON document.
 
     Every JSON number comes back as an exact Decimal for exact_number to
-    bound; none is converted to a float or an int here.
+    bound; none is converted to a float or an int here. No key or string
+    holds a lone surrogate, so every string can be written back as UTF-8.
     """
     try:
-        doc = json.loads(data.decode("utf-8"), parse_float=Decimal, parse_int=Decimal)
+        text = data.decode("utf-8")
+        doc = json.loads(text, parse_float=Decimal, parse_int=Decimal)
     except (ValueError, InvalidOperation, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("", "top level must be an object")
+    if _SURROGATE_ESCAPE_RE.search(text):
+        _reject_lone_surrogates(doc)
     return doc
+
+
+def _reject_lone_surrogates(doc: dict) -> None:
+    """Walk the document without recursion; the error names the key path,
+    which holds only keys already checked."""
+    stack: list[tuple[str, object]] = [("", doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, str) and _SURROGATE_RE.search(node):
+            raise SchemaError(path, "string holds a lone surrogate")
+        if isinstance(node, dict):
+            if any(_SURROGATE_RE.search(key) for key in node):
+                raise SchemaError(path, "key holds a lone surrogate")
+            stack.extend((f"{path}.{key}" if path else key, child)
+                         for key, child in node.items())
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", child) for i, child in enumerate(node))
 
 
 def exact_number(value, path: str) -> Fraction:

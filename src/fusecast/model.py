@@ -3,7 +3,7 @@
 Layers (pure data, no I/O):
   Condition / Value       a measured weather quantity in the condition's unit
   TimeRef                 absolute UTC instant or symbolic day horizon h0, h1, ...
-  Location                named point or exact coordinates
+  Location                a named point
   AssertionalMap          one ground assertion: condition @ location @ time = value
   Label                   the contextualised method that produced a map
   LabeledAssertionalMap   an assertional map plus its label
@@ -21,13 +21,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ForecastError, SchemaError
+from .errors import ForecastError
 from .inputs import parse_horizon
 
 #: Reserved method id for ground-truth observations.
 OBSERVATION_METHOD = "O"
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+#: The grammar of method ids and location names, which atoms embed.
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 Rational = Union[int, str, Fraction]
 
@@ -80,16 +81,16 @@ class Compass(Enum):
     NW = "NW"
 
 
-def as_fraction(x: Rational, what: str = "magnitude") -> Fraction:
+def as_fraction(x: Rational) -> Fraction:
     """Coerce int/str/Fraction to an exact Fraction; floats are refused."""
     if isinstance(x, bool) or isinstance(x, float):
         raise ForecastError(
-            f"{what} must be an int, Fraction or decimal string, not {type(x).__name__}"
+            f"magnitude must be an int, Fraction or decimal string, not {type(x).__name__}"
         )
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ForecastError(f"bad {what}: {x!r}") from exc
+        raise ForecastError(f"bad magnitude: {x!r}") from exc
 
 
 def decimal_str(x: Fraction) -> str:
@@ -159,7 +160,7 @@ def make_value(
     condition: Condition, magnitude: Rational, direction: Optional[Compass] = None
 ) -> Value:
     """Build a Value and validate it against the condition in one step."""
-    return check_value(condition, Value(as_fraction(magnitude), direction))
+    return check_value(condition, Value(magnitude, direction))
 
 
 @dataclass(frozen=True)
@@ -252,84 +253,22 @@ def is_future(t: TimeRef, now: TimeRef) -> bool:
 
 @dataclass(frozen=True)
 class Location:
-    """A named point, or exact coordinates (lat, lon, altitude in metres)."""
+    """A named point; the name is embedded in atoms, so it follows NAME_RE."""
 
-    name: Optional[str] = None
-    lat: Optional[Fraction] = None
-    lon: Optional[Fraction] = None
-    alt: Optional[Fraction] = None
+    name: str
 
     def __post_init__(self):
-        if self.name is not None:
-            if not _NAME_RE.match(self.name):
-                raise ForecastError(
-                    f"location name {self.name!r} must match [A-Za-z][A-Za-z0-9]*"
-                )
-        elif self.lat is None or self.lon is None:
-            raise ForecastError("location needs a name or lat/lon coordinates")
-        for field, bound in (("lat", 90), ("lon", 180)):
-            v = getattr(self, field)
-            if v is not None:
-                v = as_fraction(v, field)
-                object.__setattr__(self, field, v)
-                if abs(v) > bound:
-                    raise ForecastError(f"{field} {decimal_str(v)} out of range ±{bound}")
-        if self.alt is not None:
-            object.__setattr__(self, "alt", as_fraction(self.alt, "alt"))
+        if not NAME_RE.match(self.name):
+            raise ForecastError(
+                f"location name {self.name!r} must match [A-Za-z][A-Za-z0-9]*"
+            )
 
     @classmethod
     def point(cls, name: str) -> "Location":
-        return cls(name=name)
-
-    @classmethod
-    def at(cls, lat: Rational, lon: Rational, alt: Rational = 0) -> "Location":
-        return cls(lat=as_fraction(lat, "lat"), lon=as_fraction(lon, "lon"),
-                   alt=as_fraction(alt, "alt"))
-
-    @property
-    def is_named(self) -> bool:
-        return self.name is not None
+        return cls(name)
 
     def __str__(self) -> str:
-        if self.is_named:
-            return self.name
-        return f"({decimal_str(self.lat)},{decimal_str(self.lon)})"
-
-
-class LocationRegistry:
-    """The run's named points; coordinate entries resolve against it.
-
-    Named points register implicitly on first use. Coordinate resolution is
-    exact-match only (no interpolation): the registered point must carry the
-    same lat/lon.
-    """
-
-    def __init__(self):
-        self._points: dict[str, Location] = {}
-
-    def declare(self, name: str, lat: Rational = None, lon: Rational = None,
-                alt: Rational = 0) -> Location:
-        if lat is None:
-            loc = Location.point(name)
-        else:
-            loc = Location(name=name, lat=as_fraction(lat, "lat"),
-                           lon=as_fraction(lon, "lon"), alt=as_fraction(alt, "alt"))
-        self._points[name] = loc
-        return loc
-
-    def resolve(self, loc: Location) -> Location:
-        """Map a location onto a registered named point."""
-        if loc.is_named:
-            if loc.name not in self._points:
-                self._points[loc.name] = loc
-            return self._points[loc.name]
-        for point in self._points.values():
-            if point.lat == loc.lat and point.lon == loc.lon:
-                return point
-        raise SchemaError(
-            "location",
-            f"no registered named point at ({decimal_str(loc.lat)},{decimal_str(loc.lon)})",
-        )
+        return self.name
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ from typing import Optional, Union
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from .inputs import HORIZON_RE, MAX_HORIZON, exact_number, has_cycle, parse_horizon
-from .model import Compass, Condition, Location, Value, decimal_str, make_value
+from .model import NAME_RE, Compass, Condition, Location, Value, decimal_str, make_value
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 _MAG_RE = re.compile(r"\d+(p\d+)?\Z")
-_LOC_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 CONDITION_CODES = {
     Condition.CLOUDINESS: "C",
@@ -154,6 +153,12 @@ class DecodedAtom:
     value: Value
 
 
+#: Tag namespace reserved for intermediate fold candidates ("xr0", "xr1", ...).
+#: Real methods may not lower onto it: intermediate rounds must own their
+#: atoms outright, or value-revisiting folds would entangle earlier rounds.
+RESERVED_TAG_RE = re.compile(r"xr\d+\Z")
+
+
 def source_tag(method: str) -> str:
     """Lowercase method tag usable inside an atom."""
     tag = method.lower()
@@ -174,9 +179,7 @@ def encode_atom(
 ) -> str:
     """Canonical, injective atom for a (condition, source, slot, value) tuple."""
     name = location.name if isinstance(location, Location) else location
-    if name is None:
-        raise ForecastError("atoms require a named location; resolve coordinates first")
-    if not _LOC_RE.match(name):
+    if not NAME_RE.match(name):
         raise ForecastError(f"location name {name!r} cannot be embedded in an atom")
     if condition is Condition.SEA:
         if name != "Sea":

@@ -20,11 +20,10 @@ scenario-visible (with two sources this is the plain pairwise construction).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ForecastError
 from .kb import KnowledgeBase, accuracy_of, override_winner
@@ -32,6 +31,7 @@ from .model import (
     Condition,
     LabeledAssertionalMap,
     Label,
+    Location,
     TimeRef,
     Value,
     conflicts_with,
@@ -41,6 +41,7 @@ from .model import (
     resolve_instant,
 )
 from .theory import (
+    RESERVED_TAG_RE,
     DefeasibleTheory,
     Literal,
     Rule,
@@ -74,68 +75,35 @@ class Prevalence:
     basis: Optional[PrevalenceBasis]  # None exactly when winner is TIE
 
 
-BlendFn = Callable[[Value, Value, Fraction, Fraction, "Bias", Mapping[str, Fraction]], Value]
-
-
-@dataclass(frozen=True)
-class SupremacyStrategy:
-    """A pure combiner of two conflicting values into one biased outcome.
-
-    Every strategy must keep the result magnitude inside the closed interval
-    spanned by the inputs (betweenness) and return the biased value unchanged
-    when both inputs are equal (idempotence).
-    """
-
-    name: str
-    blend: BlendFn
-    parameters: Mapping[str, Fraction] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "parameters", dict(self.parameters or {}))
-
-    def __call__(self, v_first: Value, v_second: Value,
-                 a_first: Fraction, a_second: Fraction, bias: Bias) -> Value:
-        return self.blend(v_first, v_second, a_first, a_second, bias, self.parameters)
+#: The biased side's blend weight never drops below one half.
+MIN_WEIGHT = Fraction(1, 2)
 
 
 def _round_half_up(x: Fraction) -> Fraction:
     return Fraction((2 * x.numerator + x.denominator) // (2 * x.denominator))
 
 
-def _biased_blend(v_first: Value, v_second: Value, a_first: Fraction,
-                  a_second: Fraction, bias: Bias,
-                  params: Mapping[str, Fraction]) -> Value:
+def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
+              a_second: Fraction, bias: Bias) -> Value:
+    """Biased blend of two conflicting values of the same kind.
+
+    The biased side weighs w = clamp(max(a_bias, 1 - a_other), MIN_WEIGHT, 1);
+    the magnitude is rounded half up and kept inside the closed interval the
+    inputs span (betweenness), and equal inputs return the biased value
+    unchanged (idempotence). The direction is the biased side's.
+    """
     if (v_first.direction is None) != (v_second.direction is None):
         raise ForecastError("cannot blend values of mixed condition kinds")
     if bias is Bias.FIRST:
         v_bias, v_other, a_bias, a_other = v_first, v_second, a_first, a_second
     else:
         v_bias, v_other, a_bias, a_other = v_second, v_first, a_second, a_first
-    floor = params.get("min_weight", Fraction(1, 2))
-    w = max(a_bias, 1 - a_other)
-    w = min(max(w, floor), Fraction(1))
+    w = min(max(a_bias, 1 - a_other, MIN_WEIGHT), Fraction(1))
     blended = _round_half_up(w * v_bias.magnitude + (1 - w) * v_other.magnitude)
     lo = min(v_first.magnitude, v_second.magnitude)
     hi = max(v_first.magnitude, v_second.magnitude)
     blended = min(max(blended, lo), hi)  # betweenness survives the rounding
     return Value(blended, v_bias.direction)
-
-
-def _pick_biased(v_first: Value, v_second: Value, a_first: Fraction,
-                 a_second: Fraction, bias: Bias,
-                 params: Mapping[str, Fraction]) -> Value:
-    return v_first if bias is Bias.FIRST else v_second
-
-
-BIASED_BLEND = SupremacyStrategy("biased-blend", _biased_blend)
-PICK_BIASED = SupremacyStrategy("pick-biased", _pick_biased)
-
-
-def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
-              a_second: Fraction, bias: Bias,
-              strategy: SupremacyStrategy = BIASED_BLEND) -> Value:
-    """Biased combination of two conflicting values of the same kind."""
-    return strategy(v_first, v_second, a_first, a_second, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +210,6 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
 # Theory construction
 # ---------------------------------------------------------------------------
 
-#: Tag namespace reserved for intermediate fold candidates ("xr0", "xr1", ...).
-#: Real methods may not lower onto it: intermediate rounds must own their
-#: atoms outright, or value-revisiting folds would entangle earlier rounds.
-_RESERVED_TAG_RE = re.compile(r"xr\d+\Z")
-
-
 @dataclass
 class _Round:
     """One contested step of a slot's pairwise fold.
@@ -264,8 +226,7 @@ class _Round:
 
 
 def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
-                 now: TimeRef,
-                 strategy: SupremacyStrategy = BIASED_BLEND) -> DefeasibleTheory:
+                 now: TimeRef) -> DefeasibleTheory:
     """Emit the defeasible theory for a set of labeled assertions.
 
     Sifts internally (idempotent), then processes slots in canonical order.
@@ -313,7 +274,7 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         if not models:
             continue
 
-        rounds = _fold_slot(models, cond, location, horizon, kb, strategy)
+        rounds = _fold_slot(models, cond, location, horizon, kb)
         if not rounds:
             for lam in models:
                 tagged = encode_atom(cond, lam.label.method, location, horizon,
@@ -334,8 +295,7 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 
 
 def _fold_slot(models: Sequence[LabeledAssertionalMap], cond: Condition,
-               location, horizon: int, kb: KnowledgeBase,
-               strategy: SupremacyStrategy) -> list[_Round]:
+               location: Location, horizon: int, kb: KnowledgeBase) -> list[_Round]:
     """Simulate the pairwise fold and record every contested round.
 
     The champion's running value is the winner's blend, its label the
@@ -357,11 +317,11 @@ def _fold_slot(models: Sequence[LabeledAssertionalMap], cond: Condition,
         a_first = _lam_accuracy(champ_lam, kb)
         a_second = _lam_accuracy(nxt, kb)
         blend_first = supremacy(champ_value, nxt.map.value, a_first, a_second,
-                                Bias.FIRST, strategy)
+                                Bias.FIRST)
         blend_second = supremacy(champ_value, nxt.map.value, a_first, a_second,
-                                 Bias.SECOND, strategy)
+                                 Bias.SECOND)
         verdict = _prevalence(champ_lam.label, a_first, nxt.label, a_second,
-                              kb, cond, getattr(location, "name", location))
+                              kb, cond, location.name)
         first_wins = verdict.winner is not Winner.SECOND  # ties keep the champion
         tagged_next = Literal(encode_atom(cond, nxt.label.method, location,
                                           horizon, nxt.map.value))
@@ -412,7 +372,7 @@ def _check_tag_collisions(lams: Sequence[LabeledAssertionalMap]) -> None:
     for lam in lams:
         method = lam.label.method
         tag = source_tag(method)
-        if _RESERVED_TAG_RE.match(tag):
+        if RESERVED_TAG_RE.match(tag):
             raise ForecastError(
                 f"method id {method!r} lowers onto the reserved tag {tag!r}"
             )

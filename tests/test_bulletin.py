@@ -1,11 +1,9 @@
 import json
-from fractions import Fraction
 
 import pytest
 
 from fusecast.bulletin import (
     BulletinHeader,
-    DEFAULT_TEMPLATES,
     SmoothTemplates,
     bulletin_from_json,
     extract_scenario,
@@ -113,17 +111,6 @@ class TestRenderSmooth:
         with pytest.raises(TemplateError):
             render_smooth(doc, broken)
 
-    def test_uncertainty_hook(self):
-        from fusecast.bulletin import BulletinDocument, BulletinSection, LocationBlock, BulletinEntry
-        from fusecast.model import make_value
-
-        entry = BulletinEntry(Condition.RAIN, "Light Rains", None,
-                              make_value(Condition.RAIN, 5), margin=Fraction(1, 10))
-        doc = BulletinDocument(sections=(BulletinSection(1, (LocationBlock("North", (entry,)),)),))
-        hedged = SmoothTemplates(uncertainty_threshold=Fraction(2, 10))
-        assert "possible Light Rains" in render_smooth(doc, hedged)
-        assert "possible" not in render_smooth(doc, DEFAULT_TEMPLATES)
-
 
 class TestRenderDocument:
     def test_headings(self):
@@ -176,11 +163,17 @@ class TestRenderDocument:
             {"condition": "wind", "term": "Calm", "magnitude": "1", "direction": "UP"}]}}]},
          "sections[0].locations.N[0].direction"),
         ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry", "magnitude": "0", "margin": 0.1}]}}]},
-         "sections[0].locations.N[0].margin"),
+            {"condition": "rain", "term": "Dry", "magnitude": "-1"}]}}]},
+         "sections[0].locations.N[0]"),
         ({"header": []}, "header"),
         ({"header": {"sources": ["e", 5]}}, "header.sources"),
         ({"header": {"generated_at": 5}}, "header.generated_at"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "cloudiness", "term": "Overcast", "magnitude": "500"}]}}]},
+         "sections[0].locations.N[0]"),
+        ({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "wind", "term": "Calm", "magnitude": "1"}]}}]},
+         "sections[0].locations.N[0]"),
     ])
     def test_json_shape_errors_name_the_path(self, doc, path):
         from fusecast.errors import SchemaError
@@ -205,10 +198,6 @@ class TestTemplateLoading:
         templates = load_templates(b'{"sea": "sea state {term}"}')
         assert templates.fragments[Condition.SEA] == "sea state {term}"
         assert templates.fragments[Condition.WIND] == "{term} {direction}"
-
-    def test_threshold_parsing(self):
-        templates = load_templates(b'{"uncertainty_threshold": 0.2}')
-        assert templates.uncertainty_threshold == Fraction(1, 5)
 
     def test_unknown_condition_rejected(self):
         from fusecast.errors import SchemaError

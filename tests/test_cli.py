@@ -14,18 +14,19 @@ from conftest import FIXTURES
 SEASIDE = FIXTURES / "seaside"
 
 
-def pipeline_args(tmp_path, out_name="bulletin.txt", fmt="text", extra=()):
+def _seaside_inputs():
     return [
-        "pipeline",
         "--source", str(SEASIDE / "gfs.json"),
         "--source", str(SEASIDE / "ecmwf.json"),
         "--obs", str(SEASIDE / "obs.json"),
         "--kb", str(SEASIDE / "kb.json"),
         "--now", "h0",
-        "--format", fmt,
-        "--out", str(tmp_path / out_name),
-        *extra,
     ]
+
+
+def pipeline_args(tmp_path, out_name="bulletin.txt", fmt="text", extra=()):
+    return ["pipeline", *_seaside_inputs(), "--format", fmt,
+            "--out", str(tmp_path / out_name), *extra]
 
 
 class TestPipeline:
@@ -62,23 +63,22 @@ class TestPipeline:
             (tmp_path / "conclusions.json").read_bytes()
 
     def test_pipeline_equals_composed_stages(self, tmp_path):
-        assert main(pipeline_args(tmp_path, "direct.txt")) == 0
-        assert main([
-            "tournament",
-            "--source", str(SEASIDE / "gfs.json"),
-            "--source", str(SEASIDE / "ecmwf.json"),
-            "--obs", str(SEASIDE / "obs.json"),
-            "--kb", str(SEASIDE / "kb.json"),
-            "--now", "h0",
-            "--out", str(tmp_path / "stage.dfl"),
-        ]) == 0
-        assert main(["reason", str(tmp_path / "stage.dfl"),
-                     "--out", str(tmp_path / "stage.json")]) == 0
-        assert main(["bulletin", str(tmp_path / "stage.json"),
-                     "--now", "h0",
-                     "--out", str(tmp_path / "composed.txt")]) == 0
-        assert (tmp_path / "composed.txt").read_bytes() == \
-            (tmp_path / "direct.txt").read_bytes()
+        """In every format, for the seaside pair and for a three-model
+        variant whose fold has an intermediate (xr-tagged) round."""
+        for models, inputs in ((2, _seaside_inputs()), (3, _three_model_inputs(tmp_path))):
+            assert main(["tournament", *inputs, "--out", str(tmp_path / "stage.dfl")]) == 0
+            theory = (tmp_path / "stage.dfl").read_text()
+            assert ("_xr0_" in theory) == (models == 3)
+            assert main(["reason", str(tmp_path / "stage.dfl"),
+                         "--out", str(tmp_path / "stage.json")]) == 0
+            for fmt in ("text", "html", "json"):
+                direct, composed = tmp_path / f"direct.{fmt}", tmp_path / f"composed.{fmt}"
+                assert main(["pipeline", *inputs, "--format", fmt, "--out", str(direct)]) == 0
+                assert main(["bulletin", str(tmp_path / "stage.json"), "--now", "h0",
+                             "--format", fmt, "--out", str(composed)]) == 0
+                assert composed.read_bytes() == direct.read_bytes(), (models, fmt)
+            sources = json.loads(direct.read_text())["header"]["sources"]
+            assert sources == ["ecmwf", "gfs", "icon"][:models], sources
 
     def test_json_format_round_trips(self, tmp_path):
         assert main(pipeline_args(tmp_path, "bulletin.json", fmt="json")) == 0
@@ -111,6 +111,22 @@ class TestPipeline:
             "--now", "h0",
         ]) == 0
         assert "Tomorrow" in capsys.readouterr().out
+
+
+def _three_model_inputs(tmp_path):
+    """The seaside inputs plus ICON: GFS's entries at other magnitudes, and
+    accuracies between GFS's and ECMWF's."""
+    icon = json.loads((SEASIDE / "gfs.json").read_text())
+    icon["method"] = "ICON"
+    for entry in icon["entries"]:
+        entry["magnitude"] = entry["magnitude"] // 2 + 1
+    kb = json.loads((SEASIDE / "kb.json").read_text())
+    kb["accuracies"]["ICON"] = {"1": 0.6, "2": 0.55}
+    (tmp_path / "icon.json").write_text(json.dumps(icon))
+    (tmp_path / "kb3.json").write_text(json.dumps(kb))
+    inputs = _seaside_inputs()
+    inputs[inputs.index("--kb") + 1] = str(tmp_path / "kb3.json")
+    return ["--source", str(tmp_path / "icon.json"), *inputs]
 
 
 class TestValidate:
@@ -275,6 +291,25 @@ class TestInputBoundary:
         kb.write_text('{"overrides": ' + "[" * 100_000 + "]" * 100_000 + "}")
         assert main(_swap(pipeline_args(tmp_path), "--kb", kb)) == 1
         assert "not valid JSON" in _staged_error(capsys, "kb", kb)
+
+    @pytest.mark.parametrize("flag, doc, path", [
+        ("--templates", '{"wind": "\\ud800 {term}"}', "wind"),
+        ("--lexicon", '{"temperature": [[null, "Hot \\udfff"]]}', "temperature[0][1]"),
+    ], ids=["template-fragment", "lexicon-term"])
+    def test_lone_surrogate_in_a_rendering_document(self, tmp_path, capsys, flag, doc, path):
+        bad = tmp_path / "doc.json"
+        bad.write_text(doc)
+        assert main(pipeline_args(tmp_path, extra=[flag, str(bad)])) == 1
+        err = _staged_error(capsys, flag[2:], bad)
+        assert err.endswith(f"{path}: string holds a lone surrogate\n"), err
+
+    def test_lone_surrogate_in_a_source_key(self, tmp_path, capsys):
+        bad = _seaside_with(tmp_path, "gfs.json", ("entries", 0, "magnitude"),
+                            '90, "\\udc00": 1')
+        assert main(_swap(VALIDATE, "--source", bad)) == 1
+        assert "error at entries[0]: key holds a lone surrogate" in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), "--source", bad)) == 1
+        _staged_error(capsys, "source", bad)
 
 
 _DOCS = ("kb.json", "gfs.json", "ecmwf.json", "obs.json")

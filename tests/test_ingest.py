@@ -5,7 +5,7 @@ import pytest
 
 from fusecast.errors import SchemaError
 from fusecast.ingest import parse_source_map, validate_source_map
-from fusecast.model import Compass, Condition, LocationRegistry, TimeRef
+from fusecast.model import Compass, Condition, TimeRef
 
 from conftest import FIXTURES
 
@@ -103,14 +103,6 @@ class TestParseSourceMap:
         data = doc_bytes(entries=[entry(magnitude="@")]).replace(b'"@"', raw.encode())
         diags = validate_source_map(data)
         assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].magnitude")]
-
-    def test_coordinates_resolve_against_registry(self):
-        reg = LocationRegistry()
-        reg.declare("North", lat="45.43", lon="11.80")
-        data = doc_bytes(entries=[
-            entry(location={"lat": 45.43, "lon": 11.80})])
-        lams = parse_source_map(data, registry=reg)
-        assert lams[0].map.location.name == "North"
 
     def test_unregistered_coordinates_rejected(self):
         data = doc_bytes(entries=[entry(location={"lat": 1, "lon": 2})])

@@ -14,7 +14,6 @@ from fusecast.model import (
     Label,
     LabeledAssertionalMap,
     Location,
-    LocationRegistry,
     TimeRef,
     Value,
     conflicts_with,
@@ -196,29 +195,11 @@ class TestConflictsWith:
 
 
 class TestLocation:
-    def test_registry_exact_coordinate_match(self):
-        reg = LocationRegistry()
-        reg.declare("North", lat="45.43", lon="11.80")
-        resolved = reg.resolve(Location.at("45.43", "11.80"))
-        assert resolved.name == "North"
-
-    def test_registry_rejects_unknown_coordinates(self):
-        reg = LocationRegistry()
-        reg.declare("North", lat="45.43", lon="11.80")
-        with pytest.raises(ForecastError):
-            reg.resolve(Location.at("45.44", "11.80"))
-
     def test_bad_names_rejected(self):
         with pytest.raises(ForecastError):
             Location.point("no spaces")
         with pytest.raises(ForecastError):
             Location.point("x_y")
-
-    def test_coordinate_bounds(self):
-        with pytest.raises(ForecastError):
-            Location.at(91, 0)
-        with pytest.raises(ForecastError):
-            Location.at(0, 200)
 
 
 class TestLabel:

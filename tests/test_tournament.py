@@ -21,7 +21,6 @@ from fusecast.reasoner import conclusions
 from fusecast.theory import Literal, decode_atom, serialize_theory
 from fusecast.tournament import (
     Bias,
-    PICK_BIASED,
     PrevalenceBasis,
     Winner,
     build_theory,
@@ -166,12 +165,6 @@ class TestSupremacy:
             supremacy(make_value(Condition.WIND, 8, Compass.N),
                       make_value(Condition.SEA, 50),
                       Fraction(1, 2), Fraction(1, 2), Bias.FIRST)
-
-    def test_pick_biased_strategy(self):
-        v90 = make_value(Condition.CLOUDINESS, 90)
-        v75 = make_value(Condition.CLOUDINESS, 75)
-        assert supremacy(v90, v75, Fraction(1, 2), Fraction(1, 2), Bias.SECOND,
-                         PICK_BIASED) == v75
 
     @given(st.integers(0, 100), st.integers(0, 100),
            st.integers(0, 100), st.integers(0, 100),
