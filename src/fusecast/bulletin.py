@@ -327,6 +327,12 @@ def _field(obj: dict, key: str, path: str, kind: type, default=_REQUIRED):
     return value
 
 
+def _known_keys(obj: dict, path: str, keys: tuple[str, ...]) -> None:
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
+
+
 def _enum(kind, value: str, path: str):
     try:
         return kind(value)
@@ -344,11 +350,13 @@ def _decimal(text: str, path: str) -> Fraction:
 def bulletin_from_json(data: bytes) -> BulletinDocument:
     """Inverse of the JSON rendering (headings are recomputed, not trusted).
 
-    A missing key or a value of the wrong type is a SchemaError naming its
-    path, e.g. "sections[0].locations.North[1].condition".
+    A missing or unknown key or a value of the wrong type is a SchemaError
+    naming its path, e.g. "sections[0].locations.North[1].condition".
     """
     payload = read_json_object(data)
+    _known_keys(payload, "", ("header", "sections"))
     head = _field(payload, "header", "", dict, {})
+    _known_keys(head, "header", ("generated_at", "sources"))
     sources = _field(head, "sources", "header", list, [])
     if not all(isinstance(s, str) for s in sources):
         raise SchemaError("header.sources", "must be a list of strings")
@@ -358,6 +366,7 @@ def bulletin_from_json(data: bytes) -> BulletinDocument:
         path = f"sections[{i}]"
         if not isinstance(section, dict):
             raise SchemaError(path, "must be an object")
+        _known_keys(section, path, ("horizon", "heading", "locations"))
         horizon = _field(section, "horizon", path, Decimal)
         try:
             horizon = parse_horizon(f"h{horizon}")
@@ -371,6 +380,7 @@ def bulletin_from_json(data: bytes) -> BulletinDocument:
                 at = f"{path}.locations.{location}[{j}]"
                 if not isinstance(raw, dict):
                     raise SchemaError(at, "must be an object")
+                _known_keys(raw, at, ("condition", "term", "phrase", "magnitude", "direction"))
                 condition = _enum(Condition, _field(raw, "condition", at, str),
                                   f"{at}.condition")
                 direction = _field(raw, "direction", at, str, None)

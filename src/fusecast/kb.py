@@ -12,7 +12,8 @@ File format (UTF-8 JSON, exact decimals preserved):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
@@ -49,12 +50,20 @@ class KnowledgeBase:
     accuracies: tuple[AccuracyRecord, ...] = ()
     overrides: tuple[PriorityOverride, ...] = ()
     min_accuracy: Fraction = Fraction(0)
+    #: method -> (recorded horizons ascending, their accuracies), built once.
+    _by_method: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "accuracies",
             tuple(sorted(self.accuracies, key=lambda r: (r.method, r.horizon))),
         )
+        by_method: dict[str, tuple[list[int], list[Fraction]]] = {}
+        for rec in self.accuracies:
+            horizons, accuracies = by_method.setdefault(rec.method, ([], []))
+            horizons.append(rec.horizon)
+            accuracies.append(rec.accuracy)
+        object.__setattr__(self, "_by_method", by_method)
         object.__setattr__(
             self, "overrides",
             tuple(sorted(self.overrides, key=lambda o: (
@@ -66,7 +75,7 @@ class KnowledgeBase:
         _validate(self)
 
     def methods(self) -> list[str]:
-        return sorted({r.method for r in self.accuracies})
+        return sorted(self._by_method)
 
 
 def _validate(kb: KnowledgeBase) -> None:
@@ -116,13 +125,11 @@ def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> Fraction:
     """
     if method == OBSERVATION_METHOD:
         return Fraction(1)
-    records = [r for r in kb.accuracies if r.method == method]
-    if not records:
-        raise UnknownMethodError(f"unknown method: {method!r}")
-    below = [r for r in records if r.horizon <= horizon]
-    if below:
-        return max(below, key=lambda r: r.horizon).accuracy
-    return min(records, key=lambda r: r.horizon).accuracy
+    try:
+        horizons, accuracies = kb._by_method[method]
+    except KeyError:
+        raise UnknownMethodError(f"unknown method: {method!r}") from None
+    return accuracies[max(bisect_right(horizons, horizon) - 1, 0)]
 
 
 def override_winner(

@@ -134,8 +134,9 @@ class Value:
     direction: Optional[Compass] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "magnitude", as_fraction(self.magnitude))
-        if self.magnitude < 0:
+        if type(self.magnitude) is not Fraction:
+            object.__setattr__(self, "magnitude", as_fraction(self.magnitude))
+        if self.magnitude.numerator < 0:
             raise ForecastError(f"magnitude must be non-negative, got {self.magnitude}")
 
     def __str__(self) -> str:

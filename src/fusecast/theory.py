@@ -16,25 +16,31 @@ Canonical atoms encode one weather slot and value:
 e.g. CNorth_g_h1_90 (cloudiness, North, source g, tomorrow, 90 %) or
 WCenter_h2_N6 (wind, Center, two days out, 6 knots from N). Sea atoms spell
 the condition "Sea" and carry no separate location (Sea_h1_65). Fractional
-magnitudes write "." as "p" (0p5). decode_atom is the strict inverse: any
-string that does not re-encode byte-identically is reported opaque.
+magnitudes write "." as "p" (0p5), with no leading zeros, no trailing zeros
+after the "p", at most 9 digits before it and 6 after it.
+
+decode_atom matches one anchored pattern of this grammar and then checks
+what a pattern cannot say: the horizon is at most 366, a percentage at most
+100, the source tag does not look like a horizon, and the value carries a
+direction exactly when the condition is wind. It is the strict inverse of
+encode_atom: it accepts exactly the strings encode_atom writes, and reports
+every other string opaque.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
-from .inputs import HORIZON_RE, MAX_HORIZON, exact_number, has_cycle, parse_horizon
-from .model import NAME_RE, Compass, Condition, Location, Value, decimal_str, make_value
+from .inputs import HORIZON_RE, MAX_HORIZON, has_cycle
+from .model import NAME_RE, Compass, Condition, Location, Value, decimal_str
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
-_MAG_RE = re.compile(r"\d+(p\d+)?\Z")
 
 CONDITION_CODES = {
     Condition.CLOUDINESS: "C",
@@ -47,10 +53,8 @@ CONDITION_CODES = {
     Condition.VISIBILITY: "V",
     Condition.SNOW: "Sn",
 }
-_SINGLE_CODES = {c: k for k, c in CONDITION_CODES.items() if len(c) == 1 and k is not Condition.SEA}
-
-# Longest first so NE/NW/SE/SW win over N/E/S/W.
-_DIRECTIONS = sorted(Compass, key=lambda d: -len(d.value))
+_CONDITIONS_BY_CODE = {c: k for k, c in CONDITION_CODES.items() if k is not Condition.SEA}
+_COMPASS = {d.value: d for d in Compass}
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,6 @@ class DefeasibleTheory:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "superiority",
                            tuple((w, l) for w, l in self.superiority))
-
-    def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
 
 
 def validate_theory(theory: DefeasibleTheory) -> None:
@@ -201,53 +199,37 @@ def encode_atom(
     return "_".join(parts)
 
 
-def decode_atom(atom: str) -> DecodedAtom:
-    """Inverse of encode_atom; raises OpaqueAtomError on anything non-canonical."""
-    def opaque() -> OpaqueAtomError:
-        return OpaqueAtomError(f"opaque atom: {atom!r}")
+#: The canonical atom grammar. The bounds that are not about spelling
+#: (horizon <= MAX_HORIZON, percentages <= 100, a source tag that is not
+#: horizon-shaped, a direction exactly for wind) are checked after the match.
+_CANONICAL_ATOM_RE = re.compile(
+    r"(?:Sea|(?P<code>" + "|".join(sorted(_CONDITIONS_BY_CODE, key=len, reverse=True))
+    + r")(?P<loc>[A-Za-z][A-Za-z0-9]*))"
+    r"(?:_(?P<src>[a-z][a-z0-9]*))?"
+    r"_h(?P<horizon>0|[1-9][0-9]{0,2})"
+    r"_(?P<dir>[NS][EW]?|[EW])?"
+    r"(?P<int>0|[1-9][0-9]{0,8})(?:p(?P<places>[0-9]{0,5}[1-9]))?\Z"
+)
 
-    if atom.startswith("Sea"):
-        condition, name, rest = Condition.SEA, "Sea", atom[3:]
-    elif atom.startswith("Sn"):
-        condition, rest = Condition.SNOW, atom[2:]
-        name, _, tail = rest.partition("_")
-        rest = f"_{tail}" if tail else ""
-    elif atom[:1] in _SINGLE_CODES:
-        condition, rest = _SINGLE_CODES[atom[0]], atom[1:]
-        name, _, tail = rest.partition("_")
-        rest = f"_{tail}" if tail else ""
-    else:
-        raise opaque()
-    if not rest.startswith("_"):
-        raise opaque()
-    parts = rest[1:].split("_")
-    source: Optional[str] = None
-    if len(parts) == 3:
-        source, hseg, vseg = parts
-    elif len(parts) == 2:
-        hseg, vseg = parts
-    else:
-        raise opaque()
-    direction = None
-    if condition is Condition.WIND:
-        for d in _DIRECTIONS:
-            if vseg.startswith(d.value):
-                direction, vseg = d, vseg[len(d.value):]
-                break
-        else:
-            raise opaque()
-    if not _MAG_RE.match(vseg):
-        raise opaque()
-    try:
-        horizon = parse_horizon(hseg)
-        magnitude = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
-        value = make_value(condition, magnitude, direction)
-        decoded = DecodedAtom(condition, source, name, horizon, value)
-        if encode_atom(condition, source, name, horizon, value) != atom:
-            raise opaque()
-    except ForecastError as exc:
-        raise opaque() from exc
-    return decoded
+
+def decode_atom(atom: str) -> DecodedAtom:
+    """Inverse of encode_atom: one anchored match of the canonical grammar,
+    then the bound checks. It accepts exactly the strings encode_atom writes
+    and raises OpaqueAtomError on every other string."""
+    m = _CANONICAL_ATOM_RE.match(atom)
+    if m is not None:
+        condition = _CONDITIONS_BY_CODE[m["code"]] if m["code"] else Condition.SEA
+        horizon, source, direction = int(m["horizon"]), m["src"], m["dir"]
+        places = m["places"] or ""
+        num, den = int(m["int"] + places), 10 ** len(places)
+        if (horizon <= MAX_HORIZON
+                and not (num > 100 * den and condition.is_percent)
+                and not (source and HORIZON_RE.match(source))
+                and (direction is None) == (condition is not Condition.WIND)):
+            magnitude = Fraction(num, den) if places else Fraction(num)
+            value = Value(magnitude, _COMPASS[direction] if direction else None)
+            return DecodedAtom(condition, source, m["loc"] or "Sea", horizon, value)
+    raise OpaqueAtomError(f"opaque atom: {atom!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ForecastError
@@ -79,10 +80,6 @@ class Prevalence:
 MIN_WEIGHT = Fraction(1, 2)
 
 
-def _round_half_up(x: Fraction) -> Fraction:
-    return Fraction((2 * x.numerator + x.denominator) // (2 * x.denominator))
-
-
 def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
               a_second: Fraction, bias: Bias) -> Value:
     """Biased blend of two conflicting values of the same kind.
@@ -91,6 +88,9 @@ def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
     the magnitude is rounded half up and kept inside the closed interval the
     inputs span (betweenness), and equal inputs return the biased value
     unchanged (idempotence). The direction is the biased side's.
+
+    Computed on integer numerators and denominators; the only Fraction
+    built is the rounded result.
     """
     if (v_first.direction is None) != (v_second.direction is None):
         raise ForecastError("cannot blend values of mixed condition kinds")
@@ -98,12 +98,29 @@ def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
         v_bias, v_other, a_bias, a_other = v_first, v_second, a_first, a_second
     else:
         v_bias, v_other, a_bias, a_other = v_second, v_first, a_second, a_first
-    w = min(max(a_bias, 1 - a_other, MIN_WEIGHT), Fraction(1))
-    blended = _round_half_up(w * v_bias.magnitude + (1 - w) * v_other.magnitude)
-    lo = min(v_first.magnitude, v_second.magnitude)
-    hi = max(v_first.magnitude, v_second.magnitude)
-    blended = min(max(blended, lo), hi)  # betweenness survives the rounding
-    return Value(blended, v_bias.direction)
+    # w = wn / wd, each candidate compared by cross-multiplication.
+    wn, wd = a_bias.numerator, a_bias.denominator
+    if (a_other.denominator - a_other.numerator) * wd > wn * a_other.denominator:
+        wn, wd = a_other.denominator - a_other.numerator, a_other.denominator
+    if wn * MIN_WEIGHT.denominator < MIN_WEIGHT.numerator * wd:
+        wn, wd = MIN_WEIGHT.numerator, MIN_WEIGHT.denominator
+    elif wn > wd:
+        wn, wd = 1, 1
+    vb, vo = v_bias.magnitude, v_other.magnitude
+    bn, bd, on, od = vb.numerator, vb.denominator, vo.numerator, vo.denominator
+    # w * vb + (1 - w) * vo = num / den, rounded half up.
+    num = wn * bn * od + (wd - wn) * on * bd
+    den = wd * bd * od
+    rounded = (2 * num + den) // (2 * den)
+    # Betweenness survives the rounding.
+    lo, hi = (vb, vo) if bn * od <= on * bd else (vo, vb)
+    if rounded * lo.denominator < lo.numerator:
+        magnitude = lo
+    elif rounded * hi.denominator > hi.numerator:
+        magnitude = hi
+    else:
+        magnitude = Fraction(rounded)
+    return Value(magnitude, v_bias.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +153,29 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     Dropped: future-labeled maps (generated after `now`), maps whose validity
     already lies in the past, and maps below the KB reliability threshold
     (observations always survive). Survivors are grouped per slot and ordered
-    by accuracy desc, generation time desc, method id asc.
+    by accuracy desc, generation time desc, method id asc. Each assertion's
+    slot, accuracy and recency are computed once.
     """
-    kept = []
+    keyed = []
     for lam in lams:
         if is_future(lam.label.generated_at, now):
             continue
-        if horizon_index(lam.map.valid_at, now) < 0:
+        m = lam.map
+        horizon = horizon_index(m.valid_at, now)
+        if horizon < 0:
             continue
-        if not lam.is_observation and _lam_accuracy(lam, kb) < kb.min_accuracy:
-            continue
-        kept.append(lam)
-
-    def group_rank(lam: LabeledAssertionalMap) -> tuple:
         acc = _lam_accuracy(lam, kb)
+        if not lam.is_observation and acc < kb.min_accuracy:
+            continue
         recency = resolve_instant(lam.label.generated_at, now)
         recency_key = recency.timestamp() if hasattr(recency, "timestamp") else recency
-        return (-acc, -recency_key, lam.label.method, str(lam.map.value))
-
-    return sorted(kept, key=lambda lam: (slot_key(lam, now), group_rank(lam)))
+        # The float goes first because it is cheap to compare; rounding is
+        # monotonic, so the exact accuracy only breaks float ties.
+        keyed.append(((_CONDITION_ORDER[m.condition], str(m.location), horizon,
+                       -float(acc), -acc, -recency_key, lam.label.method, str(m.value)),
+                      lam))
+    keyed.sort(key=itemgetter(0))
+    return [lam for _, lam in keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +231,19 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
 # Theory construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Round:
-    """One contested step of a slot's pairwise fold.
-
-    Non-final rounds conclude literals in the reserved per-round namespace;
-    only the last round's heads are untagged and scenario-visible.
-    """
-
-    index: int
-    body: tuple[Literal, Literal]
-    blend_first: Value
-    blend_second: Value
-    first_wins: bool
-
-
 def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                  now: TimeRef) -> DefeasibleTheory:
     """Emit the defeasible theory for a set of labeled assertions.
 
     Sifts internally (idempotent), then processes slots in canonical order.
-    Deterministic: equal inputs, in any order, serialize identically.
+    Deterministic: equal inputs, in any order, serialize identically. Each
+    assertion's tagged literal is encoded once and shared by its r_ rule,
+    the fold and the pass-through rule.
     """
     lams = sift(metarules, kb, now)
     _check_tag_collisions(lams)
 
-    facts: list[Literal] = []
+    facts: dict[Literal, None] = {}
     rules: dict[str, Rule] = {}
     sups: list[tuple[str, str]] = []
 
@@ -256,115 +264,103 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         cond = group[0].map.condition
         location = group[0].map.location
         obs = [l for l in group if l.is_observation]
-        models = [l for l in group if not l.is_observation]
-
-        for lam in models:
-            atom = encode_atom(cond, lam.label.method, location, horizon,
-                               lam.map.value)
-            add_rule(Rule(f"r_{atom}", RuleKind.DEFEASIBLE, (), Literal(atom)))
+        models = []
+        for lam in group:
+            if not lam.is_observation:
+                tagged = Literal(encode_atom(cond, lam.label.method, location, horizon,
+                                             lam.map.value))
+                add_rule(Rule(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
+                models.append((lam, tagged))
 
         if obs:
             # Ground truth covers the slot: facts only, no untagged model output.
             for lam in obs:
-                lit = Literal(encode_atom(cond, None, location, horizon,
-                                          lam.map.value))
-                if lit not in facts:
-                    facts.append(lit)
+                facts.setdefault(Literal(encode_atom(cond, None, location, horizon,
+                                                     lam.map.value)))
             continue
         if not models:
             continue
 
-        rounds = _fold_slot(models, cond, location, horizon, kb)
-        if not rounds:
-            for lam in models:
-                tagged = encode_atom(cond, lam.label.method, location, horizon,
-                                     lam.map.value)
-                untagged = encode_atom(cond, None, location, horizon,
-                                       lam.map.value)
-                add_rule(Rule(f"pt_{tagged}", RuleKind.DEFEASIBLE,
-                              (Literal(tagged),), Literal(untagged)))
+        rounds = _fold_slot(models, cond, location, kb)
+        if rounds:
+            _emit_rounds(rounds, models[0][1], cond, location, horizon, add_rule, sups)
             continue
-        for i, rnd in enumerate(rounds):
-            _emit_round(rnd, cond, location, horizon,
-                        final=(i == len(rounds) - 1),
-                        add_rule=add_rule, sups=sups)
+        # Uncontested: every model asserts the first one's value.
+        untagged = Literal(encode_atom(cond, None, location, horizon, models[0][0].map.value))
+        for _, tagged in models:
+            add_rule(Rule(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
 
     theory = DefeasibleTheory(tuple(facts), tuple(rules.values()), tuple(sups))
     validate_theory(theory)
     return theory
 
 
-def _fold_slot(models: Sequence[LabeledAssertionalMap], cond: Condition,
-               location: Location, horizon: int, kb: KnowledgeBase) -> list[_Round]:
-    """Simulate the pairwise fold and record every contested round.
+def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal]],
+               cond: Condition, location: Location,
+               kb: KnowledgeBase) -> list[tuple[Literal, Value, Value, bool]]:
+    """Simulate the pairwise fold over (assertion, tagged literal) pairs.
 
+    Per contested round: the challenger's literal, the blends biased toward
+    the champion and toward the challenger, and whether the champion wins.
     The champion's running value is the winner's blend, its label the
-    winner's original label. Each non-final round concludes atoms in its own
-    reserved namespace (tag "xr<i>"), so rounds never share literals, however
-    the blended values evolve; the last round's heads become untagged at
-    emission.
+    winner's original label.
     """
-    first = models[0]
-    champ_lit = Literal(encode_atom(cond, first.label.method, location, horizon,
-                                    first.map.value))
-    champ_value = first.map.value
-    champ_lam = first
-    rounds: list[_Round] = []
-    for nxt in models[1:]:
+    champ_lam = models[0][0]
+    champ_value, champ_acc = champ_lam.map.value, _lam_accuracy(champ_lam, kb)
+    rounds = []
+    for nxt, tagged_next in models[1:]:
         if nxt.map.value == champ_value:
             continue
-        index = len(rounds)
-        a_first = _lam_accuracy(champ_lam, kb)
-        a_second = _lam_accuracy(nxt, kb)
-        blend_first = supremacy(champ_value, nxt.map.value, a_first, a_second,
+        nxt_acc = _lam_accuracy(nxt, kb)
+        blend_first = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
                                 Bias.FIRST)
-        blend_second = supremacy(champ_value, nxt.map.value, a_first, a_second,
+        blend_second = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
                                  Bias.SECOND)
-        verdict = _prevalence(champ_lam.label, a_first, nxt.label, a_second,
+        verdict = _prevalence(champ_lam.label, champ_acc, nxt.label, nxt_acc,
                               kb, cond, location.name)
         first_wins = verdict.winner is not Winner.SECOND  # ties keep the champion
-        tagged_next = Literal(encode_atom(cond, nxt.label.method, location,
-                                          horizon, nxt.map.value))
-        rounds.append(_Round(
-            index=index,
-            body=(champ_lit, tagged_next),
-            blend_first=blend_first,
-            blend_second=blend_second,
-            first_wins=first_wins,
-        ))
+        rounds.append((tagged_next, blend_first, blend_second, first_wins))
+        if not first_wins:
+            champ_lam, champ_acc = nxt, nxt_acc
         champ_value = blend_first if first_wins else blend_second
-        champ_lam = champ_lam if first_wins else nxt
-        champ_lit = Literal(encode_atom(cond, f"xr{index}", location, horizon,
-                                        champ_value))
     return rounds
 
 
-def _emit_round(rnd: _Round, cond: Condition, location, horizon: int,
-                final: bool, add_rule, sups: list) -> None:
-    src = None if final else f"xr{rnd.index}"
+def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit: Literal,
+                 cond: Condition, location: Location, horizon: int,
+                 add_rule, sups: list) -> None:
+    """The rules and priorities of a slot's fold, from the first model's literal.
 
-    if rnd.blend_first == rnd.blend_second:
-        # Both biased outcomes agree: the contest is vacuous.
-        head = Literal(encode_atom(cond, src, location, horizon, rnd.blend_first))
-        add_rule(Rule(f"sr_{head.atom}", RuleKind.DEFEASIBLE, rnd.body, head))
-        return
-
-    head_first = Literal(encode_atom(cond, src, location, horizon, rnd.blend_first))
-    head_second = Literal(encode_atom(cond, src, location, horizon, rnd.blend_second))
-    sr_first = Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, rnd.body, head_first)
-    sr_second = Rule(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, rnd.body, head_second)
-    vc_first = Rule(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
-                    (head_first,), head_second.complement())
-    vc_second = Rule(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
-                     (head_second,), head_first.complement())
-    for rule in (sr_first, sr_second, vc_first, vc_second):
-        add_rule(rule)
-    if rnd.first_wins:
-        sups.append((vc_first.id, sr_second.id))
-        sups.append((sr_first.id, vc_second.id))
-    else:
-        sups.append((vc_second.id, sr_first.id))
-        sups.append((sr_second.id, vc_first.id))
+    Each non-final round concludes atoms in its own reserved namespace (tag
+    "xr<i>"), so rounds never share literals, however the blended values
+    evolve; only the last round's heads are untagged and scenario-visible.
+    Each round's body holds the previous winner's head.
+    """
+    for index, (tagged_next, blend_first, blend_second, first_wins) in enumerate(rounds):
+        src = None if index == len(rounds) - 1 else f"xr{index}"
+        body = (champ_lit, tagged_next)
+        head_first = Literal(encode_atom(cond, src, location, horizon, blend_first))
+        champ_lit = head_first
+        if blend_first == blend_second:
+            # Both biased outcomes agree: the contest is vacuous.
+            add_rule(Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
+            continue
+        head_second = Literal(encode_atom(cond, src, location, horizon, blend_second))
+        sr_first = Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
+        sr_second = Rule(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
+        vc_first = Rule(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
+                        (head_first,), head_second.complement())
+        vc_second = Rule(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
+                         (head_second,), head_first.complement())
+        for rule in (sr_first, sr_second, vc_first, vc_second):
+            add_rule(rule)
+        if first_wins:
+            sups.append((vc_first.id, sr_second.id))
+            sups.append((sr_first.id, vc_second.id))
+        else:
+            champ_lit = head_second
+            sups.append((vc_second.id, sr_first.id))
+            sups.append((sr_second.id, vc_first.id))
 
 
 def _check_tag_collisions(lams: Sequence[LabeledAssertionalMap]) -> None:

@@ -182,6 +182,22 @@ class TestRenderDocument:
             bulletin_from_json(json.dumps(doc).encode())
         assert info.value.path == path
 
+    @pytest.mark.parametrize("doc, path", [
+        pytest.param({"sections": [], "bogus": 1}, "bogus", id="top"),
+        pytest.param({"header": {"sources": [], "bogus": 1}}, "header.bogus", id="header"),
+        pytest.param({"sections": [{"horizon": 1, "heading": "Tomorrow", "locations": {},
+                                    "bogus": 1}]}, "sections[0].bogus", id="section"),
+        pytest.param({"sections": [{"horizon": 1, "locations": {"N": [
+            {"condition": "rain", "term": "Dry", "magnitude": "0", "margin": "0.1"}]}}]},
+            "sections[0].locations.N[0].margin", id="entry"),
+    ])
+    def test_unknown_keys_name_their_path(self, doc, path):
+        from fusecast.errors import SchemaError
+
+        with pytest.raises(SchemaError, match="unknown key") as info:
+            bulletin_from_json(json.dumps(doc).encode())
+        assert info.value.path == path
+
     def test_html_escapes_and_carries_lines(self, seaside_scenario):
         html = render_document(render_sharp(seaside_scenario), "html").decode()
         assert "<strong>North</strong>: Mostly Cloudy, Light Winds from North East." in html

@@ -1,13 +1,16 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecast.errors import OpaqueAtomError, TheoryError, TheoryParseError
+from fusecast.errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
+from fusecast.inputs import exact_number, parse_horizon
 from fusecast.model import Compass, Condition, Value, make_value
 from fusecast.theory import (
+    CONDITION_CODES,
     DefeasibleTheory,
     Literal,
     Rule,
@@ -149,6 +152,139 @@ def test_codec_injective(t1, t2):
     assert (a1 == a2) == (t1 == t2)
 
 
+# The codec's accept/reject set, pinned against a liberal reading of the
+# string: split it into the grammar's pieces, build the fields through the
+# input boundary's own checks, and let encode_atom decide canonicity.
+_CODES = {code: cond for cond, code in CONDITION_CODES.items() if cond is not Condition.SEA}
+_ASCII_DIGITS = set("0123456789")
+
+
+def _liberal_fields(s: str):
+    """The fields s spells, or None when its pieces do not make valid fields."""
+    if s.startswith("Sea"):
+        condition, location, rest = Condition.SEA, "Sea", s[3:]
+    else:
+        code = "Sn" if s.startswith("Sn") else s[:1]
+        if code not in _CODES:
+            return None
+        condition = _CODES[code]
+        location, sep, tail = s[len(code):].partition("_")
+        rest = sep + tail
+    parts = rest.split("_")
+    if parts[0] or len(parts) not in (3, 4):
+        return None
+    source = parts[1] if len(parts) == 4 else None
+    hseg, vseg = parts[-2], parts[-1]
+    direction = None
+    if condition is Condition.WIND:
+        for d in sorted(Compass, key=lambda d: -len(d.value)):
+            if vseg.startswith(d.value):
+                direction, vseg = d, vseg[len(d.value):]
+                break
+    whole, _, places = vseg.partition("p")
+    if not (whole and set(whole + places) <= _ASCII_DIGITS and vseg.count("p") <= 1
+            and (places or not vseg.endswith("p"))):
+        return None
+    try:
+        horizon = parse_horizon(hseg)
+        magnitude = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
+        value = make_value(condition, magnitude, direction)
+    except ForecastError:
+        return None
+    return condition, source, location, horizon, value
+
+
+def _decodes_iff_canonical(s: str) -> None:
+    fields = _liberal_fields(s)
+    try:
+        canonical = fields is not None and encode_atom(*fields) == s
+    except ForecastError:
+        canonical = False
+    try:
+        decoded = decode_atom(s)
+    except OpaqueAtomError:
+        assert not canonical, s
+        return
+    assert canonical, s
+    assert (decoded.condition, decoded.source, decoded.location,
+            decoded.horizon, decoded.value) == fields
+
+
+_atom_pieces = st.tuples(
+    st.sampled_from(["C", "W", "R", "T", "P", "H", "V", "Sn", "Sea", "S", "Se", "X", "c", ""]),
+    st.sampled_from(["North", "N", "Sea", "a1", "Zz9", "1a", "", "X_", "Nö"]),
+    st.sampled_from([None, "g", "ecmwf", "xr0", "h", "hx", "h1", "h01", "h367", "G", "1a", ""]),
+    st.sampled_from(["h0", "h1", "h9", "h00", "h01", "h365", "h366", "h367", "h999",
+                     "h1000", "H1", "h", "h-1", "h\u0663", "1"]),
+    st.sampled_from(["", "N", "NE", "E", "SE", "S", "SW", "W", "NW", "NN", "X", "n"]),
+    st.sampled_from(["0", "5", "05", "00", "78", "100", "101", "100p5", "0p5", "0p50",
+                     "0p", "p5", "1p", "0p000001", "0p0000001", "1p123456", "1p1234567",
+                     "999999999", "1000000000", "999999999p999999", "0999999999",
+                     "1p2p3", "1.5", "1e3", "\u0663", ""]),
+)
+
+
+@st.composite
+def atom_strings(draw):
+    """Strings built from pieces of the atom grammar, right and wrong."""
+    head, location, source, horizon, direction, magnitude = draw(_atom_pieces)
+    if head == "Sea" and draw(st.booleans()):
+        location = ""
+    parts = [head + location] + ([source] if source is not None else [])
+    return "_".join(parts + [horizon, direction + magnitude])
+
+
+_EDIT_CHARS = st.sampled_from("CWSRTPHVNEnorth0123456789_phx.-")
+
+
+@st.composite
+def edited_atoms(draw):
+    """An encoded atom with one character inserted, deleted or replaced."""
+    condition = draw(_conds)
+    location = "Sea" if condition is Condition.SEA else draw(_locs)
+    source = draw(st.sampled_from([None, "g", "ecmwf", "xr3"]))
+    places = draw(st.integers(0, 6))
+    magnitude = Fraction(draw(st.integers(0, 10**9 * 10**places - 1)), 10**places)
+    if condition.is_percent:
+        magnitude = min(magnitude, Fraction(100))
+    direction = draw(st.sampled_from(list(Compass))) if condition is Condition.WIND else None
+    value = make_value(condition, magnitude, direction)
+    atom = encode_atom(condition, source, location, draw(st.integers(0, 366)), value)
+    i = draw(st.integers(0, len(atom)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    c = draw(_EDIT_CHARS)
+    if edit == "insert":
+        return atom[:i] + c + atom[i:]
+    if edit == "delete":
+        return atom[:i] + atom[i + 1:]
+    return atom[:i] + c + atom[i + 1:]
+
+
+@settings(max_examples=300)
+@given(st.one_of(atom_strings(), edited_atoms()))
+def test_decode_accepts_exactly_the_encoded_strings(s):
+    _decodes_iff_canonical(s)
+
+
+@pytest.mark.parametrize("atom, accepted", [
+    ("RNorth_h366_5", True), ("RNorth_h367_5", False),
+    ("RNorth_h1_999999999", True), ("RNorth_h1_1000000000", False),
+    ("RNorth_h1_0p123456", True), ("RNorth_h1_0p1234567", False),
+    ("CNorth_h1_100", True), ("CNorth_h1_100p5", False), ("RNorth_h1_100p5", True),
+    ("RNorth_h1_h1_5", False), ("RNorth_h01_h1_5", False), ("RNorth_hx_h1_5", True),
+    ("WNorth_h1_5", False), ("WNorth_h1_NE5", True), ("RNorth_h1_NE5", False),
+    ("Sea_xr0_h0_65", True), ("SnNorth_h1_0p5", True), ("SNorth_h1_5", False),
+])
+def test_codec_boundaries(atom, accepted):
+    _decodes_iff_canonical(atom)
+    try:
+        decode_atom(atom)
+    except OpaqueAtomError:
+        assert not accepted
+    else:
+        assert accepted
+
+
 class TestTheoryFormat:
     def test_two_rules_and_superiority(self):
         t = parse_theory("r1: => A\nr2: => -A\nr1 > r2\n")
@@ -162,7 +298,7 @@ class TestTheoryFormat:
             "r_fce21: => CNorth_e_h1_75\n"
             "r_ce11: CNorth_g_h1_90, CNorth_e_h1_75 => CNorth_h1_78\n"
         )
-        rule = t.rule("r_ce11")
+        rule = {r.id: r for r in t.rules}["r_ce11"]
         assert rule.kind is RuleKind.DEFEASIBLE
         assert [str(b) for b in rule.body] == ["CNorth_g_h1_90", "CNorth_e_h1_75"]
         assert str(rule.head) == "CNorth_h1_78"
@@ -174,8 +310,9 @@ class TestTheoryFormat:
             "d1: B ~> -C\n"
         )
         assert t.facts == (Literal("F"),)
-        assert t.rule("s1").kind is RuleKind.STRICT
-        assert t.rule("d1").kind is RuleKind.DEFEATER
+        rules = {r.id: r for r in t.rules}
+        assert rules["s1"].kind is RuleKind.STRICT
+        assert rules["d1"].kind is RuleKind.DEFEATER
 
     def test_comments_and_blank_lines(self):
         t = parse_theory("% header\n\nr1: => A  % trailing\n")

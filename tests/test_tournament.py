@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,17 @@ class TestSift:
                 continue  # observations only exist at h0
             assert methods == ["ECMWF", "GFS"]
 
+    def test_exact_accuracy_orders_when_floats_tie(self):
+        low = Fraction(1, 3)
+        high = low + Fraction(1, 10**30)
+        assert float(low) == float(high)
+        kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, low),
+                                       AccuracyRecord("Beta", 1, high)))
+        alpha = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
+        beta = lam("Beta", 0, Condition.RAIN, "North", 1, 7)
+        assert sift([alpha, beta], kb, H(0)) == [beta, alpha]
+        assert sift([beta, alpha], kb, H(0)) == [beta, alpha]
+
 
 class TestPrevails:
     def test_accuracy_decides_for_the_seaside_pair(self, seaside_kb):
@@ -177,6 +189,29 @@ class TestSupremacy:
             v1.magnitude, v2.magnitude)
         if v1 == v2:
             assert got == v1
+
+    @given(st.data(), st.sampled_from([Condition.SEA, Condition.WIND]),
+           st.fractions(0, 1), st.fractions(0, 1),
+           st.sampled_from([Bias.FIRST, Bias.SECOND]))
+    def test_matches_the_readme_formula(self, data, condition, a1, a2, bias):
+        def draw_value():
+            places = data.draw(st.integers(0, 6))
+            magnitude = Fraction(data.draw(st.integers(0, 10**(9 + places) - 1)), 10**places)
+            direction = data.draw(st.sampled_from(list(Compass))) \
+                if condition is Condition.WIND else None
+            return make_value(condition, magnitude, direction)
+
+        v1, v2 = draw_value(), draw_value()
+        # round(w*v_bias + (1-w)*v_other) half up, w = clamp(max(a_bias,
+        # 1 - a_other), 1/2, 1), then clamped into [min(v1, v2), max(v1, v2)].
+        v_bias, v_other, a_bias, a_other = (
+            (v1, v2, a1, a2) if bias is Bias.FIRST else (v2, v1, a2, a1))
+        w = min(max(a_bias, 1 - a_other, Fraction(1, 2)), Fraction(1))
+        blend = w * v_bias.magnitude + (1 - w) * v_other.magnitude
+        rounded = Fraction(math.floor(blend + Fraction(1, 2)))
+        lo, hi = sorted((v1.magnitude, v2.magnitude))
+        expected = make_value(condition, min(max(rounded, lo), hi), v_bias.direction)
+        assert supremacy(v1, v2, a1, a2, bias) == expected
 
 
 class TestBuildTheory:
@@ -339,13 +374,14 @@ class TestEndToEnd:
         t = build_theory(lams, kb, now)
         cs = conclusions(t)
         assert cs.undetermined == frozenset()
+        rules = {r.id: r for r in t.rules}
         # For every superiority pair of the shape (sr_w, vc_l), the winner's
         # head is defeasibly provable and the loser's head is refuted.
         for winner_id, loser_id in t.superiority:
             if not winner_id.startswith("sr_"):
                 continue
-            winner_head = t.rule(winner_id).head
-            loser_head = t.rule(loser_id).body[0]
+            winner_head = rules[winner_id].head
+            loser_head = rules[loser_id].body[0]
             assert winner_head in cs.plus_defeasible
             assert loser_head in cs.minus_defeasible
 
