@@ -41,7 +41,7 @@ def lams_for(method: str) -> list[LabeledAssertionalMap]:
     for day, row in RAIN_MM[method].items():
         for point, mm in zip(POINTS, row):
             out.append(LabeledAssertionalMap(label, AssertionalMap(
-                Condition.RAIN, Location.point(point), TimeRef.symbolic(day),
+                Condition.RAIN, Location(point), TimeRef.symbolic(day),
                 make_value(Condition.RAIN, mm))))
     return out
 

@@ -52,7 +52,7 @@ def model_lams(method: str, table) -> list[LabeledAssertionalMap]:
     for day, row in table.items():
         for point in POINTS:
             cloud, speed, direction = row[point]
-            loc = Location.point(point)
+            loc = Location(point)
             out.append(LabeledAssertionalMap(label, AssertionalMap(
                 Condition.CLOUDINESS, loc, TimeRef.symbolic(day),
                 make_value(Condition.CLOUDINESS, cloud))))
@@ -60,7 +60,7 @@ def model_lams(method: str, table) -> list[LabeledAssertionalMap]:
                 Condition.WIND, loc, TimeRef.symbolic(day),
                 make_value(Condition.WIND, speed, Compass(direction)))))
         out.append(LabeledAssertionalMap(label, AssertionalMap(
-            Condition.SEA, Location.point("Sea"), TimeRef.symbolic(day),
+            Condition.SEA, Location("Sea"), TimeRef.symbolic(day),
             make_value(Condition.SEA, row["sea"]))))
     return out
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 import html as _html
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from string import Formatter
 from typing import Mapping, Optional
 
-from .errors import ForecastError, ScenarioError, SchemaError, TemplateError
-from .inputs import exact_number, parse_horizon, read_json_object
+from .errors import ScenarioError, SchemaError, TemplateError
+from .inputs import read_json_object
 from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
-from .model import Compass, Condition, Value, decimal_str, make_value
+from .model import Condition, Value, decimal_str
 from .reasoner import ConclusionSet
 from .theory import RESERVED_TAG_RE, OpaqueAtomError, decode_atom
 
@@ -140,7 +138,7 @@ def render_sharp(scenario: WeatherScenario,
             term = classify(entry.condition, entry.value, lexicon)
             phrase = None
             if entry.condition is Condition.WIND:
-                phrase = direction_name(entry.value.direction, lexicon)
+                phrase = direction_name(entry.value.direction)
             blocks.setdefault(entry.location, []).append(
                 BulletinEntry(entry.condition, term, phrase, entry.value))
         sections.append(BulletinSection(
@@ -310,92 +308,6 @@ def _to_json(doc: BulletinDocument) -> bytes:
         ],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-_REQUIRED = object()
-_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", Decimal: "a number"}
-
-
-def _field(obj: dict, key: str, path: str, kind: type, default=_REQUIRED):
-    """obj[key] checked to be a `kind`. A missing key gives `default`, and so
-    does null when the default is None; with no default it is an error."""
-    value = obj.get(key, default)
-    if value is _REQUIRED or not (isinstance(value, kind) or value is default):
-        path = f"{path}.{key}" if path else key
-        raise SchemaError(path, "missing" if value is _REQUIRED
-                          else f"must be {_TYPE_NAMES[kind]}")
-    return value
-
-
-def _known_keys(obj: dict, path: str, keys: tuple[str, ...]) -> None:
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _enum(kind, value: str, path: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise SchemaError(path, f"unknown {kind.__name__.lower()} {value!r}") from None
-
-
-def _decimal(text: str, path: str) -> Fraction:
-    try:
-        return exact_number(Decimal(text), path)
-    except InvalidOperation:
-        raise SchemaError(path, "must be a decimal number") from None
-
-
-def bulletin_from_json(data: bytes) -> BulletinDocument:
-    """Inverse of the JSON rendering (headings are recomputed, not trusted).
-
-    A missing or unknown key or a value of the wrong type is a SchemaError
-    naming its path, e.g. "sections[0].locations.North[1].condition".
-    """
-    payload = read_json_object(data)
-    _known_keys(payload, "", ("header", "sections"))
-    head = _field(payload, "header", "", dict, {})
-    _known_keys(head, "header", ("generated_at", "sources"))
-    sources = _field(head, "sources", "header", list, [])
-    if not all(isinstance(s, str) for s in sources):
-        raise SchemaError("header.sources", "must be a list of strings")
-    header = BulletinHeader(_field(head, "generated_at", "header", str, None), tuple(sources))
-    sections = []
-    for i, section in enumerate(_field(payload, "sections", "", list, [])):
-        path = f"sections[{i}]"
-        if not isinstance(section, dict):
-            raise SchemaError(path, "must be an object")
-        _known_keys(section, path, ("horizon", "heading", "locations"))
-        horizon = _field(section, "horizon", path, Decimal)
-        try:
-            horizon = parse_horizon(f"h{horizon}")
-        except ForecastError as exc:
-            raise SchemaError(f"{path}.horizon", str(exc)) from None
-        locations = _field(section, "locations", path, dict, {})
-        blocks = []
-        for location in sorted(locations):
-            entries = []
-            for j, raw in enumerate(_field(locations, location, f"{path}.locations", list)):
-                at = f"{path}.locations.{location}[{j}]"
-                if not isinstance(raw, dict):
-                    raise SchemaError(at, "must be an object")
-                _known_keys(raw, at, ("condition", "term", "phrase", "magnitude", "direction"))
-                condition = _enum(Condition, _field(raw, "condition", at, str),
-                                  f"{at}.condition")
-                direction = _field(raw, "direction", at, str, None)
-                direction = _enum(Compass, direction, f"{at}.direction") if direction else None
-                term = _field(raw, "term", at, str)
-                phrase = _field(raw, "phrase", at, str, None)
-                magnitude = _decimal(_field(raw, "magnitude", at, str), f"{at}.magnitude")
-                try:
-                    value = make_value(condition, magnitude, direction)
-                except ForecastError as exc:
-                    raise SchemaError(at, str(exc)) from None
-                entries.append(BulletinEntry(condition, term, phrase, value))
-            blocks.append(LocationBlock(location, tuple(entries)))
-        sections.append(BulletinSection(horizon, tuple(blocks)))
-    return BulletinDocument(header, tuple(sections))
 
 
 def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> bytes:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 from . import bulletin as bulletin_mod
 from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
 from . import tournament
-from .errors import ForecastError
+from .errors import ForecastError, SchemaError
 from .inputs import exact_number
 from .model import TimeRef, parse_timeref
 
@@ -71,14 +71,11 @@ def _load_kb(path: Path, min_accuracy: Optional[Fraction]) -> kb_mod.KnowledgeBa
     return knowledge
 
 
-def _load_lams(sources: Sequence[Path], obs: Optional[Path]):
+def _load_lams(sources: Sequence[Path], obs: Optional[Path], now: TimeRef):
     lams = []
-    for path in sources:
-        with _stage("source", path):
-            lams.extend(ingest.parse_source_map(_read(path)))
-    if obs is not None:
-        with _stage("obs", obs):
-            lams.extend(ingest.parse_source_map(_read(obs)))
+    for stage, path in [("source", p) for p in sources] + ([("obs", obs)] if obs else []):
+        with _stage(stage, path):
+            lams.extend(ingest.check_times(ingest.parse_source_map(_read(path)), now))
     return lams
 
 
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tournament(args) -> int:
     now = _parse_now(args.now)
     knowledge = _load_kb(args.kb, _parse_min_accuracy(args.min_accuracy))
-    lams = _load_lams(args.source, args.obs)
+    lams = _load_lams(args.source, args.obs, now)
     with _stage("tournament"):
         built = tournament.build_theory(lams, knowledge, now)
     _write(args.out, theory_mod.serialize_theory(built).encode("utf-8"))
@@ -234,7 +231,7 @@ def _cmd_pipeline(args) -> int:
         return result
 
     knowledge = timed("kb", lambda: _load_kb(args.kb, min_accuracy))
-    lams = timed("ingest", lambda: _load_lams(args.source, args.obs))
+    lams = timed("ingest", lambda: _load_lams(args.source, args.obs, now))
     with _stage("tournament"):
         built = timed("tournament", lambda: tournament.build_theory(lams, knowledge, now))
     if args.emit_theory is not None:
@@ -255,7 +252,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_validate(args) -> int:
     """Lint with the parsers `pipeline` uses, so it accepts exactly what
     `pipeline` ingests."""
-    _parse_now(args.now)
+    now = _parse_now(args.now)
     min_accuracy = _parse_min_accuracy(args.min_accuracy)
     status = 0
     try:
@@ -264,14 +261,19 @@ def _cmd_validate(args) -> int:
     except _StageError as exc:
         print(f"{args.kb}: error: {exc.cause}")
         status = 1
-    paths = list(args.source) + ([args.obs] if args.obs else [])
-    for path in paths:
+    for path in list(args.source) + ([args.obs] if args.obs else []):
         try:
-            diags = ingest.validate_source_map(_read(path))
+            data = _read(path)
         except OSError as exc:
             print(f"{path}: error: {exc}")
             status = 1
             continue
+        diags = ingest.validate_source_map(data)
+        if not any(diag.severity == "error" for diag in diags):
+            try:  # a clean document is parsed again for check_times
+                ingest.check_times(ingest.parse_source_map(data), now)
+            except SchemaError as exc:
+                diags.append(ingest.Diagnostic("error", exc.path, exc.message))
         if not diags:
             print(f"{path}: ok")
         for diag in diags:

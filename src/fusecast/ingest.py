@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ForecastError, SchemaError
-from .inputs import exact_number, read_json_object
+from .inputs import MAX_HORIZON, exact_number, read_json_object
 from .model import (
     AssertionalMap,
     Compass,
@@ -28,9 +28,12 @@ from .model import (
     NAME_RE,
     TimeRef,
     hindcast_days,
+    horizon_index,
+    is_future,
     make_value,
     parse_timeref,
 )
+from .theory import atom_head, method_tag
 
 #: A hindcast entry is tolerated but flagged once it trails the generation
 #: time by more than one horizon (day).
@@ -63,6 +66,28 @@ def validate_source_map(data: bytes) -> list[Diagnostic]:
     return diagnostics
 
 
+def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[LabeledAssertionalMap]:
+    """One document's parse_source_map result, returned unchanged once every
+    time reference can be placed against `now`, in entries sift would drop
+    too. Else a SchemaError at the first that cannot: an absolute time under
+    a symbolic `now`, a date past the last representable one, or a validity
+    more than MAX_HORIZON days ahead."""
+    if lams:
+        try:
+            is_future(lams[0].label.generated_at, now)
+        except ForecastError as exc:
+            raise SchemaError("generated_at", str(exc)) from None
+    for i, lam in enumerate(lams):
+        try:
+            horizon = horizon_index(lam.map.valid_at, now)
+        except ForecastError as exc:
+            raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
+        if horizon > MAX_HORIZON:
+            raise SchemaError(f"entries[{i}].valid_at", f"lies {horizon} days after "
+                              f"{now}; atoms encode horizons 0..{MAX_HORIZON}")
+    return lams
+
+
 def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     diags: list[Diagnostic] = []
 
@@ -82,6 +107,11 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     if not isinstance(method, str) or not NAME_RE.match(method):
         err("method", "must be an identifier matching [A-Za-z][A-Za-z0-9]*")
         method = "invalid"
+    else:
+        try:
+            method_tag(method)
+        except ForecastError as exc:
+            err("method", str(exc))
 
     generated_at = TimeRef.symbolic(0)
     try:
@@ -139,11 +169,12 @@ def _scan_entry(raw, path: str, locations: dict[str, Location]) -> AssertionalMa
     if not isinstance(name, str):
         raise SchemaError(f"{path}.location", "must be a location name")
     location = locations.get(name)
-    if location is None:
-        try:
-            location = locations[name] = Location.point(name)
-        except ForecastError as exc:
-            raise SchemaError(f"{path}.location", str(exc)) from None
+    try:
+        if location is None:
+            location = locations[name] = Location(name)
+        atom_head(condition, name)
+    except ForecastError as exc:
+        raise SchemaError(f"{path}.location", str(exc)) from None
 
     try:
         valid_at = parse_timeref(str(raw.get("valid_at", "")))

@@ -11,7 +11,6 @@ File format (UTF-8 JSON, exact decimals preserved):
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -73,9 +72,6 @@ class KnowledgeBase:
             ))),
         )
         _validate(self)
-
-    def methods(self) -> list[str]:
-        return sorted(self._by_method)
 
 
 def _validate(kb: KnowledgeBase) -> None:
@@ -207,34 +203,3 @@ def load_kb(data: bytes) -> KnowledgeBase:
     min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
     return KnowledgeBase(tuple(records), tuple(overrides), min_acc)
 
-
-def save_kb(kb: KnowledgeBase) -> bytes:
-    """Serialize with deterministic key order and exact decimal numbers.
-
-    load_kb(save_kb(kb)) == kb for every valid knowledge base.
-    """
-    out = ["{"]
-    out.append('  "accuracies": {')
-    methods = kb.methods()
-    for mi, method in enumerate(methods):
-        recs = [r for r in kb.accuracies if r.method == method]
-        inner = ", ".join(
-            f'"{r.horizon}": {decimal_str(r.accuracy)}' for r in recs
-        )
-        comma = "," if mi < len(methods) - 1 else ""
-        out.append(f"    {json.dumps(method)}: {{{inner}}}{comma}")
-    out.append("  },")
-    out.append('  "overrides": [')
-    for i, ov in enumerate(kb.overrides):
-        parts = [f'"winner": {json.dumps(ov.winner)}',
-                 f'"loser": {json.dumps(ov.loser)}']
-        if ov.condition is not None:
-            parts.append(f'"condition": "{ov.condition.value}"')
-        if ov.location is not None:
-            parts.append(f'"location": {json.dumps(ov.location)}')
-        comma = "," if i < len(kb.overrides) - 1 else ""
-        out.append("    {" + ", ".join(parts) + "}" + comma)
-    out.append("  ],")
-    out.append(f'  "min_accuracy": {decimal_str(kb.min_accuracy)}')
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")

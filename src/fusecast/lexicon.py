@@ -99,23 +99,17 @@ DIRECTION_PHRASES: dict[Compass, str] = {
 class LexiconTable:
     bands: Mapping[Condition, tuple[Band, ...]] = field(
         default_factory=lambda: dict(DEFAULT_BANDS))
-    vocabulary: Mapping[Condition, tuple[str, ...]] = field(
-        default_factory=lambda: dict(VOCABULARY))
-    direction_phrases: Mapping[Compass, str] = field(
-        default_factory=lambda: dict(DIRECTION_PHRASES))
 
     def __post_init__(self):
         object.__setattr__(self, "bands", dict(self.bands))
-        object.__setattr__(self, "vocabulary", dict(self.vocabulary))
-        object.__setattr__(self, "direction_phrases", dict(self.direction_phrases))
         for condition, bands in self.bands.items():
-            _check_bands(condition, bands, self.vocabulary.get(condition))
+            _check_bands(condition, bands)
 
 
-def _check_bands(condition: Condition, bands: Sequence[Band],
-                 vocabulary: Optional[tuple[str, ...]]) -> None:
+def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
     if not bands:
         raise LexiconError(f"{condition.value}: empty band list")
+    vocabulary = VOCABULARY.get(condition)
     prev = None
     for i, (upper, term) in enumerate(bands):
         if vocabulary is not None and term not in vocabulary:
@@ -165,8 +159,8 @@ def classify(condition: Condition, value: Value,
     return bands[-1][1]  # percent tables ending at 100 catch the boundary
 
 
-def direction_name(point: Compass, table: LexiconTable = DEFAULT_LEXICON) -> str:
-    return table.direction_phrases[point]
+def direction_name(point: Compass) -> str:
+    return DIRECTION_PHRASES[point]
 
 
 def load_lexicon(data: bytes) -> LexiconTable:

@@ -47,25 +47,8 @@ class Condition(Enum):
     SEA = "sea"
 
     @property
-    def unit(self) -> str:
-        return _UNITS[self]
-
-    @property
     def is_percent(self) -> bool:
         return self in (Condition.HUMIDITY, Condition.CLOUDINESS)
-
-
-_UNITS = {
-    Condition.TEMPERATURE: "°C",
-    Condition.PRESSURE: "hPa",
-    Condition.HUMIDITY: "%",
-    Condition.RAIN: "mm",
-    Condition.SNOW: "cm",
-    Condition.WIND: "knots",
-    Condition.VISIBILITY: "m",
-    Condition.CLOUDINESS: "%",
-    Condition.SEA: "cm",
-}
 
 
 class Compass(Enum):
@@ -263,10 +246,6 @@ class Location:
             raise ForecastError(
                 f"location name {self.name!r} must match [A-Za-z][A-Za-z0-9]*"
             )
-
-    @classmethod
-    def point(cls, name: str) -> "Location":
-        return cls(name)
 
     def __str__(self) -> str:
         return self.name

@@ -168,6 +168,23 @@ def source_tag(method: str) -> str:
     return tag
 
 
+def method_tag(method: str) -> str:
+    """The source tag of a method id, outside the fold rounds' namespace."""
+    tag = source_tag(method)
+    if RESERVED_TAG_RE.match(tag):
+        raise ForecastError(f"method id {method!r} lowers onto the reserved tag {tag!r}")
+    return tag
+
+
+def atom_head(condition: Condition, location: str) -> str:
+    """The <COND><LOC> head of an atom; a sea atom implies its location."""
+    if condition is Condition.SEA:
+        if location != "Sea":
+            raise ForecastError(f"sea atoms imply location 'Sea', got {location!r}")
+        return "Sea"
+    return CONDITION_CODES[condition] + location
+
+
 def encode_atom(
     condition: Condition,
     source: Optional[str],
@@ -179,13 +196,7 @@ def encode_atom(
     name = location.name if isinstance(location, Location) else location
     if not NAME_RE.match(name):
         raise ForecastError(f"location name {name!r} cannot be embedded in an atom")
-    if condition is Condition.SEA:
-        if name != "Sea":
-            raise ForecastError(f"sea atoms imply location 'Sea', got {name!r}")
-        head = "Sea"
-    else:
-        head = CONDITION_CODES[condition] + name
-    parts = [head]
+    parts = [atom_head(condition, name)]
     if source is not None:
         parts.append(source_tag(source))
     if not 0 <= horizon <= MAX_HORIZON:

@@ -42,13 +42,12 @@ from .model import (
     resolve_instant,
 )
 from .theory import (
-    RESERVED_TAG_RE,
     DefeasibleTheory,
     Literal,
     Rule,
     RuleKind,
     encode_atom,
-    source_tag,
+    method_tag,
     validate_theory,
 )
 
@@ -367,11 +366,7 @@ def _check_tag_collisions(lams: Sequence[LabeledAssertionalMap]) -> None:
     tags: dict[str, str] = {}
     for lam in lams:
         method = lam.label.method
-        tag = source_tag(method)
-        if RESERVED_TAG_RE.match(tag):
-            raise ForecastError(
-                f"method id {method!r} lowers onto the reserved tag {tag!r}"
-            )
+        tag = method_tag(method)
         other = tags.setdefault(tag, method)
         if other != method:
             raise ForecastError(

@@ -119,7 +119,7 @@ def random_two_model_inputs(rng: random.Random):
                 if rng.random() < 0.25:
                     continue  # slot not covered by this model
                 lams.append(LabeledAssertionalMap(label, AssertionalMap(
-                    condition, Location.point(loc), h(horizon),
+                    condition, Location(loc), h(horizon),
                     _random_value(rng, condition))))
     if rng.random() < 0.5:
         label = Label("O", h(0))
@@ -127,6 +127,6 @@ def random_two_model_inputs(rng: random.Random):
             if rng.random() < 0.5:
                 continue
             lams.append(LabeledAssertionalMap(label, AssertionalMap(
-                condition, Location.point(loc), h(0),
+                condition, Location(loc), h(0),
                 _random_value(rng, condition))))
     return lams, kb

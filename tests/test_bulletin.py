@@ -5,7 +5,6 @@ import pytest
 from fusecast.bulletin import (
     BulletinHeader,
     SmoothTemplates,
-    bulletin_from_json,
     extract_scenario,
     horizon_heading,
     load_templates,
@@ -112,6 +111,41 @@ class TestRenderSmooth:
             render_smooth(doc, broken)
 
 
+def _entry(condition, term, magnitude, direction=None, phrase=None):
+    return {"condition": condition, "term": term, "phrase": phrase,
+            "magnitude": magnitude, "direction": direction}
+
+
+def _land(sky, cloud, wind, speed, direction, phrase):
+    return [_entry("cloudiness", sky, cloud),
+            _entry("wind", wind, speed, direction, f"from {phrase}")]
+
+
+def _section(horizon, heading, sea, **land):
+    return {"horizon": horizon, "heading": heading,
+            "locations": {**land, "Sea": [_entry("sea", *sea)]}}
+
+
+#: The JSON bulletin of the seaside fixture, spelled out entry by entry.
+SEASIDE_BULLETIN_JSON = {
+    "header": {"generated_at": "h0", "sources": ["e", "g"]},
+    "sections": [
+        _section(0, "Current conditions", ("Moderate", "190"),
+                 Center=_land("Cloudy", "90", "Moderate Winds", "15", "NE", "North East"),
+                 North=_land("Cloudy", "90", "Moderate Winds", "15", "NE", "North East"),
+                 South=_land("Cloudy", "90", "Moderate Winds", "15", "NE", "North East")),
+        _section(1, "Tomorrow", ("Slight", "58"),
+                 Center=_land("Mostly Cloudy", "77", "Light Winds", "5", "NE", "North East"),
+                 North=_land("Mostly Cloudy", "77", "Light Winds", "5", "NE", "North East"),
+                 South=_land("Mostly Cloudy", "77", "Light Winds", "5", "N", "North")),
+        _section(2, "Day after tomorrow", ("Calm", "28"),
+                 Center=_land("Mostly Cloudy", "42", "Light Winds", "6", "N", "North"),
+                 North=_land("Mostly Cloudy", "42", "Light Winds", "6", "N", "North"),
+                 South=_land("Mostly Cloudy", "42", "Light Winds", "5", "N", "North")),
+    ],
+}
+
+
 class TestRenderDocument:
     def test_headings(self):
         assert horizon_heading(0) == "Current conditions"
@@ -130,73 +164,14 @@ class TestRenderDocument:
 
     def test_json_round_trip(self, seaside_scenario):
         doc = render_sharp(seaside_scenario, header=BulletinHeader("h0", ("e", "g")))
-        data = render_document(doc, "json")
-        assert bulletin_from_json(data) == doc
+        assert json.loads(render_document(doc, "json")) == SEASIDE_BULLETIN_JSON
 
     def test_empty_document_json(self):
         from fusecast.bulletin import BulletinDocument
 
         data = render_document(BulletinDocument(), "json")
-        assert bulletin_from_json(data) == BulletinDocument()
-
-    @pytest.mark.parametrize("doc, path", [
-        ({"sections": [{"horizon": 1, "locations": {"N": [{}]}}]},
-         "sections[0].locations.N[0].condition"),
-        ({"sections": [{"locations": {}}]}, "sections[0].horizon"),
-        ({"sections": 5}, "sections"),
-        ({"sections": [5]}, "sections[0]"),
-        ({"sections": [{"horizon": "1"}]}, "sections[0].horizon"),
-        ({"sections": [{"horizon": 1.5}]}, "sections[0].horizon"),
-        ({"sections": [{"horizon": 1, "locations": []}]}, "sections[0].locations"),
-        ({"sections": [{"horizon": 1, "locations": {"N": {}}}]}, "sections[0].locations.N"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [{"condition": "fog"}]}}]},
-         "sections[0].locations.N[0].condition"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry"}]}}]}, "sections[0].locations.N[0].magnitude"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry", "magnitude": 0}]}}]},
-         "sections[0].locations.N[0].magnitude"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry", "magnitude": "1e999999999"}]}}]},
-         "sections[0].locations.N[0].magnitude"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "wind", "term": "Calm", "magnitude": "1", "direction": "UP"}]}}]},
-         "sections[0].locations.N[0].direction"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry", "magnitude": "-1"}]}}]},
-         "sections[0].locations.N[0]"),
-        ({"header": []}, "header"),
-        ({"header": {"sources": ["e", 5]}}, "header.sources"),
-        ({"header": {"generated_at": 5}}, "header.generated_at"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "cloudiness", "term": "Overcast", "magnitude": "500"}]}}]},
-         "sections[0].locations.N[0]"),
-        ({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "wind", "term": "Calm", "magnitude": "1"}]}}]},
-         "sections[0].locations.N[0]"),
-    ])
-    def test_json_shape_errors_name_the_path(self, doc, path):
-        from fusecast.errors import SchemaError
-
-        with pytest.raises(SchemaError) as info:
-            bulletin_from_json(json.dumps(doc).encode())
-        assert info.value.path == path
-
-    @pytest.mark.parametrize("doc, path", [
-        pytest.param({"sections": [], "bogus": 1}, "bogus", id="top"),
-        pytest.param({"header": {"sources": [], "bogus": 1}}, "header.bogus", id="header"),
-        pytest.param({"sections": [{"horizon": 1, "heading": "Tomorrow", "locations": {},
-                                    "bogus": 1}]}, "sections[0].bogus", id="section"),
-        pytest.param({"sections": [{"horizon": 1, "locations": {"N": [
-            {"condition": "rain", "term": "Dry", "magnitude": "0", "margin": "0.1"}]}}]},
-            "sections[0].locations.N[0].margin", id="entry"),
-    ])
-    def test_unknown_keys_name_their_path(self, doc, path):
-        from fusecast.errors import SchemaError
-
-        with pytest.raises(SchemaError, match="unknown key") as info:
-            bulletin_from_json(json.dumps(doc).encode())
-        assert info.value.path == path
+        assert json.loads(data) == {"header": {"generated_at": None, "sources": []},
+                                    "sections": []}
 
     def test_html_escapes_and_carries_lines(self, seaside_scenario):
         html = render_document(render_sharp(seaside_scenario), "html").decode()

@@ -28,22 +28,8 @@ H = TimeRef.symbolic
 
 
 def am(condition, loc, horizon, magnitude, direction=None):
-    return AssertionalMap(condition, Location.point(loc), H(horizon),
+    return AssertionalMap(condition, Location(loc), H(horizon),
                          make_value(condition, magnitude, direction))
-
-
-class TestUnits:
-    def test_every_condition_has_a_unit(self):
-        units = {c: c.unit for c in Condition}
-        assert units[Condition.TEMPERATURE] == "°C"
-        assert units[Condition.PRESSURE] == "hPa"
-        assert units[Condition.HUMIDITY] == "%"
-        assert units[Condition.RAIN] == "mm"
-        assert units[Condition.SNOW] == "cm"
-        assert units[Condition.WIND] == "knots"
-        assert units[Condition.VISIBILITY] == "m"
-        assert units[Condition.CLOUDINESS] == "%"
-        assert units[Condition.SEA] == "cm"
 
 
 class TestValue:
@@ -197,9 +183,9 @@ class TestConflictsWith:
 class TestLocation:
     def test_bad_names_rejected(self):
         with pytest.raises(ForecastError):
-            Location.point("no spaces")
+            Location("no spaces")
         with pytest.raises(ForecastError):
-            Location.point("x_y")
+            Location("x_y")
 
 
 class TestLabel:

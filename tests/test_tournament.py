@@ -38,7 +38,7 @@ H = TimeRef.symbolic
 def lam(method, gen_h, condition, loc, valid_h, magnitude, direction=None):
     return LabeledAssertionalMap(
         Label(method, H(gen_h)),
-        AssertionalMap(condition, Location.point(loc), H(valid_h),
+        AssertionalMap(condition, Location(loc), H(valid_h),
                        make_value(condition, magnitude, direction)),
     )
 
@@ -74,7 +74,7 @@ class TestSift:
         now = TimeRef.absolute(datetime(2026, 8, 8, tzinfo=timezone.utc))
         old = LabeledAssertionalMap(
             Label("GFS", now),
-            AssertionalMap(Condition.RAIN, Location.point("North"),
+            AssertionalMap(Condition.RAIN, Location("North"),
                            TimeRef.absolute(datetime(2026, 8, 6, tzinfo=timezone.utc)),
                            make_value(Condition.RAIN, 5)))
         assert sift([old], seaside_kb, now) == []
@@ -128,9 +128,9 @@ class TestPrevails:
         early = TimeRef.absolute(datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
         late = TimeRef.absolute(datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
         a = LabeledAssertionalMap(Label("Alpha", early), AssertionalMap(
-            Condition.RAIN, Location.point("North"), H(1), make_value(Condition.RAIN, 5)))
+            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 5)))
         b = LabeledAssertionalMap(Label("Beta", late), AssertionalMap(
-            Condition.RAIN, Location.point("North"), H(1), make_value(Condition.RAIN, 9)))
+            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 9)))
         verdict = prevails(a, b, flat_kb)
         assert verdict.winner is Winner.SECOND
         assert verdict.basis is PrevalenceBasis.RECENCY
@@ -266,9 +266,9 @@ class TestBuildTheory:
         late = TimeRef.absolute(datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
         now = TimeRef.absolute(datetime(2026, 8, 8, 13, 0, tzinfo=timezone.utc))
         a = LabeledAssertionalMap(Label("Alpha", early), AssertionalMap(
-            Condition.RAIN, Location.point("North"), H(1), make_value(Condition.RAIN, 0)))
+            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 0)))
         b = LabeledAssertionalMap(Label("Beta", late), AssertionalMap(
-            Condition.RAIN, Location.point("North"), H(1), make_value(Condition.RAIN, 10)))
+            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 10)))
         t = build_theory([a, b], kb, now)
         # Beta is later, so its biased head (0.8*10 + 0.2*0 = 8) must win.
         assert set(t.superiority) == {
