@@ -29,7 +29,7 @@ _DISPLAY_RANK.update(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioEntry:
     condition: Condition
     location: str
@@ -39,7 +39,7 @@ class ScenarioEntry:
     strength: str  # "+D" (fact-backed) or "+d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeatherScenario:
     entries: tuple[ScenarioEntry, ...] = ()
     sources: tuple[str, ...] = ()  # model tags of the +d literals, sorted
@@ -94,7 +94,7 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
 # Sharp rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BulletinEntry:
     condition: Condition
     term: str
@@ -102,25 +102,25 @@ class BulletinEntry:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationBlock:
     location: str
     entries: tuple[BulletinEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BulletinSection:
     horizon: int
     blocks: tuple[LocationBlock, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BulletinHeader:
     generated_at: Optional[str] = None
     sources: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BulletinDocument:
     header: BulletinHeader = BulletinHeader()
     sections: tuple[BulletinSection, ...] = ()
@@ -169,7 +169,7 @@ DEFAULT_FRAGMENTS: dict[Condition, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothTemplates:
     """Sentence fragments per condition. `lowercase_clauses` joins the
     per-condition clauses in lowercase instead of the vocabulary casing.
@@ -284,7 +284,7 @@ def _entry_dict(entry: BulletinEntry) -> dict:
         "condition": entry.condition.value,
         "term": entry.term,
         "phrase": entry.phrase,
-        "magnitude": decimal_str(entry.value.magnitude),
+        "magnitude": decimal_str(entry.value.micros),
         "direction": entry.value.direction.value if entry.value.direction else None,
     }
 

@@ -20,7 +20,6 @@ import sys
 import time
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -62,12 +61,12 @@ def _write(path: Optional[Path], data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def _load_kb(path: Path, min_accuracy: Optional[Fraction]) -> kb_mod.KnowledgeBase:
+def _load_kb(path: Path, min_micros: Optional[int]) -> kb_mod.KnowledgeBase:
     with _stage("kb", path):
         knowledge = kb_mod.load_kb(_read(path))
-        if min_accuracy is not None:
-            knowledge = kb_mod.KnowledgeBase(
-                knowledge.accuracies, knowledge.overrides, min_accuracy)
+        if min_micros is not None:
+            knowledge = kb_mod.KnowledgeBase.of(
+                knowledge.accuracies, knowledge.overrides, min_micros)
     return knowledge
 
 
@@ -141,7 +140,8 @@ def _parse_now(text: Optional[str]) -> TimeRef:
         return parse_timeref(text)
 
 
-def _parse_min_accuracy(text: Optional[str]) -> Optional[Fraction]:
+def _parse_min_accuracy(text: Optional[str]) -> Optional[int]:
+    """The --min-accuracy threshold in millionths."""
     if text is None:
         return None
     with _stage("args", "--min-accuracy"):

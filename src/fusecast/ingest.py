@@ -27,20 +27,23 @@ from .model import (
     Location,
     NAME_RE,
     TimeRef,
+    Value,
+    decimal_str,
     hindcast_days,
     horizon_index,
     is_future,
-    make_value,
     parse_timeref,
 )
 from .theory import atom_head, method_tag
+
+_CONDITIONS = {c.value: c for c in Condition}
 
 #: A hindcast entry is tolerated but flagged once it trails the generation
 #: time by more than one horizon (day).
 HINDCAST_WARN_DAYS = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     path: str
@@ -70,21 +73,29 @@ def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[Labeled
     """One document's parse_source_map result, returned unchanged once every
     time reference can be placed against `now`, in entries sift would drop
     too. Else a SchemaError at the first that cannot: an absolute time under
-    a symbolic `now`, a date past the last representable one, or a validity
-    more than MAX_HORIZON days ahead."""
+    a symbolic `now`, a date past the last representable one, a validity
+    more than MAX_HORIZON days ahead, or a second entry on one slot (one
+    condition at one location on one day from `now` on)."""
     if lams:
         try:
             is_future(lams[0].label.generated_at, now)
         except ForecastError as exc:
             raise SchemaError("generated_at", str(exc)) from None
+    slots: dict[tuple, int] = {}
     for i, lam in enumerate(lams):
+        m = lam.map
         try:
-            horizon = horizon_index(lam.map.valid_at, now)
+            horizon = horizon_index(m.valid_at, now)
         except ForecastError as exc:
             raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
         if horizon > MAX_HORIZON:
             raise SchemaError(f"entries[{i}].valid_at", f"lies {horizon} days after "
                               f"{now}; atoms encode horizons 0..{MAX_HORIZON}")
+        first = slots.setdefault((m.condition, m.location, horizon), i)
+        if first != i and horizon >= 0:
+            raise SchemaError(f"entries[{i}].valid_at", f"second entry for "
+                              f"{m.condition.value} @ {m.location} on day h{horizon} "
+                              f"from {now}, after entries[{first}]")
     return lams
 
 
@@ -122,6 +133,7 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     label = Label(method, generated_at)
     lams: list[LabeledAssertionalMap] = []
     locations: dict[str, Location] = {}
+    times: dict[str, TimeRef] = {}
     seen: set[tuple] = set()
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
@@ -130,11 +142,11 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     for i, raw in enumerate(raw_entries):
         path = f"entries[{i}]"
         try:
-            entry = _scan_entry(raw, path, locations)
+            entry = _scan_entry(raw, path, locations, times)
         except SchemaError as exc:
             err(exc.path, exc.message)
             continue
-        key = (entry.condition, str(entry.location), entry.valid_at)
+        key = (entry.condition, entry.location, entry.valid_at)
         if key in seen:
             err(path, f"duplicate entry for {entry.condition.value} @ "
                       f"{entry.location} @ {entry.valid_at}")
@@ -151,19 +163,21 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     return lams, diags
 
 
-def _scan_entry(raw, path: str, locations: dict[str, Location]) -> AssertionalMap:
-    """One entry; raises SchemaError at the first problem. `locations` keeps
-    one Location per name across the document's entries."""
+def _scan_entry(raw, path: str, locations: dict[str, Location],
+                times: dict[str, TimeRef]) -> AssertionalMap:
+    """One entry; raises SchemaError at the first problem. `locations` and
+    `times` keep one Location per name and one TimeRef per time string
+    across the document's entries."""
     if not isinstance(raw, dict):
         raise SchemaError(path, "entry must be an object")
     for key in raw:
         if key not in ("condition", "location", "valid_at", "magnitude", "direction"):
             raise SchemaError(f"{path}.{key}", "unknown key")
-    try:
-        condition = Condition(raw.get("condition"))
-    except ValueError:
+    condition = raw.get("condition")
+    condition = _CONDITIONS.get(condition) if isinstance(condition, str) else None
+    if condition is None:
         raise SchemaError(f"{path}.condition",
-                          f"unknown condition kind {raw.get('condition')!r}") from None
+                          f"unknown condition kind {raw.get('condition')!r}")
 
     name = raw.get("location")
     if not isinstance(name, str):
@@ -176,12 +190,15 @@ def _scan_entry(raw, path: str, locations: dict[str, Location]) -> AssertionalMa
     except ForecastError as exc:
         raise SchemaError(f"{path}.location", str(exc)) from None
 
-    try:
-        valid_at = parse_timeref(str(raw.get("valid_at", "")))
-    except ForecastError as exc:
-        raise SchemaError(f"{path}.valid_at", str(exc)) from None
+    text = str(raw.get("valid_at", ""))
+    valid_at = times.get(text)
+    if valid_at is None:
+        try:
+            valid_at = times[text] = parse_timeref(text)
+        except ForecastError as exc:
+            raise SchemaError(f"{path}.valid_at", str(exc)) from None
 
-    magnitude = exact_number(raw.get("magnitude"), f"{path}.magnitude")
+    micros = exact_number(raw.get("magnitude"), f"{path}.magnitude")
     direction = None
     if "direction" in raw:
         try:
@@ -189,8 +206,9 @@ def _scan_entry(raw, path: str, locations: dict[str, Location]) -> AssertionalMa
         except ValueError:
             raise SchemaError(f"{path}.direction",
                               f"unknown compass point {raw['direction']!r}") from None
+    if micros < 0:
+        raise SchemaError(path, f"magnitude must be non-negative, got {decimal_str(micros)}")
     try:
-        value = make_value(condition, magnitude, direction)
-        return AssertionalMap(condition, location, valid_at, value)
+        return AssertionalMap(condition, location, valid_at, Value.of(micros, direction))
     except ForecastError as exc:
         raise SchemaError(path, str(exc)) from None

@@ -2,7 +2,7 @@
 and the cycle check that KB overrides and theory superiority share.
 
 The bounds are fixed. A value outside them is an error at its path; it is
-never expanded into an oversized integer or Fraction first.
+never expanded into an oversized integer first.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from typing import Hashable, Iterable
 
 from .errors import ForecastError, SchemaError
@@ -19,6 +18,8 @@ from .errors import ForecastError, SchemaError
 #: the point, so they carry at most 15 significant digits.
 MAX_INT_DIGITS = 9
 MAX_PLACES = 6
+#: So every number is a whole number of millionths, and is held as one.
+MILLION = 10**MAX_PLACES
 #: Symbolic horizons run h0..h366: a year of days ahead.
 MAX_HORIZON = 366
 
@@ -65,9 +66,9 @@ def _reject_lone_surrogates(doc: dict) -> None:
             stack.extend((f"{path}[{i}]", child) for i, child in enumerate(node))
 
 
-def exact_number(value, path: str) -> Fraction:
-    """The exact value of a JSON number, checked against the bounds before
-    any Fraction is built. Trailing zeros after the point do not count."""
+def exact_number(value, path: str) -> int:
+    """A JSON number in millionths, checked against the bounds first, which
+    make it exact. Trailing zeros after the point do not count."""
     if not isinstance(value, Decimal) or not value.is_finite():
         raise SchemaError(path, "must be a number")
     _, digits, exponent = value.as_tuple()
@@ -78,7 +79,7 @@ def exact_number(value, path: str) -> Fraction:
     if value and (exponent < -MAX_PLACES or len(digits) + exponent > MAX_INT_DIGITS):
         raise SchemaError(path, f"out of bounds: numbers need |x| < 1e{MAX_INT_DIGITS} "
                                 f"and at most {MAX_PLACES} digits after the point")
-    return Fraction(value)
+    return int(value.scaleb(MAX_PLACES)) if value else 0
 
 
 def parse_horizon(text: str) -> int:

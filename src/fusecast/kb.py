@@ -14,22 +14,31 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ForecastError, SchemaError, UnknownMethodError
-from .inputs import MAX_HORIZON, exact_number, has_cycle, parse_horizon, read_json_object
-from .model import Condition, OBSERVATION_METHOD, decimal_str
+from .inputs import (
+    MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
+from .model import Condition, OBSERVATION_METHOD, Rational, decimal_str, set_fields, to_micros
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AccuracyRecord:
+    """A method's accuracy at one horizon, in millionths."""
+
     method: str
     horizon: int
-    accuracy: Fraction
+    micros: int
+
+    def __init__(self, method: str, horizon: int, accuracy: Rational):
+        set_fields(self, method, horizon, to_micros(accuracy, "accuracy"))
+
+    @classmethod
+    def of(cls, method: str, horizon: int, micros: int) -> "AccuracyRecord":
+        return set_fields(object.__new__(cls), method, horizon, micros)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriorityOverride:
     """An expert override: `winner` beats `loser`, optionally only within a
     (condition, location) scope. Unset scope fields mean "any"."""
@@ -44,33 +53,38 @@ class PriorityOverride:
         return 2 * (self.condition is not None) + (self.location is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KnowledgeBase:
-    accuracies: tuple[AccuracyRecord, ...] = ()
-    overrides: tuple[PriorityOverride, ...] = ()
-    min_accuracy: Fraction = Fraction(0)
-    #: method -> (recorded horizons ascending, their accuracies), built once.
-    _by_method: dict = field(init=False, repr=False, compare=False)
+    """Records sorted by (method, horizon), overrides sorted, and the
+    reliability threshold in millionths."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "accuracies",
-            tuple(sorted(self.accuracies, key=lambda r: (r.method, r.horizon))),
-        )
-        by_method: dict[str, tuple[list[int], list[Fraction]]] = {}
-        for rec in self.accuracies:
-            horizons, accuracies = by_method.setdefault(rec.method, ([], []))
+    accuracies: tuple[AccuracyRecord, ...]
+    overrides: tuple[PriorityOverride, ...]
+    min_micros: int
+    #: method -> (recorded horizons ascending, their accuracies), built once.
+    _by_method: dict = field(repr=False, compare=False)
+
+    def __init__(self, accuracies: Sequence[AccuracyRecord] = (),
+                 overrides: Sequence[PriorityOverride] = (), min_accuracy: Rational = 0):
+        self._set(accuracies, overrides, to_micros(min_accuracy, "min_accuracy"))
+
+    @classmethod
+    def of(cls, accuracies: Sequence[AccuracyRecord], overrides: Sequence[PriorityOverride],
+           min_micros: int) -> "KnowledgeBase":
+        kb = object.__new__(cls)
+        kb._set(accuracies, overrides, min_micros)
+        return kb
+
+    def _set(self, accuracies, overrides, min_micros: int) -> None:
+        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
+        by_method: dict[str, tuple[list[int], list[int]]] = {}
+        for rec in accuracies:
+            horizons, micros = by_method.setdefault(rec.method, ([], []))
             horizons.append(rec.horizon)
-            accuracies.append(rec.accuracy)
-        object.__setattr__(self, "_by_method", by_method)
-        object.__setattr__(
-            self, "overrides",
-            tuple(sorted(self.overrides, key=lambda o: (
-                o.winner, o.loser,
-                o.condition.value if o.condition else "",
-                o.location or "",
-            ))),
-        )
+            micros.append(rec.micros)
+        overrides = tuple(sorted(overrides, key=lambda o: (
+            o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
+        set_fields(self, accuracies, overrides, min_micros, by_method)
         _validate(self)
 
 
@@ -85,19 +99,18 @@ def _validate(kb: KnowledgeBase) -> None:
         if rec.horizon < 0:
             raise SchemaError(f"accuracies.{rec.method}.{rec.horizon}",
                               "horizons are non-negative")
-        if not 0 <= rec.accuracy <= 1:
+        if not 0 <= rec.micros <= MILLION:
             raise SchemaError(
                 f"accuracies.{rec.method}.{rec.horizon}",
-                f"accuracy {decimal_str(rec.accuracy)} outside [0, 1]",
+                f"accuracy {decimal_str(rec.micros)} outside [0, 1]",
             )
         key = (rec.method, rec.horizon)
         if key in seen:
             raise SchemaError(f"accuracies.{rec.method}.{rec.horizon}",
                               "duplicate (method, horizon) record")
         seen.add(key)
-    if not 0 <= kb.min_accuracy <= 1:
-        raise SchemaError("min_accuracy",
-                          f"{decimal_str(kb.min_accuracy)} outside [0, 1]")
+    if not 0 <= kb.min_micros <= MILLION:
+        raise SchemaError("min_accuracy", f"{decimal_str(kb.min_micros)} outside [0, 1]")
     by_scope: dict[tuple, list[PriorityOverride]] = {}
     for i, ov in enumerate(kb.overrides):
         if ov.winner == ov.loser:
@@ -111,8 +124,8 @@ def _validate(kb: KnowledgeBase) -> None:
             )
 
 
-def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> Fraction:
-    """Accuracy of a method at a forecast horizon.
+def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
+    """Accuracy of a method at a forecast horizon, in millionths.
 
     Observations are axiomatically 1.0. Missing horizons fall back to the
     nearest smaller recorded horizon (accuracy decays with horizon, so the
@@ -120,12 +133,12 @@ def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> Fraction:
     recorded horizon is used. A method with no records at all is an error.
     """
     if method == OBSERVATION_METHOD:
-        return Fraction(1)
+        return MILLION
     try:
-        horizons, accuracies = kb._by_method[method]
+        horizons, micros = kb._by_method[method]
     except KeyError:
         raise UnknownMethodError(f"unknown method: {method!r}") from None
-    return accuracies[max(bisect_right(horizons, horizon) - 1, 0)]
+    return micros[max(bisect_right(horizons, horizon) - 1, 0)]
 
 
 def override_winner(
@@ -174,7 +187,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
                 horizon = parse_horizon(f"h{h}")
             except ForecastError:
                 raise SchemaError(path, f"horizon keys are integers 0..{MAX_HORIZON}") from None
-            records.append(AccuracyRecord(method, horizon, exact_number(acc, path)))
+            records.append(AccuracyRecord.of(method, horizon, exact_number(acc, path)))
 
     raw_overrides = doc.get("overrides", [])
     if not isinstance(raw_overrides, list):
@@ -201,5 +214,5 @@ def load_kb(data: bytes) -> KnowledgeBase:
         overrides.append(PriorityOverride(winner, loser, condition, location))
 
     min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
-    return KnowledgeBase(tuple(records), tuple(overrides), min_acc)
+    return KnowledgeBase.of(records, overrides, min_acc)
 

@@ -12,15 +12,16 @@ temperature/pressure/humidity) must be configured explicitly before use.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
-from .inputs import exact_number, read_json_object
-from .model import Compass, Condition, Value
+from .inputs import MILLION, exact_number, read_json_object
+from .model import Compass, Condition, Value, decimal_str
 
-Band = tuple[Optional[Fraction], str]  # (exclusive upper bound, None = ∞), term
+#: (exclusive upper bound in millionths, None = ∞), term
+Band = tuple[Optional[int], str]
 
 VOCABULARY: dict[Condition, tuple[str, ...]] = {
     Condition.CLOUDINESS: (
@@ -45,7 +46,7 @@ VOCABULARY: dict[Condition, tuple[str, ...]] = {
     Condition.VISIBILITY: ("Clean", "Misty", "Foggy", "Hazy"),
 }
 
-_F = Fraction
+_F = MILLION.__mul__  # whole units to millionths
 DEFAULT_BANDS: dict[Condition, tuple[Band, ...]] = {
     Condition.CLOUDINESS: (
         (_F(10), "Clear or Sunny Skies"),
@@ -95,15 +96,27 @@ DIRECTION_PHRASES: dict[Compass, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconTable:
     bands: Mapping[Condition, tuple[Band, ...]] = field(
         default_factory=lambda: dict(DEFAULT_BANDS))
+    #: condition -> (bounds, terms) for a bisect, built once: a leading (0,
+    #: term) band holds exactly 0, which is [0, 1) in millionths, and a table
+    #: without an unbounded band ends with its last term again.
+    _search: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bands", dict(self.bands))
+        search = {}
         for condition, bands in self.bands.items():
             _check_bands(condition, bands)
+            bounds = [1 if i == 0 and upper == 0 else upper
+                      for i, (upper, _) in enumerate(bands) if upper is not None]
+            terms = [term for _, term in bands]
+            if bands[-1][0] is not None:
+                terms.append(terms[-1])
+            search[condition] = (bounds, terms)
+        object.__setattr__(self, "_search", search)
 
 
 def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
@@ -124,10 +137,10 @@ def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
         if prev is not None and upper <= prev:
             raise LexiconError(f"{condition.value}: band bounds must increase")
         if upper < 0 or (upper == 0 and not degenerate_zero):
-            raise LexiconError(f"{condition.value}: bad band bound {upper}")
+            raise LexiconError(f"{condition.value}: bad band bound {decimal_str(upper)}")
         prev = upper
     last_upper = bands[-1][0]
-    if last_upper is not None and not (condition.is_percent and last_upper >= 100):
+    if last_upper is not None and not (condition.is_percent and last_upper >= 100 * MILLION):
         raise LexiconError(
             f"{condition.value}: bands must cover the whole range "
             "(end with null, or reach 100 for percent conditions)")
@@ -139,24 +152,13 @@ DEFAULT_LEXICON = LexiconTable()
 def classify(condition: Condition, value: Value,
              table: LexiconTable = DEFAULT_LEXICON) -> str:
     """The term of the band containing the value's magnitude."""
-    bands = table.bands.get(condition)
-    if not bands:
+    search = table._search.get(condition)
+    if search is None:
         raise LexiconError(
             f"no bands configured for {condition.value}; "
             "supply a lexicon override to classify it")
-    mag = value.magnitude
-    lo = Fraction(0)
-    for i, (upper, term) in enumerate(bands):
-        if upper is None:
-            return term
-        if i == 0 and upper == 0:
-            if mag == 0:
-                return term
-            continue
-        if lo <= mag < upper:
-            return term
-        lo = upper
-    return bands[-1][1]  # percent tables ending at 100 catch the boundary
+    bounds, terms = search
+    return terms[bisect_right(bounds, value.micros)]
 
 
 def direction_name(point: Compass) -> str:

@@ -8,8 +8,9 @@ Layers (pure data, no I/O):
   Label                   the contextualised method that produced a map
   LabeledAssertionalMap   an assertional map plus its label
 
-All types are immutable; magnitudes are exact rationals so they survive a
-round trip through the textual theory encoding unchanged.
+All types are immutable and slotted. Magnitudes are ints in millionths: every
+number that enters has at most six places (inputs.exact_number), so they are
+exact and survive a round trip through the textual theory encoding unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ForecastError
-from .inputs import parse_horizon
+from .inputs import MILLION, parse_horizon
 
 #: Reserved method id for ground-truth observations.
 OBSERVATION_METHOD = "O"
@@ -64,66 +65,67 @@ class Compass(Enum):
     NW = "NW"
 
 
-def as_fraction(x: Rational) -> Fraction:
-    """Coerce int/str/Fraction to an exact Fraction; floats are refused."""
-    if isinstance(x, bool) or isinstance(x, float):
+def to_micros(x: Rational, field: str) -> int:
+    """x in millionths. x is an int, a decimal string or a Fraction, and a
+    whole number of millionths; anything else is an error naming `field`."""
+    if type(x) is int:
+        return x * MILLION
+    if not isinstance(x, (str, Fraction)):
         raise ForecastError(
-            f"magnitude must be an int, Fraction or decimal string, not {type(x).__name__}"
-        )
+            f"{field} must be an int, Fraction or decimal string, not {type(x).__name__}")
     try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ForecastError(f"bad magnitude: {x!r}") from exc
+        micros = Fraction(x) * MILLION
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ForecastError(f"bad {field}: {x!r}") from exc
+    if micros.denominator != 1:
+        raise ForecastError(f"{field} {x} is not a whole number of millionths")
+    return micros.numerator
 
 
-def decimal_str(x: Fraction) -> str:
-    """Exact decimal rendering of a rational, without trailing zeros.
-
-    Raises if the denominator is not of the form 2^a * 5^b.
-    """
-    num, den = x.numerator, x.denominator
-    scale = 0
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        raise ForecastError(f"{x} has no finite decimal rendering")
-    while den % 10 == 0:
-        den //= 10
-        scale += 1
-    while den % 2 == 0:  # pad with 5s
-        num *= 5
-        den //= 2
-        scale += 1
-    while den % 5 == 0:
-        num *= 2
-        den //= 5
-        scale += 1
-    digits = str(abs(num)).rjust(scale + 1, "0")
-    sign = "-" if num < 0 else ""
-    if scale == 0:
-        return f"{sign}{digits}"
-    whole, frac = digits[:-scale], digits[-scale:]
-    frac = frac.rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+def set_fields(obj, *values):
+    """Fill the fields of a frozen, slotted dataclass instance in order,
+    running no checks; returns the instance."""
+    for name, value in zip(obj.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-@dataclass(frozen=True)
+def decimal_str(micros: int) -> str:
+    """Exact decimal spelling of a number of millionths, without trailing zeros."""
+    whole, places = divmod(abs(micros), MILLION)
+    sign = "-" if micros < 0 else ""
+    return f"{sign}{whole}.{places:06d}".rstrip("0") if places else f"{sign}{whole}"
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Value:
-    """A measured value: magnitude plus, for wind only, a compass direction."""
+    """A measured value: its magnitude in millionths of the condition's unit,
+    plus, for wind only, a compass direction."""
 
-    magnitude: Fraction
+    micros: int
     direction: Optional[Compass] = None
 
-    def __post_init__(self):
-        if type(self.magnitude) is not Fraction:
-            object.__setattr__(self, "magnitude", as_fraction(self.magnitude))
-        if self.magnitude.numerator < 0:
-            raise ForecastError(f"magnitude must be non-negative, got {self.magnitude}")
+    def __init__(self, magnitude: Rational, direction: Optional[Compass] = None):
+        micros = to_micros(magnitude, "magnitude")
+        if micros < 0:
+            raise ForecastError(f"magnitude must be non-negative, got {magnitude}")
+        set_fields(self, micros, direction)
+
+    @classmethod
+    def of(cls, micros: int, direction: Optional[Compass] = None) -> "Value":
+        """A value from a magnitude already checked and in millionths."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "micros", micros)
+        object.__setattr__(value, "direction", direction)
+        return value
+
+    @property
+    def magnitude(self) -> Fraction:
+        """The exact magnitude; built when read."""
+        return Fraction(self.micros, MILLION)
 
     def __str__(self) -> str:
-        mag = decimal_str(self.magnitude)
+        mag = decimal_str(self.micros)
         return f"{self.direction.value}{mag}" if self.direction else mag
 
 
@@ -133,9 +135,9 @@ def check_value(condition: Condition, value: Value) -> Value:
         if condition is Condition.WIND:
             raise ForecastError("wind values require a compass direction")
         raise ForecastError(f"{condition.value} values must not carry a direction")
-    if condition.is_percent and value.magnitude > 100:
+    if condition.is_percent and value.micros > 100 * MILLION:
         raise ForecastError(
-            f"{condition.value} is a percentage; magnitude {decimal_str(value.magnitude)} > 100"
+            f"{condition.value} is a percentage; magnitude {decimal_str(value.micros)} > 100"
         )
     return value
 
@@ -147,7 +149,7 @@ def make_value(
     return check_value(condition, Value(magnitude, direction))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeRef:
     """Either an absolute UTC instant or a symbolic horizon h_k (k days from now)."""
 
@@ -235,7 +237,7 @@ def is_future(t: TimeRef, now: TimeRef) -> bool:
     return resolve_instant(t, now) > ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A named point; the name is embedded in atoms, so it follows NAME_RE."""
 
@@ -251,7 +253,7 @@ class Location:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssertionalMap:
     """One ground quantitative assertion: condition @ location @ valid_at = value."""
 
@@ -264,7 +266,7 @@ class AssertionalMap:
         check_value(self.condition, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """The contextualised method: which model produced the map, and when."""
 
@@ -276,7 +278,7 @@ class Label:
             raise ForecastError("label method must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledAssertionalMap:
     """An assertional map tagged with the label that produced it."""
 

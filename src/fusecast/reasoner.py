@@ -39,7 +39,7 @@ from .inputs import read_json_object
 from .theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_literal, validate_theory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConclusionSet:
     plus_definite: frozenset[Literal] = frozenset()
     minus_definite: frozenset[Literal] = frozenset()

@@ -32,11 +32,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
-from .inputs import HORIZON_RE, MAX_HORIZON, has_cycle
+from .inputs import HORIZON_RE, MAX_HORIZON, MAX_PLACES, MILLION, has_cycle
 from .model import NAME_RE, Compass, Condition, Location, Value, decimal_str
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -57,7 +56,7 @@ _CONDITIONS_BY_CODE = {c: k for k, c in CONDITION_CODES.items() if k is not Cond
 _COMPASS = {d.value: d for d in Compass}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     atom: str
     positive: bool = True
@@ -66,8 +65,16 @@ class Literal:
         if not _ATOM_RE.match(self.atom):
             raise TheoryError(f"bad atom {self.atom!r}")
 
+    @classmethod
+    def of(cls, atom: str, positive: bool = True) -> "Literal":
+        """A literal over an atom already checked, such as encode_atom's."""
+        lit = object.__new__(cls)
+        object.__setattr__(lit, "atom", atom)
+        object.__setattr__(lit, "positive", positive)
+        return lit
+
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+        return Literal.of(self.atom, not self.positive)
 
     def __str__(self) -> str:
         return self.atom if self.positive else f"-{self.atom}"
@@ -86,7 +93,7 @@ class RuleKind(Enum):
     DEFEATER = "~>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     id: str
     kind: RuleKind
@@ -98,13 +105,23 @@ class Rule:
             raise TheoryError(f"bad rule id {self.id!r}")
         object.__setattr__(self, "body", tuple(self.body))
 
+    @classmethod
+    def of(cls, id: str, kind: RuleKind, body: tuple[Literal, ...], head: Literal) -> "Rule":
+        """A rule whose id is already checked and whose body is a tuple."""
+        rule = object.__new__(cls)
+        object.__setattr__(rule, "id", id)
+        object.__setattr__(rule, "kind", kind)
+        object.__setattr__(rule, "body", body)
+        object.__setattr__(rule, "head", head)
+        return rule
+
     def __str__(self) -> str:
-        body = ", ".join(str(b) for b in self.body)
+        body = ", ".join(map(str, self.body))
         sep = f"{body} " if body else ""
         return f"{self.id}: {sep}{self.kind.value} {self.head}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefeasibleTheory:
     facts: tuple[Literal, ...] = ()
     rules: tuple[Rule, ...] = ()
@@ -129,10 +146,11 @@ def validate_theory(theory: DefeasibleTheory) -> None:
         for rid in (winner, loser):
             if rid not in by_id:
                 raise TheoryError(f"superiority references unknown rule {rid!r}")
-        if by_id[winner].head != by_id[loser].head.complement():
+        head, other = by_id[winner].head, by_id[loser].head
+        if head.atom != other.atom or head.positive == other.positive:
             raise TheoryError(
                 f"superiority {winner} > {loser} relates non-complementary heads "
-                f"({by_id[winner].head} vs {by_id[loser].head})"
+                f"({head} vs {other})"
             )
     if has_cycle(theory.superiority):
         raise TheoryError("superiority relation contains a cycle")
@@ -142,7 +160,7 @@ def validate_theory(theory: DefeasibleTheory) -> None:
 # Canonical atom codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedAtom:
     condition: Condition
     source: Optional[str]
@@ -202,7 +220,7 @@ def encode_atom(
     if not 0 <= horizon <= MAX_HORIZON:
         raise ForecastError(f"atoms encode horizons 0..{MAX_HORIZON}, not {horizon}")
     parts.append(f"h{horizon}")
-    mag = decimal_str(value.magnitude).replace(".", "p")
+    mag = decimal_str(value.micros).replace(".", "p")
     if condition is Condition.WIND:
         parts.append(value.direction.value + mag)
     else:
@@ -231,14 +249,12 @@ def decode_atom(atom: str) -> DecodedAtom:
     if m is not None:
         condition = _CONDITIONS_BY_CODE[m["code"]] if m["code"] else Condition.SEA
         horizon, source, direction = int(m["horizon"]), m["src"], m["dir"]
-        places = m["places"] or ""
-        num, den = int(m["int"] + places), 10 ** len(places)
+        micros = int(m["int"] + (m["places"] or "").ljust(MAX_PLACES, "0"))
         if (horizon <= MAX_HORIZON
-                and not (num > 100 * den and condition.is_percent)
+                and not (micros > 100 * MILLION and condition.is_percent)
                 and not (source and HORIZON_RE.match(source))
                 and (direction is None) == (condition is not Condition.WIND)):
-            magnitude = Fraction(num, den) if places else Fraction(num)
-            value = Value(magnitude, _COMPASS[direction] if direction else None)
+            value = Value.of(micros, _COMPASS[direction] if direction else None)
             return DecodedAtom(condition, source, m["loc"] or "Sea", horizon, value)
     raise OpaqueAtomError(f"opaque atom: {atom!r}")
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ForecastError
+from .inputs import MILLION
 from .kb import KnowledgeBase, accuracy_of, override_winner
 from .model import (
     Condition,
@@ -69,27 +70,26 @@ class PrevalenceBasis(Enum):
     RECENCY = "recency"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prevalence:
     winner: Winner
     basis: Optional[PrevalenceBasis]  # None exactly when winner is TIE
 
 
-#: The biased side's blend weight never drops below one half.
-MIN_WEIGHT = Fraction(1, 2)
+#: The biased side's blend weight never drops below one half (in millionths).
+MIN_WEIGHT = MILLION // 2
 
 
-def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
-              a_second: Fraction, bias: Bias) -> Value:
-    """Biased blend of two conflicting values of the same kind.
+def supremacy(v_first: Value, v_second: Value, a_first: int,
+              a_second: int, bias: Bias) -> Value:
+    """Biased blend of two conflicting values of the same kind, from the two
+    sides' accuracies in millionths.
 
     The biased side weighs w = clamp(max(a_bias, 1 - a_other), MIN_WEIGHT, 1);
-    the magnitude is rounded half up and kept inside the closed interval the
-    inputs span (betweenness), and equal inputs return the biased value
-    unchanged (idempotence). The direction is the biased side's.
-
-    Computed on integer numerators and denominators; the only Fraction
-    built is the rounded result.
+    the magnitude is rounded half up to a whole unit and kept inside the
+    closed interval the inputs span (betweenness), and equal inputs return
+    the biased value unchanged (idempotence). The direction is the biased
+    side's. Weights and magnitudes are ints in millionths, so it is exact.
     """
     if (v_first.direction is None) != (v_second.direction is None):
         raise ForecastError("cannot blend values of mixed condition kinds")
@@ -97,29 +97,12 @@ def supremacy(v_first: Value, v_second: Value, a_first: Fraction,
         v_bias, v_other, a_bias, a_other = v_first, v_second, a_first, a_second
     else:
         v_bias, v_other, a_bias, a_other = v_second, v_first, a_second, a_first
-    # w = wn / wd, each candidate compared by cross-multiplication.
-    wn, wd = a_bias.numerator, a_bias.denominator
-    if (a_other.denominator - a_other.numerator) * wd > wn * a_other.denominator:
-        wn, wd = a_other.denominator - a_other.numerator, a_other.denominator
-    if wn * MIN_WEIGHT.denominator < MIN_WEIGHT.numerator * wd:
-        wn, wd = MIN_WEIGHT.numerator, MIN_WEIGHT.denominator
-    elif wn > wd:
-        wn, wd = 1, 1
-    vb, vo = v_bias.magnitude, v_other.magnitude
-    bn, bd, on, od = vb.numerator, vb.denominator, vo.numerator, vo.denominator
-    # w * vb + (1 - w) * vo = num / den, rounded half up.
-    num = wn * bn * od + (wd - wn) * on * bd
-    den = wd * bd * od
-    rounded = (2 * num + den) // (2 * den)
-    # Betweenness survives the rounding.
-    lo, hi = (vb, vo) if bn * od <= on * bd else (vo, vb)
-    if rounded * lo.denominator < lo.numerator:
-        magnitude = lo
-    elif rounded * hi.denominator > hi.numerator:
-        magnitude = hi
-    else:
-        magnitude = Fraction(rounded)
-    return Value(magnitude, v_bias.direction)
+    w = min(max(a_bias, MILLION - a_other, MIN_WEIGHT), MILLION)
+    vb, vo = v_bias.micros, v_other.micros
+    # w * vb + (1 - w) * vo, in millionths of millionths of a unit.
+    blend, scale = w * vb + (MILLION - w) * vo, MILLION * MILLION
+    rounded = (2 * blend + scale) // (2 * scale) * MILLION
+    return Value.of(min(max(rounded, min(vb, vo)), max(vb, vo)), v_bias.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +118,7 @@ def _lead_horizon(lam: LabeledAssertionalMap) -> int:
     return max(days or 0, 0)
 
 
-def _lam_accuracy(lam: LabeledAssertionalMap, kb: KnowledgeBase) -> Fraction:
+def _lam_accuracy(lam: LabeledAssertionalMap, kb: KnowledgeBase) -> int:
     return accuracy_of(kb, lam.label.method, _lead_horizon(lam))
 
 
@@ -145,6 +128,13 @@ def slot_key(lam: LabeledAssertionalMap, now: TimeRef) -> tuple:
             horizon_index(m.valid_at, now))
 
 
+class _Kept(list):
+    """sift's survivors in order. `facts` holds each one's slot key and
+    accuracy, which build_theory reads instead of computing them again."""
+
+    __slots__ = ("facts",)
+
+
 def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
          now: TimeRef) -> list[LabeledAssertionalMap]:
     """Discard out-of-date or unreliable assertions and order the survivors.
@@ -152,29 +142,39 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     Dropped: future-labeled maps (generated after `now`), maps whose validity
     already lies in the past, and maps below the KB reliability threshold
     (observations always survive). Survivors are grouped per slot and ordered
-    by accuracy desc, generation time desc, method id asc. Each assertion's
-    slot, accuracy and recency are computed once.
+    by accuracy desc, generation time desc, method id asc. Recency is computed
+    once per label, the horizon once per validity and the accuracy once per
+    (label, validity).
     """
+    recencies: dict[Label, Optional[float]] = {}
+    horizons: dict[TimeRef, int] = {}
+    accuracies: dict[tuple[Label, TimeRef], int] = {}
     keyed = []
     for lam in lams:
-        if is_future(lam.label.generated_at, now):
+        label, m = lam.label, lam.map
+        if label not in recencies:
+            recency = None if is_future(label.generated_at, now) else \
+                resolve_instant(label.generated_at, now)
+            recencies[label] = recency.timestamp() if hasattr(recency, "timestamp") else recency
+        recency = recencies[label]
+        if recency is None:
             continue
-        m = lam.map
-        horizon = horizon_index(m.valid_at, now)
+        horizon = horizons.get(m.valid_at)
+        if horizon is None:
+            horizon = horizons[m.valid_at] = horizon_index(m.valid_at, now)
         if horizon < 0:
             continue
-        acc = _lam_accuracy(lam, kb)
-        if not lam.is_observation and acc < kb.min_accuracy:
+        acc = accuracies.get((label, m.valid_at))
+        if acc is None:
+            acc = accuracies[label, m.valid_at] = _lam_accuracy(lam, kb)
+        if acc < kb.min_micros and not lam.is_observation:
             continue
-        recency = resolve_instant(lam.label.generated_at, now)
-        recency_key = recency.timestamp() if hasattr(recency, "timestamp") else recency
-        # The float goes first because it is cheap to compare; rounding is
-        # monotonic, so the exact accuracy only breaks float ties.
-        keyed.append(((_CONDITION_ORDER[m.condition], str(m.location), horizon,
-                       -float(acc), -acc, -recency_key, lam.label.method, str(m.value)),
-                      lam))
+        slot = (_CONDITION_ORDER[m.condition], m.location.name, horizon)
+        keyed.append(((*slot, -acc, -recency, label.method, str(m.value)), slot, acc, lam))
     keyed.sort(key=itemgetter(0))
-    return [lam for _, lam in keyed]
+    kept = _Kept(lam for *_, lam in keyed)
+    kept.facts = [(slot, acc) for _, slot, acc, _ in keyed]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def _label_order(a: Label, b: Label) -> int:
     return (ta > tb) - (ta < tb)
 
 
-def _prevalence(label_a: Label, acc_a: Fraction, label_b: Label, acc_b: Fraction,
+def _prevalence(label_a: Label, acc_a: int, label_b: Label, acc_b: int,
                 kb: KnowledgeBase, condition: Condition,
                 location: Optional[str]) -> Prevalence:
     ov = None
@@ -234,10 +234,11 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                  now: TimeRef) -> DefeasibleTheory:
     """Emit the defeasible theory for a set of labeled assertions.
 
-    Sifts internally (idempotent), then processes slots in canonical order.
-    Deterministic: equal inputs, in any order, serialize identically. Each
-    assertion's tagged literal is encoded once and shared by its r_ rule,
-    the fold and the pass-through rule.
+    Sifts internally (idempotent), then processes slots in canonical order,
+    which is sift's. Deterministic: equal inputs, in any order, serialize
+    identically. Each assertion's tagged literal is encoded once and shared
+    by its r_ rule, the fold and the pass-through rule. Observations that
+    disagree on a slot are an error.
     """
     lams = sift(metarules, kb, now)
     _check_tag_collisions(lams)
@@ -253,29 +254,26 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         elif existing != rule:
             raise ForecastError(f"conflicting definitions for rule {rule.id!r}")
 
-    groups: dict[tuple, list[LabeledAssertionalMap]] = {}
-    for lam in lams:
-        groups.setdefault(slot_key(lam, now), []).append(lam)
-
-    for key in sorted(groups):
-        group = groups[key]
-        horizon = key[2]
-        cond = group[0].map.condition
-        location = group[0].map.location
-        obs = [l for l in group if l.is_observation]
+    for (_, _, horizon), group in groupby(zip(lams, lams.facts), key=lambda p: p[1][0]):
+        group = list(group)
+        cond = group[0][0].map.condition
+        location = group[0][0].map.location
+        obs = [lam.map.value for lam, _ in group if lam.is_observation]
         models = []
-        for lam in group:
+        for lam, (_, acc) in group:
             if not lam.is_observation:
-                tagged = Literal(encode_atom(cond, lam.label.method, location, horizon,
-                                             lam.map.value))
-                add_rule(Rule(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
-                models.append((lam, tagged))
+                tagged = Literal.of(encode_atom(cond, lam.label.method, location, horizon,
+                                                lam.map.value))
+                add_rule(Rule.of(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
+                models.append((lam, tagged, acc))
 
         if obs:
             # Ground truth covers the slot: facts only, no untagged model output.
-            for lam in obs:
-                facts.setdefault(Literal(encode_atom(cond, None, location, horizon,
-                                                     lam.map.value)))
+            for value in obs[1:]:
+                if value != obs[0]:
+                    raise ForecastError(f"observations disagree on {cond.value} @ "
+                                        f"{location} @ h{horizon}: {obs[0]} and {value}")
+            facts.setdefault(Literal.of(encode_atom(cond, None, location, horizon, obs[0])))
             continue
         if not models:
             continue
@@ -285,32 +283,33 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
             _emit_rounds(rounds, models[0][1], cond, location, horizon, add_rule, sups)
             continue
         # Uncontested: every model asserts the first one's value.
-        untagged = Literal(encode_atom(cond, None, location, horizon, models[0][0].map.value))
-        for _, tagged in models:
-            add_rule(Rule(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
+        untagged = Literal.of(encode_atom(cond, None, location, horizon,
+                                          models[0][0].map.value))
+        for _, tagged, _ in models:
+            add_rule(Rule.of(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
 
     theory = DefeasibleTheory(tuple(facts), tuple(rules.values()), tuple(sups))
     validate_theory(theory)
     return theory
 
 
-def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal]],
+def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
                cond: Condition, location: Location,
                kb: KnowledgeBase) -> list[tuple[Literal, Value, Value, bool]]:
-    """Simulate the pairwise fold over (assertion, tagged literal) pairs.
+    """Simulate the pairwise fold over (assertion, tagged literal, accuracy)
+    triples.
 
     Per contested round: the challenger's literal, the blends biased toward
     the champion and toward the challenger, and whether the champion wins.
     The champion's running value is the winner's blend, its label the
     winner's original label.
     """
-    champ_lam = models[0][0]
-    champ_value, champ_acc = champ_lam.map.value, _lam_accuracy(champ_lam, kb)
+    champ_lam, _, champ_acc = models[0]
+    champ_value = champ_lam.map.value
     rounds = []
-    for nxt, tagged_next in models[1:]:
+    for nxt, tagged_next, nxt_acc in models[1:]:
         if nxt.map.value == champ_value:
             continue
-        nxt_acc = _lam_accuracy(nxt, kb)
         blend_first = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
                                 Bias.FIRST)
         blend_second = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
@@ -338,19 +337,19 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
     for index, (tagged_next, blend_first, blend_second, first_wins) in enumerate(rounds):
         src = None if index == len(rounds) - 1 else f"xr{index}"
         body = (champ_lit, tagged_next)
-        head_first = Literal(encode_atom(cond, src, location, horizon, blend_first))
+        head_first = Literal.of(encode_atom(cond, src, location, horizon, blend_first))
         champ_lit = head_first
         if blend_first == blend_second:
             # Both biased outcomes agree: the contest is vacuous.
-            add_rule(Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
+            add_rule(Rule.of(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
             continue
-        head_second = Literal(encode_atom(cond, src, location, horizon, blend_second))
-        sr_first = Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
-        sr_second = Rule(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
-        vc_first = Rule(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
-                        (head_first,), head_second.complement())
-        vc_second = Rule(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
-                         (head_second,), head_first.complement())
+        head_second = Literal.of(encode_atom(cond, src, location, horizon, blend_second))
+        sr_first = Rule.of(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
+        sr_second = Rule.of(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
+        vc_first = Rule.of(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
+                           (head_first,), head_second.complement())
+        vc_second = Rule.of(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
+                            (head_second,), head_first.complement())
         for rule in (sr_first, sr_second, vc_first, vc_second):
             add_rule(rule)
         if first_wins:
@@ -364,8 +363,7 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
 
 def _check_tag_collisions(lams: Sequence[LabeledAssertionalMap]) -> None:
     tags: dict[str, str] = {}
-    for lam in lams:
-        method = lam.label.method
+    for method in dict.fromkeys(lam.label.method for lam in lams):
         tag = method_tag(method)
         other = tags.setdefault(tag, method)
         if other != method:

@@ -130,8 +130,7 @@ def test_criterion_3_tournament_structure(seaside_theory, seaside_kb):
     assert sum(1 for s in by_slot if s[2] == 1) == 7
     assert sum(1 for s in by_slot if s[2] == 2) == 7
 
-    acc = {1: (Fraction(85, 100), Fraction(45, 100)),
-           2: (Fraction(80, 100), Fraction(40, 100))}
+    acc = {1: (850_000, 450_000), 2: (800_000, 400_000)}  # millionths
     sup_pairs = set(theory.superiority)
     expected_winners = {}
     for (condition, location, horizon), rules in by_slot.items():
@@ -270,8 +269,8 @@ def test_criterion_6d_supremacy_laws():
     for _ in range(1000):
         m1 = Fraction(rng.randint(0, 400), rng.choice((1, 2, 4)))
         m2 = Fraction(rng.randint(0, 400), rng.choice((1, 2, 4)))
-        a1 = Fraction(rng.randint(0, 100), 100)
-        a2 = Fraction(rng.randint(0, 100), 100)
+        a1 = rng.randint(0, 100) * 10_000  # millionths
+        a2 = rng.randint(0, 100) * 10_000
         bias = rng.choice((Bias.FIRST, Bias.SECOND))
         v1, v2 = make_value(Condition.SEA, m1), make_value(Condition.SEA, m2)
         got = supremacy(v1, v2, a1, a2, bias)

@@ -244,6 +244,38 @@ class TestInputBoundary:
         assert main(_swap(_swap(pipeline_args(tmp_path), flag, bad), "--now", now)) == 1
         assert f"({bad}): {where}: " in _staged_error(capsys, flag[2:], bad)
 
+    @pytest.mark.parametrize("name, flag", [("obs.json", "--obs"), ("gfs.json", "--source")])
+    def test_second_entry_on_one_slot(self, tmp_path, capsys, name, flag):
+        """06:00Z and 11:00Z on one day are one slot against an absolute
+        --now, so the second reading is an error at its valid_at."""
+        doc = json.loads((SEASIDE / name).read_text())
+        first, second = doc["entries"][:2]
+        first["valid_at"], second["valid_at"] = "2024-01-01T06:00:00Z", "2024-01-01T11:00:00Z"
+        second["location"], second["magnitude"] = first["location"], 80
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        now = "2024-01-01T12:00:00Z"
+        validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
+        assert main(validate) == 1
+        assert "error at entries[1].valid_at: second entry for cloudiness @ North on day h0" \
+            in capsys.readouterr().out
+        assert main(_swap(_swap(pipeline_args(tmp_path), flag, bad), "--now", now)) == 1
+        assert f"({bad}): entries[1].valid_at: " in _staged_error(capsys, flag[2:], bad)
+
+    def test_observation_documents_that_disagree(self, tmp_path, capsys):
+        """Only the two documents together show it, so validate passes them;
+        pipeline names the slot and both values."""
+        doc = json.loads((SEASIDE / "gfs.json").read_text())
+        doc["method"] = "O"
+        obs = tmp_path / "gfs.json"
+        obs.write_text(json.dumps(doc))
+        args = _swap(pipeline_args(tmp_path), "--source", obs)
+        assert main(["validate", *args[1:args.index("--format")]]) == 0
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == ("fusecast: error [tournament]: observations "
+                                           "disagree on wind @ Center @ h0: N18 and NE15\n")
+
     def test_huge_exponent_is_rejected_quickly(self, tmp_path, capsys):
         bad = _seaside_with(tmp_path, "gfs.json", ("entries", 0, "magnitude"),
                             "1e999999999")
@@ -360,7 +392,7 @@ _RAW = st.one_of(
 _CROSS_DOCUMENT = (
     "fusecast: error [tournament]: unknown method: ",
     "fusecast: error [tournament]: method ids ",
-    "fusecast: error [bulletin]: incoherent scenario: ",
+    "fusecast: error [tournament]: observations disagree on ",
 )
 
 

@@ -29,17 +29,17 @@ def paper_kb():
 
 class TestAccuracyOf:
     def test_exact_lookup(self, paper_kb):
-        assert accuracy_of(paper_kb, "ECMWF", 1) == Fraction(85, 100)
-        assert accuracy_of(paper_kb, "GFS", 2) == Fraction(40, 100)
+        assert accuracy_of(paper_kb, "ECMWF", 1) == 850_000
+        assert accuracy_of(paper_kb, "GFS", 2) == 400_000
 
     def test_observation_axiom(self, paper_kb):
-        assert accuracy_of(paper_kb, "O", 7) == 1
+        assert accuracy_of(paper_kb, "O", 7) == 1_000_000
 
     def test_fallback_to_nearest_smaller_horizon(self, paper_kb):
-        assert accuracy_of(paper_kb, "ECMWF", 5) == Fraction(80, 100)
+        assert accuracy_of(paper_kb, "ECMWF", 5) == 800_000
 
     def test_fallback_to_smallest_recorded_when_no_smaller(self, paper_kb):
-        assert accuracy_of(paper_kb, "ECMWF", 0) == Fraction(85, 100)
+        assert accuracy_of(paper_kb, "ECMWF", 0) == 850_000
 
     def test_unknown_method(self, paper_kb):
         with pytest.raises(UnknownMethodError):
@@ -114,7 +114,7 @@ class TestValidation:
         with pytest.raises(SchemaError):
             KnowledgeBase(accuracies=(
                 AccuracyRecord("GFS", 1, Fraction(1, 2)),
-                AccuracyRecord("GFS", 1, Fraction(1, 3)),
+                AccuracyRecord("GFS", 1, Fraction(1, 4)),
             ))
 
     def test_override_chain_of_1500_methods(self):
@@ -132,7 +132,7 @@ class TestDocumentFormat:
     def test_minimal_document(self):
         kb = load_kb(b'{"accuracies": {"GFS": {"1": 0.5}}}')
         assert kb.accuracies == (AccuracyRecord("GFS", 1, Fraction(1, 2)),)
-        assert kb.min_accuracy == 0
+        assert kb.min_micros == 0
 
     def test_paper_figures_round_trip(self, paper_kb):
         doc = {"accuracies": {"ECMWF": {"1": 0.85, "2": 0.80},
@@ -195,7 +195,7 @@ def _document(kb: KnowledgeBase) -> bytes:
     of thousandths, so its float spells it exactly."""
     accuracies: dict[str, dict[str, float]] = {}
     for rec in kb.accuracies:
-        accuracies.setdefault(rec.method, {})[str(rec.horizon)] = float(rec.accuracy)
+        accuracies.setdefault(rec.method, {})[str(rec.horizon)] = rec.micros / 10**6
     overrides = []
     for ov in kb.overrides:
         item = {"winner": ov.winner, "loser": ov.loser}
@@ -205,7 +205,7 @@ def _document(kb: KnowledgeBase) -> bytes:
             item["location"] = ov.location
         overrides.append(item)
     return json.dumps({"accuracies": accuracies, "overrides": overrides,
-                       "min_accuracy": float(kb.min_accuracy)}).encode()
+                       "min_accuracy": kb.min_micros / 10**6}).encode()
 
 
 @given(knowledge_bases())

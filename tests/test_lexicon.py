@@ -13,7 +13,7 @@ from fusecast.lexicon import (
     direction_name,
     load_lexicon,
 )
-from fusecast.model import Compass, Condition, make_value
+from fusecast.model import Compass, Condition, Value, make_value
 
 
 def term(condition, magnitude, direction=None):
@@ -105,6 +105,45 @@ class TestInvariants:
     def test_terms_come_from_the_vocabulary(self, condition, magnitude):
         direction = Compass.N if condition is Condition.WIND else None
         assert term(condition, magnitude, direction) in VOCABULARY[condition]
+
+
+def _linear_classify(bands, magnitude):
+    """The band scan classify replaced: the first half-open [lo, hi) band
+    holding the magnitude, with a leading (0, term) band for exactly 0."""
+    lo = 0
+    for i, (upper, term) in enumerate(bands):
+        if upper is None:
+            return term
+        if i == 0 and upper == 0:
+            if magnitude == 0:
+                return term
+            continue
+        if lo <= magnitude < upper:
+            return term
+        lo = upper
+    return bands[-1][1]
+
+
+_OVERRIDE = load_lexicon(json.dumps({
+    "cloudiness": [[0.5, "Clear or Sunny Skies"], [50.25, "Partly Cloudy"], [100, "Cloudy"]],
+    "rain": [[0, "No precipitation"], [0.000001, "Very Light Rains"], [None, "Heavy Rains"]],
+    "snow": [[10, "Snow flurry"], [None, "Snowstorm"]],
+}).encode())
+
+
+@pytest.mark.parametrize("table", [DEFAULT_LEXICON, _OVERRIDE], ids=["default", "override"])
+def test_bisect_equals_the_linear_scan(table):
+    """At 0, 100, every bound and one millionth either side of it."""
+    for condition, bands in table.bands.items():
+        points = {0, 100 * 10**6}
+        for upper, _ in bands:
+            if upper is not None:
+                points.update(p for p in (upper - 1, upper, upper + 1) if p >= 0)
+        direction = Compass.N if condition is Condition.WIND else None
+        for micros in sorted(points):
+            value = Value.of(micros, direction)
+            assert classify(condition, value, table) == _linear_classify(bands, micros), \
+                (condition, micros)
 
 
 class TestOverrides:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusecast.errors import ForecastError
+from fusecast.kb import AccuracyRecord, KnowledgeBase
 from fusecast.model import (
     AssertionalMap,
     Compass,
@@ -56,12 +57,27 @@ class TestValue:
         with pytest.raises(ForecastError):
             Value(0.5)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda x: Value(x), "magnitude"),
+        (lambda x: AccuracyRecord("GFS", 1, x), "accuracy"),
+        (lambda x: KnowledgeBase(min_accuracy=x), "min_accuracy"),
+    ])
+    @pytest.mark.parametrize("x", ["0.1234567", Fraction(1, 10**7), Fraction(1, 3)])
+    def test_a_seventh_place_is_refused_with_the_field_named(self, build, field, x):
+        with pytest.raises(ForecastError, match=f"^{field} "):
+            build(x)
+
+    def test_whole_millionths_are_accepted_in_any_spelling(self):
+        assert Value("0.000001") == Value(Fraction(1, 10**6)) == Value.of(1)
+        assert Value(17) == Value("17.000") == Value.of(17_000_000)
+
     def test_exact_decimal_rendering(self):
-        assert decimal_str(Fraction(90)) == "90"
-        assert decimal_str(Fraction(1, 2)) == "0.5"
-        assert decimal_str(Fraction("12.25")) == "12.25"
+        assert decimal_str(90_000_000) == "90"
+        assert decimal_str(500_000) == "0.5"
+        assert decimal_str(12_250_000) == "12.25"
+        assert decimal_str(-1) == "-0.000001"
         with pytest.raises(ForecastError):
-            decimal_str(Fraction(1, 3))
+            Value(Fraction(1, 3))
 
 
 class TestTimeRef:

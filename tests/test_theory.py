@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fusecast.errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from fusecast.inputs import exact_number, parse_horizon
-from fusecast.model import Compass, Condition, Value, make_value
+from fusecast.model import Compass, Condition, Value, check_value, make_value
 from fusecast.theory import (
     CONDITION_CODES,
     DefeasibleTheory,
@@ -36,6 +36,12 @@ class TestLiteral:
             Literal("9abc")
         with pytest.raises(TheoryError):
             Literal("a b")
+        with pytest.raises(TheoryError):
+            Literal("1x")
+
+    def test_rule_id_grammar_enforced(self):
+        with pytest.raises(TheoryError):
+            Rule("bad id", RuleKind.DEFEASIBLE, (), Literal("A"))
 
 
 class TestAtomCodec:
@@ -68,6 +74,11 @@ class TestAtomCodec:
         atom = encode_atom(Condition.RAIN, "e", "North", 0, Value(Fraction(1, 2)))
         assert atom == "RNorth_e_h0_0p5"
         assert decode_atom(atom).value.magnitude == Fraction(1, 2)
+
+    @pytest.mark.parametrize("text", ["0.123456", "999999999.999999", "100.5", "7"])
+    def test_decoded_magnitude_is_exact(self, text):
+        atom = "RNorth_h1_" + text.replace(".", "p")
+        assert decode_atom(atom).value.magnitude == Fraction(text)
 
     @pytest.mark.parametrize("atom", [
         "xyzzy", "CNorth", "CNorth_h1", "CNorth_h1_78_9", "C_h1_78",
@@ -187,8 +198,8 @@ def _liberal_fields(s: str):
         return None
     try:
         horizon = parse_horizon(hseg)
-        magnitude = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
-        value = make_value(condition, magnitude, direction)
+        micros = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
+        value = check_value(condition, Value.of(micros, direction))
     except ForecastError:
         return None
     return condition, source, location, horizon, value

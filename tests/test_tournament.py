@@ -91,9 +91,9 @@ class TestSift:
             assert methods == ["ECMWF", "GFS"]
 
     def test_exact_accuracy_orders_when_floats_tie(self):
-        low = Fraction(1, 3)
-        high = low + Fraction(1, 10**30)
-        assert float(low) == float(high)
+        """Accuracies one millionth apart, the finest a KB can hold, still
+        order the pair; no float stands in for them."""
+        low, high = "0.333333", "0.333334"
         kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, low),
                                        AccuracyRecord("Beta", 1, high)))
         alpha = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
@@ -145,30 +145,34 @@ class TestPrevails:
         assert verdict.basis is PrevalenceBasis.SPECIFIC
 
 
+#: Accuracies, as exact Fractions that are whole numbers of millionths.
+_MILLIONTHS = st.integers(0, 10**6).map(lambda n: Fraction(n, 10**6))
+
+
 class TestSupremacy:
     def test_idempotent_on_equal_values(self):
         v = make_value(Condition.CLOUDINESS, 90)
-        assert supremacy(v, v, Fraction(1, 9), Fraction(9, 10), Bias.FIRST) == v
+        assert supremacy(v, v, 111_111, 900_000, Bias.FIRST) == v
 
     def test_spec_worked_example(self):
         # w = max(0.85, 1 - 0.45) = 0.85; round(0.85*50 + 0.15*100) = 58
         got = supremacy(make_value(Condition.SEA, 100), make_value(Condition.SEA, 50),
-                        Fraction(45, 100), Fraction(85, 100), Bias.SECOND)
+                        450_000, 850_000, Bias.SECOND)
         assert got.magnitude == 58
 
     def test_biased_result_leans_toward_the_bias(self):
         v90 = make_value(Condition.CLOUDINESS, 90)
         v75 = make_value(Condition.CLOUDINESS, 75)
-        first = supremacy(v90, v75, Fraction(45, 100), Fraction(85, 100), Bias.FIRST)
-        second = supremacy(v90, v75, Fraction(45, 100), Fraction(85, 100), Bias.SECOND)
+        first = supremacy(v90, v75, 450_000, 850_000, Bias.FIRST)
+        second = supremacy(v90, v75, 450_000, 850_000, Bias.SECOND)
         assert 75 <= second.magnitude <= first.magnitude <= 90
         assert abs(first.magnitude - 90) < abs(second.magnitude - 90)
 
     def test_wind_direction_copied_from_bias(self):
         g = make_value(Condition.WIND, 8, Compass.N)
         e = make_value(Condition.WIND, 5, Compass.NE)
-        first = supremacy(g, e, Fraction(45, 100), Fraction(85, 100), Bias.FIRST)
-        second = supremacy(g, e, Fraction(45, 100), Fraction(85, 100), Bias.SECOND)
+        first = supremacy(g, e, 450_000, 850_000, Bias.FIRST)
+        second = supremacy(g, e, 450_000, 850_000, Bias.SECOND)
         assert first.direction is Compass.N
         assert second.direction is Compass.NE
 
@@ -176,7 +180,7 @@ class TestSupremacy:
         with pytest.raises(ForecastError):
             supremacy(make_value(Condition.WIND, 8, Compass.N),
                       make_value(Condition.SEA, 50),
-                      Fraction(1, 2), Fraction(1, 2), Bias.FIRST)
+                      500_000, 500_000, Bias.FIRST)
 
     @given(st.integers(0, 100), st.integers(0, 100),
            st.integers(0, 100), st.integers(0, 100),
@@ -184,14 +188,14 @@ class TestSupremacy:
     def test_betweenness_and_idempotence(self, m1, m2, a1, a2, bias):
         v1 = make_value(Condition.SEA, Fraction(m1, 2))
         v2 = make_value(Condition.SEA, Fraction(m2, 2))
-        got = supremacy(v1, v2, Fraction(a1, 100), Fraction(a2, 100), bias)
+        got = supremacy(v1, v2, a1 * 10_000, a2 * 10_000, bias)
         assert min(v1.magnitude, v2.magnitude) <= got.magnitude <= max(
             v1.magnitude, v2.magnitude)
         if v1 == v2:
             assert got == v1
 
     @given(st.data(), st.sampled_from([Condition.SEA, Condition.WIND]),
-           st.fractions(0, 1), st.fractions(0, 1),
+           _MILLIONTHS, _MILLIONTHS,
            st.sampled_from([Bias.FIRST, Bias.SECOND]))
     def test_matches_the_readme_formula(self, data, condition, a1, a2, bias):
         def draw_value():
@@ -211,7 +215,7 @@ class TestSupremacy:
         rounded = Fraction(math.floor(blend + Fraction(1, 2)))
         lo, hi = sorted((v1.magnitude, v2.magnitude))
         expected = make_value(condition, min(max(rounded, lo), hi), v_bias.direction)
-        assert supremacy(v1, v2, a1, a2, bias) == expected
+        assert supremacy(v1, v2, a1 * 10**6, a2 * 10**6, bias) == expected
 
 
 class TestBuildTheory:
