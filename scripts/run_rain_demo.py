@@ -3,8 +3,6 @@
     python scripts/run_rain_demo.py
 """
 
-from fractions import Fraction
-
 from fusecast import (
     Condition,
     build_theory,
@@ -15,17 +13,11 @@ from fusecast import (
     render_sharp,
     serialize_theory,
 )
+from fusecast.inputs import MILLION
 from fusecast.kb import AccuracyRecord, KnowledgeBase
-from fusecast.model import (
-    AssertionalMap,
-    Label,
-    LabeledAssertionalMap,
-    Location,
-    TimeRef,
-    make_value,
-)
+from fusecast.model import AssertionalMap, Label, LabeledAssertionalMap, TimeRef, Value
 
-NOW = TimeRef.symbolic(0)
+NOW = TimeRef(horizon=0)
 POINTS = ("North", "East", "South", "West")
 
 RAIN_MM = {
@@ -41,17 +33,16 @@ def lams_for(method: str) -> list[LabeledAssertionalMap]:
     for day, row in RAIN_MM[method].items():
         for point, mm in zip(POINTS, row):
             out.append(LabeledAssertionalMap(label, AssertionalMap(
-                Condition.RAIN, Location(point), TimeRef.symbolic(day),
-                make_value(Condition.RAIN, mm))))
+                Condition.RAIN, point, TimeRef(horizon=day), Value(mm * MILLION))))
     return out
 
 
 def main() -> None:
-    kb = KnowledgeBase(accuracies=(
-        AccuracyRecord("IFS", 1, Fraction(85, 100)),
-        AccuracyRecord("IFS", 2, Fraction(80, 100)),
-        AccuracyRecord("GSM", 1, Fraction(45, 100)),
-        AccuracyRecord("GSM", 2, Fraction(40, 100)),
+    kb = KnowledgeBase(accuracies=(  # accuracies in millionths
+        AccuracyRecord("IFS", 1, 850_000),
+        AccuracyRecord("IFS", 2, 800_000),
+        AccuracyRecord("GSM", 1, 450_000),
+        AccuracyRecord("GSM", 2, 400_000),
     ))
     lams = lams_for("IFS") + lams_for("GSM") + lams_for("O")
 

@@ -6,8 +6,6 @@ intermediate artifacts alongside the final bulletin. Run with:
     python scripts/run_seaside_demo.py
 """
 
-from fractions import Fraction
-
 from fusecast import (
     Compass,
     Condition,
@@ -18,18 +16,12 @@ from fusecast import (
     render_sharp,
     serialize_theory,
 )
+from fusecast.inputs import MILLION
 from fusecast.kb import AccuracyRecord, KnowledgeBase
-from fusecast.model import (
-    AssertionalMap,
-    Label,
-    LabeledAssertionalMap,
-    Location,
-    TimeRef,
-    make_value,
-)
+from fusecast.model import AssertionalMap, Label, LabeledAssertionalMap, TimeRef, Value
 from fusecast.reasoner import conclusions_to_json
 
-NOW = TimeRef.symbolic(0)
+NOW = TimeRef(horizon=0)
 POINTS = ("North", "Center", "South")
 
 # (cloud %, wind knots, wind direction) per point and day, plus sea wave cm.
@@ -52,25 +44,22 @@ def model_lams(method: str, table) -> list[LabeledAssertionalMap]:
     for day, row in table.items():
         for point in POINTS:
             cloud, speed, direction = row[point]
-            loc = Location(point)
             out.append(LabeledAssertionalMap(label, AssertionalMap(
-                Condition.CLOUDINESS, loc, TimeRef.symbolic(day),
-                make_value(Condition.CLOUDINESS, cloud))))
+                Condition.CLOUDINESS, point, TimeRef(horizon=day), Value(cloud * MILLION))))
             out.append(LabeledAssertionalMap(label, AssertionalMap(
-                Condition.WIND, loc, TimeRef.symbolic(day),
-                make_value(Condition.WIND, speed, Compass(direction)))))
+                Condition.WIND, point, TimeRef(horizon=day),
+                Value(speed * MILLION, Compass(direction)))))
         out.append(LabeledAssertionalMap(label, AssertionalMap(
-            Condition.SEA, Location("Sea"), TimeRef.symbolic(day),
-            make_value(Condition.SEA, row["sea"]))))
+            Condition.SEA, "Sea", TimeRef(horizon=day), Value(row["sea"] * MILLION))))
     return out
 
 
 def main() -> None:
-    kb = KnowledgeBase(accuracies=(
-        AccuracyRecord("IFS", 1, Fraction(85, 100)),
-        AccuracyRecord("IFS", 2, Fraction(80, 100)),
-        AccuracyRecord("GSM", 1, Fraction(45, 100)),
-        AccuracyRecord("GSM", 2, Fraction(40, 100)),
+    kb = KnowledgeBase(accuracies=(  # accuracies in millionths
+        AccuracyRecord("IFS", 1, 850_000),
+        AccuracyRecord("IFS", 2, 800_000),
+        AccuracyRecord("GSM", 1, 450_000),
+        AccuracyRecord("GSM", 2, 400_000),
     ))
     lams = model_lams("IFS", GLOBAL_A) + model_lams("GSM", GLOBAL_B)
     lams += model_lams("O", {0: OBSERVED})

@@ -9,7 +9,7 @@ One document = one method + one generation time, mirroring the label granularity
                  {"condition": "wind", "location": "North",
                   "valid_at": "h1", "magnitude": 5, "direction": "NE"}, ...]}
 
-Locations are names; each name is one Location object within a document.
+Every entry is checked here, where it enters; a location is its name.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .model import (
     Condition,
     Label,
     LabeledAssertionalMap,
-    Location,
     NAME_RE,
     TimeRef,
     Value,
-    decimal_str,
+    check_value,
     hindcast_days,
     horizon_index,
     is_future,
@@ -63,9 +62,15 @@ def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
     return lams
 
 
-def validate_source_map(data: bytes) -> list[Diagnostic]:
-    """All diagnostics for a document; empty iff parsing would be clean."""
-    _, diagnostics = _scan(data)
+def validate_source_map(data: bytes, now: TimeRef) -> list[Diagnostic]:
+    """All diagnostics for a document, from one scan; empty iff
+    check_times(parse_source_map(data), now) would pass."""
+    lams, diagnostics = _scan(data)
+    if not any(diag.severity == "error" for diag in diagnostics):
+        try:
+            check_times(lams, now)
+        except SchemaError as exc:
+            diagnostics.append(Diagnostic("error", exc.path, exc.message))
     return diagnostics
 
 
@@ -124,7 +129,7 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
         except ForecastError as exc:
             err("method", str(exc))
 
-    generated_at = TimeRef.symbolic(0)
+    generated_at = TimeRef(horizon=0)
     try:
         generated_at = parse_timeref(str(doc.get("generated_at", "")))
     except ForecastError as exc:
@@ -132,7 +137,6 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
 
     label = Label(method, generated_at)
     lams: list[LabeledAssertionalMap] = []
-    locations: dict[str, Location] = {}
     times: dict[str, TimeRef] = {}
     seen: set[tuple] = set()
     raw_entries = doc.get("entries", [])
@@ -142,7 +146,7 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     for i, raw in enumerate(raw_entries):
         path = f"entries[{i}]"
         try:
-            entry = _scan_entry(raw, path, locations, times)
+            entry = _scan_entry(raw, path, times)
         except SchemaError as exc:
             err(exc.path, exc.message)
             continue
@@ -163,11 +167,9 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
     return lams, diags
 
 
-def _scan_entry(raw, path: str, locations: dict[str, Location],
-                times: dict[str, TimeRef]) -> AssertionalMap:
-    """One entry; raises SchemaError at the first problem. `locations` and
-    `times` keep one Location per name and one TimeRef per time string
-    across the document's entries."""
+def _scan_entry(raw, path: str, times: dict[str, TimeRef]) -> AssertionalMap:
+    """One entry; raises SchemaError at the first problem. `times` keeps one
+    TimeRef per time string across the document's entries."""
     if not isinstance(raw, dict):
         raise SchemaError(path, "entry must be an object")
     for key in raw:
@@ -179,14 +181,14 @@ def _scan_entry(raw, path: str, locations: dict[str, Location],
         raise SchemaError(f"{path}.condition",
                           f"unknown condition kind {raw.get('condition')!r}")
 
-    name = raw.get("location")
-    if not isinstance(name, str):
+    location = raw.get("location")
+    if not isinstance(location, str):
         raise SchemaError(f"{path}.location", "must be a location name")
-    location = locations.get(name)
+    if not NAME_RE.match(location):
+        raise SchemaError(f"{path}.location",
+                          f"location name {location!r} must match [A-Za-z][A-Za-z0-9]*")
     try:
-        if location is None:
-            location = locations[name] = Location(name)
-        atom_head(condition, name)
+        atom_head(condition, location)
     except ForecastError as exc:
         raise SchemaError(f"{path}.location", str(exc)) from None
 
@@ -206,9 +208,8 @@ def _scan_entry(raw, path: str, locations: dict[str, Location],
         except ValueError:
             raise SchemaError(f"{path}.direction",
                               f"unknown compass point {raw['direction']!r}") from None
-    if micros < 0:
-        raise SchemaError(path, f"magnitude must be non-negative, got {decimal_str(micros)}")
     try:
-        return AssertionalMap(condition, location, valid_at, Value.of(micros, direction))
+        value = check_value(condition, Value(micros, direction))
     except ForecastError as exc:
         raise SchemaError(path, str(exc)) from None
+    return AssertionalMap(condition, location, valid_at, value)

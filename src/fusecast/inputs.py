@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from decimal import Decimal, InvalidOperation
 from typing import Hashable, Iterable
 
@@ -29,32 +30,50 @@ HORIZON_RE = re.compile(r"h([0-9]+)\Z")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
+#: Stands in for every value of a key that an object repeats.
+_REPEATED = object()
+
 
 def read_json_object(data: bytes) -> dict:
     """The top-level object of a UTF-8 JSON document.
 
     Every JSON number comes back as an exact Decimal for exact_number to
-    bound; none is converted to a float or an int here. No key or string
-    holds a lone surrogate, so every string can be written back as UTF-8.
+    bound; none is converted to a float or an int here. No object repeats a
+    key, and no key or string holds a lone surrogate, so every string can be
+    written back as UTF-8.
     """
+    repeats = []
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            obj.update((key, _REPEATED) for key, n in counts.items() if n > 1)
+            repeats.append(obj)
+        return obj
+
     try:
         text = data.decode("utf-8")
-        doc = json.loads(text, parse_float=Decimal, parse_int=Decimal)
+        doc = json.loads(text, parse_float=Decimal, parse_int=Decimal,
+                         object_pairs_hook=unique_keys)
     except (ValueError, InvalidOperation, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("", "top level must be an object")
-    if _SURROGATE_ESCAPE_RE.search(text):
-        _reject_lone_surrogates(doc)
+    if repeats or _SURROGATE_ESCAPE_RE.search(text):
+        _check_keys(doc)
     return doc
 
 
-def _reject_lone_surrogates(doc: dict) -> None:
-    """Walk the document without recursion; the error names the key path,
-    which holds only keys already checked."""
+def _check_keys(doc: dict) -> None:
+    """Walk the document without recursion for lone surrogates and repeated
+    keys; the error names the key path, which holds only keys already
+    checked."""
     stack: list[tuple[str, object]] = [("", doc)]
     while stack:
         path, node = stack.pop()
+        if node is _REPEATED:
+            raise SchemaError(path, "duplicate key")
         if isinstance(node, str) and _SURROGATE_RE.search(node):
             raise SchemaError(path, "string holds a lone surrogate")
         if isinstance(node, dict):
@@ -64,6 +83,19 @@ def _reject_lone_surrogates(doc: dict) -> None:
                          for key, child in node.items())
         elif isinstance(node, list):
             stack.extend((f"{path}[{i}]", child) for i, child in enumerate(node))
+
+
+def read_json_number(text: str) -> int:
+    """exact_number of a text that is one JSON number and nothing else, so a
+    flag takes exactly the numbers a document does."""
+    decoder = json.JSONDecoder(parse_float=Decimal, parse_int=Decimal)
+    try:
+        value, end = decoder.raw_decode(text)
+    except (ValueError, InvalidOperation, RecursionError):
+        end = None
+    if end != len(text):
+        raise ForecastError(f"bad number {text!r}")
+    return exact_number(value, "")
 
 
 def exact_number(value, path: str) -> int:

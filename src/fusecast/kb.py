@@ -14,28 +14,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ForecastError, SchemaError, UnknownMethodError
 from .inputs import (
     MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
-from .model import Condition, OBSERVATION_METHOD, Rational, decimal_str, set_fields, to_micros
+from .model import Condition, OBSERVATION_METHOD, decimal_str
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AccuracyRecord:
     """A method's accuracy at one horizon, in millionths."""
 
     method: str
     horizon: int
     micros: int
-
-    def __init__(self, method: str, horizon: int, accuracy: Rational):
-        set_fields(self, method, horizon, to_micros(accuracy, "accuracy"))
-
-    @classmethod
-    def of(cls, method: str, horizon: int, micros: int) -> "AccuracyRecord":
-        return set_fields(object.__new__(cls), method, horizon, micros)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,38 +46,29 @@ class PriorityOverride:
         return 2 * (self.condition is not None) + (self.location is not None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class KnowledgeBase:
     """Records sorted by (method, horizon), overrides sorted, and the
-    reliability threshold in millionths."""
+    reliability threshold in millionths; validated when built."""
 
-    accuracies: tuple[AccuracyRecord, ...]
-    overrides: tuple[PriorityOverride, ...]
-    min_micros: int
+    accuracies: tuple[AccuracyRecord, ...] = ()
+    overrides: tuple[PriorityOverride, ...] = ()
+    min_micros: int = 0
     #: method -> (recorded horizons ascending, their accuracies), built once.
-    _by_method: dict = field(repr=False, compare=False)
+    _by_method: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, accuracies: Sequence[AccuracyRecord] = (),
-                 overrides: Sequence[PriorityOverride] = (), min_accuracy: Rational = 0):
-        self._set(accuracies, overrides, to_micros(min_accuracy, "min_accuracy"))
-
-    @classmethod
-    def of(cls, accuracies: Sequence[AccuracyRecord], overrides: Sequence[PriorityOverride],
-           min_micros: int) -> "KnowledgeBase":
-        kb = object.__new__(cls)
-        kb._set(accuracies, overrides, min_micros)
-        return kb
-
-    def _set(self, accuracies, overrides, min_micros: int) -> None:
-        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
+    def __post_init__(self):
+        accuracies = tuple(sorted(self.accuracies, key=lambda r: (r.method, r.horizon)))
         by_method: dict[str, tuple[list[int], list[int]]] = {}
         for rec in accuracies:
             horizons, micros = by_method.setdefault(rec.method, ([], []))
             horizons.append(rec.horizon)
             micros.append(rec.micros)
-        overrides = tuple(sorted(overrides, key=lambda o: (
+        overrides = tuple(sorted(self.overrides, key=lambda o: (
             o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
-        set_fields(self, accuracies, overrides, min_micros, by_method)
+        object.__setattr__(self, "accuracies", accuracies)
+        object.__setattr__(self, "overrides", overrides)
+        object.__setattr__(self, "_by_method", by_method)
         _validate(self)
 
 
@@ -96,9 +80,6 @@ def _validate(kb: KnowledgeBase) -> None:
                 f"accuracies.{rec.method}",
                 "the observation method has implicit accuracy 1.0 and may not be overridden",
             )
-        if rec.horizon < 0:
-            raise SchemaError(f"accuracies.{rec.method}.{rec.horizon}",
-                              "horizons are non-negative")
         if not 0 <= rec.micros <= MILLION:
             raise SchemaError(
                 f"accuracies.{rec.method}.{rec.horizon}",
@@ -151,10 +132,9 @@ def override_winner(
     """The override winner between methods a and b, if any override matches.
 
     Most specific scope wins: (condition, location) > condition-only >
-    location-only > global. Antisymmetric in (a, b) by construction.
+    location-only > global. Antisymmetric in (a, b) by construction, and
+    None when a == b, since no override has its winner as its loser.
     """
-    if a == b:
-        raise SchemaError("override", "cannot compare a method with itself")
     candidates = [
         ov for ov in kb.overrides
         if {ov.winner, ov.loser} == {a, b}
@@ -187,7 +167,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
                 horizon = parse_horizon(f"h{h}")
             except ForecastError:
                 raise SchemaError(path, f"horizon keys are integers 0..{MAX_HORIZON}") from None
-            records.append(AccuracyRecord.of(method, horizon, exact_number(acc, path)))
+            records.append(AccuracyRecord(method, horizon, exact_number(acc, path)))
 
     raw_overrides = doc.get("overrides", [])
     if not isinstance(raw_overrides, list):
@@ -214,5 +194,5 @@ def load_kb(data: bytes) -> KnowledgeBase:
         overrides.append(PriorityOverride(winner, loser, condition, location))
 
     min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
-    return KnowledgeBase.of(records, overrides, min_acc)
+    return KnowledgeBase(records, overrides, min_acc)
 

@@ -3,14 +3,14 @@
 Layers (pure data, no I/O):
   Condition / Value       a measured weather quantity in the condition's unit
   TimeRef                 absolute UTC instant or symbolic day horizon h0, h1, ...
-  Location                a named point
   AssertionalMap          one ground assertion: condition @ location @ time = value
   Label                   the contextualised method that produced a map
   LabeledAssertionalMap   an assertional map plus its label
 
-All types are immutable and slotted. Magnitudes are ints in millionths: every
-number that enters has at most six places (inputs.exact_number), so they are
-exact and survive a round trip through the textual theory encoding unchanged.
+All types are immutable and slotted, with one constructor that checks
+nothing; input is checked where it enters. Magnitudes are ints in millionths:
+every number that enters has at most six places (inputs.exact_number), so they
+are exact and survive a round trip through the textual theory encoding.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ OBSERVATION_METHOD = "O"
 
 #: The grammar of method ids and location names, which atoms embed.
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-
-Rational = Union[int, str, Fraction]
 
 
 class Condition(Enum):
@@ -65,31 +63,6 @@ class Compass(Enum):
     NW = "NW"
 
 
-def to_micros(x: Rational, field: str) -> int:
-    """x in millionths. x is an int, a decimal string or a Fraction, and a
-    whole number of millionths; anything else is an error naming `field`."""
-    if type(x) is int:
-        return x * MILLION
-    if not isinstance(x, (str, Fraction)):
-        raise ForecastError(
-            f"{field} must be an int, Fraction or decimal string, not {type(x).__name__}")
-    try:
-        micros = Fraction(x) * MILLION
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ForecastError(f"bad {field}: {x!r}") from exc
-    if micros.denominator != 1:
-        raise ForecastError(f"{field} {x} is not a whole number of millionths")
-    return micros.numerator
-
-
-def set_fields(obj, *values):
-    """Fill the fields of a frozen, slotted dataclass instance in order,
-    running no checks; returns the instance."""
-    for name, value in zip(obj.__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def decimal_str(micros: int) -> str:
     """Exact decimal spelling of a number of millionths, without trailing zeros."""
     whole, places = divmod(abs(micros), MILLION)
@@ -97,27 +70,13 @@ def decimal_str(micros: int) -> str:
     return f"{sign}{whole}.{places:06d}".rstrip("0") if places else f"{sign}{whole}"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Value:
-    """A measured value: its magnitude in millionths of the condition's unit,
-    plus, for wind only, a compass direction."""
+    """A measured value: its non-negative magnitude in millionths of the
+    condition's unit, plus, for wind only, a compass direction."""
 
     micros: int
     direction: Optional[Compass] = None
-
-    def __init__(self, magnitude: Rational, direction: Optional[Compass] = None):
-        micros = to_micros(magnitude, "magnitude")
-        if micros < 0:
-            raise ForecastError(f"magnitude must be non-negative, got {magnitude}")
-        set_fields(self, micros, direction)
-
-    @classmethod
-    def of(cls, micros: int, direction: Optional[Compass] = None) -> "Value":
-        """A value from a magnitude already checked and in millionths."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "micros", micros)
-        object.__setattr__(value, "direction", direction)
-        return value
 
     @property
     def magnitude(self) -> Fraction:
@@ -130,7 +89,9 @@ class Value:
 
 
 def check_value(condition: Condition, value: Value) -> Value:
-    """Enforce the condition-specific value invariants; returns the value."""
+    """Enforce a value's invariants under its condition; returns the value."""
+    if value.micros < 0:
+        raise ForecastError(f"magnitude must be non-negative, got {decimal_str(value.micros)}")
     if (value.direction is not None) != (condition is Condition.WIND):
         if condition is Condition.WIND:
             raise ForecastError("wind values require a compass direction")
@@ -140,13 +101,6 @@ def check_value(condition: Condition, value: Value) -> Value:
             f"{condition.value} is a percentage; magnitude {decimal_str(value.micros)} > 100"
         )
     return value
-
-
-def make_value(
-    condition: Condition, magnitude: Rational, direction: Optional[Compass] = None
-) -> Value:
-    """Build a Value and validate it against the condition in one step."""
-    return check_value(condition, Value(magnitude, direction))
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,14 +123,6 @@ class TimeRef:
                 dt = dt.astimezone(timezone.utc)
             object.__setattr__(self, "instant", dt.replace(microsecond=0))
 
-    @classmethod
-    def absolute(cls, instant: datetime) -> "TimeRef":
-        return cls(instant=instant)
-
-    @classmethod
-    def symbolic(cls, k: int) -> "TimeRef":
-        return cls(horizon=k)
-
     @property
     def is_symbolic(self) -> bool:
         return self.horizon is not None
@@ -187,15 +133,29 @@ class TimeRef:
         return self.instant.isoformat().replace("+00:00", "Z")
 
 
+#: The ISO-8601 subset every supported Python reads alike: a date, then
+#: optionally a time, then, after a time only, "Z" or a UTC offset.
+_ISO_RE = re.compile(
+    r"(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})"
+    r"(?:(?P<time>T[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6})?)?)"
+    r"(?P<zone>Z|[+-][0-9]{2}:[0-9]{2})?)?\Z")
+
+
 def parse_timeref(text: str) -> TimeRef:
-    """Parse "h<k>" (bounded by parse_horizon) or an ISO-8601 timestamp."""
+    """Parse "h<k>" (bounded by parse_horizon) or an ISO-8601 timestamp in
+    _ISO_RE's grammar, whose fraction of a second TimeRef drops anyway."""
     text = text.strip()
     if text.startswith("h"):
-        return TimeRef.symbolic(parse_horizon(text))
-    try:
-        return TimeRef.absolute(datetime.fromisoformat(text.replace("Z", "+00:00")))
-    except (ValueError, OverflowError) as exc:
-        raise ForecastError(f"unparseable time reference: {text!r}") from exc
+        return TimeRef(horizon=parse_horizon(text))
+    m = _ISO_RE.match(text)
+    if m is not None:
+        time = (m["time"] or "").partition(".")[0]
+        zone = "+00:00" if m["zone"] == "Z" else m["zone"] or ""
+        try:
+            return TimeRef(instant=datetime.fromisoformat(m["date"] + time + zone))
+        except (ValueError, OverflowError):
+            pass
+    raise ForecastError(f"unparseable time reference: {text!r}")
 
 
 def horizon_index(valid_at: TimeRef, now: TimeRef) -> int:
@@ -238,32 +198,13 @@ def is_future(t: TimeRef, now: TimeRef) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class Location:
-    """A named point; the name is embedded in atoms, so it follows NAME_RE."""
-
-    name: str
-
-    def __post_init__(self):
-        if not NAME_RE.match(self.name):
-            raise ForecastError(
-                f"location name {self.name!r} must match [A-Za-z][A-Za-z0-9]*"
-            )
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
 class AssertionalMap:
     """One ground quantitative assertion: condition @ location @ valid_at = value."""
 
     condition: Condition
-    location: Location
+    location: str
     valid_at: TimeRef
     value: Value
-
-    def __post_init__(self):
-        check_value(self.condition, self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,10 +213,6 @@ class Label:
 
     method: str
     generated_at: TimeRef
-
-    def __post_init__(self):
-        if not self.method:
-            raise ForecastError("label method must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,11 +32,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from .inputs import HORIZON_RE, MAX_HORIZON, MAX_PLACES, MILLION, has_cycle
-from .model import NAME_RE, Compass, Condition, Location, Value, decimal_str
+from .model import NAME_RE, Compass, Condition, Value, decimal_str
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
@@ -61,30 +61,21 @@ class Literal:
     atom: str
     positive: bool = True
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.atom):
-            raise TheoryError(f"bad atom {self.atom!r}")
-
-    @classmethod
-    def of(cls, atom: str, positive: bool = True) -> "Literal":
-        """A literal over an atom already checked, such as encode_atom's."""
-        lit = object.__new__(cls)
-        object.__setattr__(lit, "atom", atom)
-        object.__setattr__(lit, "positive", positive)
-        return lit
-
     def complement(self) -> "Literal":
-        return Literal.of(self.atom, not self.positive)
+        return Literal(self.atom, not self.positive)
 
     def __str__(self) -> str:
         return self.atom if self.positive else f"-{self.atom}"
 
 
 def parse_literal(text: str) -> Literal:
+    """A literal from text; its atom must match the id grammar."""
     text = text.strip()
-    if text.startswith("-"):
-        return Literal(text[1:].strip(), positive=False)
-    return Literal(text)
+    positive = not text.startswith("-")
+    atom = text if positive else text[1:].strip()
+    if not _ATOM_RE.match(atom):
+        raise TheoryError(f"bad atom {atom!r}")
+    return Literal(atom, positive)
 
 
 class RuleKind(Enum):
@@ -99,21 +90,6 @@ class Rule:
     kind: RuleKind
     body: tuple[Literal, ...]
     head: Literal
-
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.id):
-            raise TheoryError(f"bad rule id {self.id!r}")
-        object.__setattr__(self, "body", tuple(self.body))
-
-    @classmethod
-    def of(cls, id: str, kind: RuleKind, body: tuple[Literal, ...], head: Literal) -> "Rule":
-        """A rule whose id is already checked and whose body is a tuple."""
-        rule = object.__new__(cls)
-        object.__setattr__(rule, "id", id)
-        object.__setattr__(rule, "kind", kind)
-        object.__setattr__(rule, "body", body)
-        object.__setattr__(rule, "head", head)
-        return rule
 
     def __str__(self) -> str:
         body = ", ".join(map(str, self.body))
@@ -206,15 +182,14 @@ def atom_head(condition: Condition, location: str) -> str:
 def encode_atom(
     condition: Condition,
     source: Optional[str],
-    location: Union[Location, str],
+    location: str,
     horizon: int,
     value: Value,
 ) -> str:
     """Canonical, injective atom for a (condition, source, slot, value) tuple."""
-    name = location.name if isinstance(location, Location) else location
-    if not NAME_RE.match(name):
-        raise ForecastError(f"location name {name!r} cannot be embedded in an atom")
-    parts = [atom_head(condition, name)]
+    if not NAME_RE.match(location):
+        raise ForecastError(f"location name {location!r} cannot be embedded in an atom")
+    parts = [atom_head(condition, location)]
     if source is not None:
         parts.append(source_tag(source))
     if not 0 <= horizon <= MAX_HORIZON:
@@ -254,7 +229,7 @@ def decode_atom(atom: str) -> DecodedAtom:
                 and not (micros > 100 * MILLION and condition.is_percent)
                 and not (source and HORIZON_RE.match(source))
                 and (direction is None) == (condition is not Condition.WIND)):
-            value = Value.of(micros, _COMPASS[direction] if direction else None)
+            value = Value(micros, _COMPASS[direction] if direction else None)
             return DecodedAtom(condition, source, m["loc"] or "Sea", horizon, value)
     raise OpaqueAtomError(f"opaque atom: {atom!r}")
 
@@ -276,21 +251,16 @@ def parse_theory(text: str) -> DefeasibleTheory:
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
-        try:
-            if line.startswith(">>"):
-                facts.append(_parse_literal_at(line[2:], lineno, raw))
-            elif ":" in line:
-                rules.append(_parse_rule(line, lineno, raw))
-            elif ">" in line:
-                winner, _, loser = line.partition(">")
-                sups.append((_parse_id(winner, lineno, raw),
-                             _parse_id(loser, lineno, raw)))
-            else:
-                raise TheoryParseError(lineno, 1, f"unrecognized line: {line!r}")
-        except TheoryError as exc:
-            if isinstance(exc, TheoryParseError):
-                raise
-            raise TheoryParseError(lineno, 1, str(exc)) from exc
+        if line.startswith(">>"):
+            facts.append(_parse_literal_at(line[2:], lineno, raw))
+        elif ":" in line:
+            rules.append(_parse_rule(line, lineno, raw))
+        elif ">" in line:
+            winner, _, loser = line.partition(">")
+            sups.append((_parse_id(winner, lineno, raw),
+                         _parse_id(loser, lineno, raw)))
+        else:
+            raise TheoryParseError(lineno, 1, f"unrecognized line: {line!r}")
     theory = DefeasibleTheory(tuple(facts), tuple(rules), tuple(sups))
     validate_theory(theory)
     return theory

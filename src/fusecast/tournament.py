@@ -33,7 +33,6 @@ from .model import (
     Condition,
     LabeledAssertionalMap,
     Label,
-    Location,
     TimeRef,
     Value,
     conflicts_with,
@@ -102,7 +101,7 @@ def supremacy(v_first: Value, v_second: Value, a_first: int,
     # w * vb + (1 - w) * vo, in millionths of millionths of a unit.
     blend, scale = w * vb + (MILLION - w) * vo, MILLION * MILLION
     rounded = (2 * blend + scale) // (2 * scale) * MILLION
-    return Value.of(min(max(rounded, min(vb, vo)), max(vb, vo)), v_bias.direction)
+    return Value(min(max(rounded, min(vb, vo)), max(vb, vo)), v_bias.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def _lam_accuracy(lam: LabeledAssertionalMap, kb: KnowledgeBase) -> int:
 
 def slot_key(lam: LabeledAssertionalMap, now: TimeRef) -> tuple:
     m = lam.map
-    return (_CONDITION_ORDER[m.condition], str(m.location),
+    return (_CONDITION_ORDER[m.condition], m.location,
             horizon_index(m.valid_at, now))
 
 
@@ -169,7 +168,7 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
             acc = accuracies[label, m.valid_at] = _lam_accuracy(lam, kb)
         if acc < kb.min_micros and not lam.is_observation:
             continue
-        slot = (_CONDITION_ORDER[m.condition], m.location.name, horizon)
+        slot = (_CONDITION_ORDER[m.condition], m.location, horizon)
         keyed.append(((*slot, -acc, -recency, label.method, str(m.value)), slot, acc, lam))
     keyed.sort(key=itemgetter(0))
     kept = _Kept(lam for *_, lam in keyed)
@@ -188,7 +187,7 @@ def _label_order(a: Label, b: Label) -> int:
     elif not b.generated_at.is_symbolic:
         ref = b.generated_at
     else:
-        ref = TimeRef.symbolic(0)
+        ref = TimeRef(horizon=0)
     ta = resolve_instant(a.generated_at, ref)
     tb = resolve_instant(b.generated_at, ref)
     return (ta > tb) - (ta < tb)
@@ -197,9 +196,7 @@ def _label_order(a: Label, b: Label) -> int:
 def _prevalence(label_a: Label, acc_a: int, label_b: Label, acc_b: int,
                 kb: KnowledgeBase, condition: Condition,
                 location: Optional[str]) -> Prevalence:
-    ov = None
-    if label_a.method != label_b.method:
-        ov = override_winner(kb, label_a.method, label_b.method, condition, location)
+    ov = override_winner(kb, label_a.method, label_b.method, condition, location)
     if ov is not None:
         return Prevalence(Winner.FIRST if ov == label_a.method else Winner.SECOND,
                           PrevalenceBasis.SPECIFIC)
@@ -223,7 +220,7 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
     if not conflicts_with(a.map, b.map):
         raise ForecastError("prevails requires two conflicting assertional maps")
     return _prevalence(a.label, _lam_accuracy(a, kb), b.label, _lam_accuracy(b, kb),
-                       kb, a.map.condition, a.map.location.name)
+                       kb, a.map.condition, a.map.location)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +259,9 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         models = []
         for lam, (_, acc) in group:
             if not lam.is_observation:
-                tagged = Literal.of(encode_atom(cond, lam.label.method, location, horizon,
-                                                lam.map.value))
-                add_rule(Rule.of(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
+                tagged = Literal(encode_atom(cond, lam.label.method, location, horizon,
+                                             lam.map.value))
+                add_rule(Rule(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
                 models.append((lam, tagged, acc))
 
         if obs:
@@ -273,7 +270,7 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                 if value != obs[0]:
                     raise ForecastError(f"observations disagree on {cond.value} @ "
                                         f"{location} @ h{horizon}: {obs[0]} and {value}")
-            facts.setdefault(Literal.of(encode_atom(cond, None, location, horizon, obs[0])))
+            facts.setdefault(Literal(encode_atom(cond, None, location, horizon, obs[0])))
             continue
         if not models:
             continue
@@ -283,10 +280,10 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
             _emit_rounds(rounds, models[0][1], cond, location, horizon, add_rule, sups)
             continue
         # Uncontested: every model asserts the first one's value.
-        untagged = Literal.of(encode_atom(cond, None, location, horizon,
-                                          models[0][0].map.value))
+        untagged = Literal(encode_atom(cond, None, location, horizon,
+                                       models[0][0].map.value))
         for _, tagged, _ in models:
-            add_rule(Rule.of(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
+            add_rule(Rule(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
 
     theory = DefeasibleTheory(tuple(facts), tuple(rules.values()), tuple(sups))
     validate_theory(theory)
@@ -294,7 +291,7 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 
 
 def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
-               cond: Condition, location: Location,
+               cond: Condition, location: str,
                kb: KnowledgeBase) -> list[tuple[Literal, Value, Value, bool]]:
     """Simulate the pairwise fold over (assertion, tagged literal, accuracy)
     triples.
@@ -315,7 +312,7 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
         blend_second = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
                                  Bias.SECOND)
         verdict = _prevalence(champ_lam.label, champ_acc, nxt.label, nxt_acc,
-                              kb, cond, location.name)
+                              kb, cond, location)
         first_wins = verdict.winner is not Winner.SECOND  # ties keep the champion
         rounds.append((tagged_next, blend_first, blend_second, first_wins))
         if not first_wins:
@@ -325,7 +322,7 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
 
 
 def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit: Literal,
-                 cond: Condition, location: Location, horizon: int,
+                 cond: Condition, location: str, horizon: int,
                  add_rule, sups: list) -> None:
     """The rules and priorities of a slot's fold, from the first model's literal.
 
@@ -337,19 +334,19 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
     for index, (tagged_next, blend_first, blend_second, first_wins) in enumerate(rounds):
         src = None if index == len(rounds) - 1 else f"xr{index}"
         body = (champ_lit, tagged_next)
-        head_first = Literal.of(encode_atom(cond, src, location, horizon, blend_first))
+        head_first = Literal(encode_atom(cond, src, location, horizon, blend_first))
         champ_lit = head_first
         if blend_first == blend_second:
             # Both biased outcomes agree: the contest is vacuous.
-            add_rule(Rule.of(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
+            add_rule(Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
             continue
-        head_second = Literal.of(encode_atom(cond, src, location, horizon, blend_second))
-        sr_first = Rule.of(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
-        sr_second = Rule.of(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
-        vc_first = Rule.of(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
-                           (head_first,), head_second.complement())
-        vc_second = Rule.of(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
-                            (head_second,), head_first.complement())
+        head_second = Literal(encode_atom(cond, src, location, horizon, blend_second))
+        sr_first = Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
+        sr_second = Rule(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
+        vc_first = Rule(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
+                        (head_first,), head_second.complement())
+        vc_second = Rule(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
+                         (head_second,), head_first.complement())
         for rule in (sr_first, sr_second, vc_first, vc_second):
             add_rule(rule)
         if first_wins:

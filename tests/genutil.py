@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
+from fusecast.inputs import MILLION
 from fusecast.kb import AccuracyRecord, KnowledgeBase
 from fusecast.model import (
     AssertionalMap,
@@ -12,9 +12,8 @@ from fusecast.model import (
     Condition,
     Label,
     LabeledAssertionalMap,
-    Location,
     TimeRef,
-    make_value,
+    Value,
 )
 from fusecast.theory import DefeasibleTheory, Literal, Rule, RuleKind
 
@@ -73,10 +72,10 @@ def codec_seed_tuple(rng: random.Random):
     source = rng.choice([None, "g", "e", "o", "ecmwf", "icon2"])
     horizon = rng.randint(0, 9)
     direction = rng.choice(list(Compass)) if condition is Condition.WIND else None
-    magnitude = Fraction(rng.randint(0, 400), rng.choice((1, 2, 4)))
+    micros = rng.randint(0, 400) * MILLION // rng.choice((1, 2, 4))
     if condition.is_percent:
-        magnitude = min(magnitude, Fraction(100))
-    return condition, source, location, horizon, make_value(condition, magnitude, direction)
+        micros = min(micros, 100 * MILLION)
+    return condition, source, location, horizon, Value(micros, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -95,38 +94,36 @@ _SLOT_POOL = [
 
 def _random_value(rng: random.Random, condition: Condition):
     if condition is Condition.WIND:
-        return make_value(condition, rng.randint(0, 40), rng.choice(list(Compass)))
+        return Value(rng.randint(0, 40) * MILLION, rng.choice(list(Compass)))
     upper = 100 if condition.is_percent else 200
-    return make_value(condition, rng.randint(0, upper))
+    return Value(rng.randint(0, upper) * MILLION)
 
 
 def random_two_model_inputs(rng: random.Random):
     """(lams, kb) for a randomized two-model run, sometimes with observations."""
-    h = TimeRef.symbolic
     methods = ("Alpha", "Beta")
     records = []
     for method in methods:
         for horizon in (0, 1, 2):
-            records.append(AccuracyRecord(
-                method, horizon, Fraction(rng.randint(1, 99), 100)))
+            records.append(AccuracyRecord(method, horizon, rng.randint(1, 99) * 10_000))
     kb = KnowledgeBase(tuple(records))
 
     lams = []
     for method in methods:
-        label = Label(method, h(0))
+        label = Label(method, TimeRef(horizon=0))
         for condition, loc in _SLOT_POOL:
             for horizon in (0, 1, 2):
                 if rng.random() < 0.25:
                     continue  # slot not covered by this model
                 lams.append(LabeledAssertionalMap(label, AssertionalMap(
-                    condition, Location(loc), h(horizon),
+                    condition, loc, TimeRef(horizon=horizon),
                     _random_value(rng, condition))))
     if rng.random() < 0.5:
-        label = Label("O", h(0))
+        label = Label("O", TimeRef(horizon=0))
         for condition, loc in _SLOT_POOL:
             if rng.random() < 0.5:
                 continue
             lams.append(LabeledAssertionalMap(label, AssertionalMap(
-                condition, Location(loc), h(0),
+                condition, loc, TimeRef(horizon=0),
                 _random_value(rng, condition))))
     return lams, kb

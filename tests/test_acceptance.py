@@ -19,13 +19,15 @@ from fractions import Fraction
 from fusecast.bulletin import extract_scenario, render_document, render_sharp
 from fusecast.errors import OpaqueAtomError
 from fusecast.lexicon import classify
-from fusecast.model import Compass, Condition, make_value
+from fusecast.model import Compass, Condition, Value
 from fusecast.reasoner import conclusions, oracle_conclusions
 from fusecast.theory import Literal, decode_atom, encode_atom, parse_theory, serialize_theory
 from fusecast.tournament import Bias, build_theory, supremacy
 
 from conftest import record_criterion
 from genutil import codec_seed_tuple, random_theory, random_two_model_inputs
+
+M = 1_000_000  # one unit in millionths
 
 _timings: dict[str, float] = {}
 
@@ -171,16 +173,16 @@ def test_criterion_3_tournament_structure(seaside_theory, seaside_kb):
 @criterion("4. lexicon anchors")
 def test_criterion_4_lexicon_anchors():
     assert classify(Condition.CLOUDINESS,
-                    make_value(Condition.CLOUDINESS, 78)) == "Mostly Cloudy"
+                    Value(78 * M)) == "Mostly Cloudy"
     assert classify(Condition.CLOUDINESS,
-                    make_value(Condition.CLOUDINESS, 38)) == "Partly Cloudy"
+                    Value(38 * M)) == "Partly Cloudy"
     assert classify(Condition.WIND,
-                    make_value(Condition.WIND, 5, Compass.N)) == "Light Winds"
+                    Value(5 * M, Compass.N)) == "Light Winds"
     assert classify(Condition.WIND,
-                    make_value(Condition.WIND, 6, Compass.NE)) == "Light Winds"
-    assert classify(Condition.SEA, make_value(Condition.SEA, 65)) == "Slight"
-    assert classify(Condition.SEA, make_value(Condition.SEA, 20)) == "Calm"
-    assert classify(Condition.RAIN, make_value(Condition.RAIN, 21)) == "Heavy Rains"
+                    Value(6 * M, Compass.NE)) == "Light Winds"
+    assert classify(Condition.SEA, Value(65 * M)) == "Slight"
+    assert classify(Condition.SEA, Value(20 * M)) == "Calm"
+    assert classify(Condition.RAIN, Value(21 * M)) == "Heavy Rains"
     return "6 anchors verbatim"
 
 
@@ -272,7 +274,7 @@ def test_criterion_6d_supremacy_laws():
         a1 = rng.randint(0, 100) * 10_000  # millionths
         a2 = rng.randint(0, 100) * 10_000
         bias = rng.choice((Bias.FIRST, Bias.SECOND))
-        v1, v2 = make_value(Condition.SEA, m1), make_value(Condition.SEA, m2)
+        v1, v2 = Value(int(m1 * M)), Value(int(m2 * M))
         got = supremacy(v1, v2, a1, a2, bias)
         assert min(m1, m2) <= got.magnitude <= max(m1, m2)
         if m1 == m2:

@@ -216,8 +216,17 @@ class TestInputBoundary:
         (("entries", 0, "condition"), '"sea"', "entries[0].location"),
         (("method",), '"H1"', "method"),
         (("method",), '"XR0"', "method"),
+        (("entries", 0, "location"), '"x_y"', "entries[0].location"),
+        (("entries", 0, "magnitude"), "-1", "entries[0]"),
+        (("entries", 0, "magnitude"), "0.1234567", "entries[0].magnitude"),
+        (("entries", 0, "magnitude"), "101", "entries[0]"),
+        (("entries", 0, "direction"), '"N"', "entries[0]"),
+        (("entries", 0, "condition"), '"wind"', "entries[0]"),
+        (("method",), '""', "method"),
     ], ids=["huge", "tiny", "long-int", "lat", "long-horizon", "absolute-valid-at",
-            "absolute-generated-at", "sea-off-sea", "horizon-tag", "reserved-tag"])
+            "absolute-generated-at", "sea-off-sea", "horizon-tag", "reserved-tag",
+            "location-name", "negative", "seventh-place", "percent-over-100",
+            "direction-on-cloudiness", "wind-without-direction", "empty-method"])
     def test_out_of_bounds_source_value(self, tmp_path, capsys, pointer, raw, where):
         bad = _seaside_with(tmp_path, "gfs.json", pointer, raw)
         assert main(_swap(VALIDATE, "--source", bad)) == 1
@@ -276,6 +285,39 @@ class TestInputBoundary:
         assert capsys.readouterr().err == ("fusecast: error [tournament]: observations "
                                            "disagree on wind @ Center @ h0: N18 and NE15\n")
 
+    @pytest.mark.parametrize("name, flag, pointer, raw, where", [
+        ("kb.json", "--kb", ("accuracies", "GFS", "1"), '0.45, "1": 0.99',
+         "accuracies.GFS.1"),
+        ("gfs.json", "--source", ("entries", 0, "magnitude"), '5, "magnitude": 90',
+         "entries[0].magnitude"),
+        ("obs.json", "--obs", ("generated_at",), '"h0", "generated_at": "h1"',
+         "generated_at"),
+    ], ids=["kb", "source", "obs"])
+    def test_duplicate_key_in_a_checked_document(
+            self, tmp_path, capsys, name, flag, pointer, raw, where):
+        """A repeated key is an error at its path, not resolved last-wins."""
+        bad = _seaside_with(tmp_path, name, pointer, raw)
+        assert main(["validate", *_swap(_seaside_inputs(), flag, bad)]) == 1
+        assert f"{where}: duplicate key" in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), flag, bad)) == 1
+        assert f"({bad}): {where}: duplicate key\n" in _staged_error(capsys, flag[2:], bad)
+
+    @pytest.mark.parametrize("flag, doc, where", [
+        ("--lexicon", '{"sea": [[null, "Calm"]], "sea": [[null, "Rough"]]}', "sea"),
+        ("--templates", '{"wind": "{term}", "wind": "{term} {direction}"}', "wind"),
+    ], ids=["lexicon", "templates"])
+    def test_duplicate_key_in_a_rendering_document(self, tmp_path, capsys, flag, doc, where):
+        bad = tmp_path / "doc.json"
+        bad.write_text(doc)
+        assert main(pipeline_args(tmp_path, extra=[flag, str(bad)])) == 1
+        assert _staged_error(capsys, flag[2:], bad).endswith(f"{where}: duplicate key\n")
+
+    def test_duplicate_key_in_conclusions(self, tmp_path, capsys):
+        conclusions = tmp_path / "conclusions.json"
+        conclusions.write_text('{"+d": [], "+d": ["CSouth_h1_75"]}')
+        assert main(["bulletin", str(conclusions)]) == 1
+        assert _staged_error(capsys, "bulletin", conclusions).endswith("+d: duplicate key\n")
+
     def test_huge_exponent_is_rejected_quickly(self, tmp_path, capsys):
         bad = _seaside_with(tmp_path, "gfs.json", ("entries", 0, "magnitude"),
                             "1e999999999")
@@ -287,6 +329,9 @@ class TestInputBoundary:
     @pytest.mark.parametrize("flag, value", [
         ("--min-accuracy", "1e5000"),
         ("--min-accuracy", "many"),
+        ("--min-accuracy", "0.5_0"),
+        ("--min-accuracy", " 0.5"),
+        ("--min-accuracy", "+0.5"),
         ("--now", "bogus"),
         ("--now", "h367"),
         ("--now", "0001-01-01T00:00:00+05:00"),

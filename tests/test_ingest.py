@@ -5,9 +5,12 @@ import pytest
 
 from fusecast.errors import SchemaError
 from fusecast.ingest import parse_source_map, validate_source_map
-from fusecast.model import Compass, Condition, TimeRef
+from fusecast.model import Compass, Condition, TimeRef, parse_timeref
 
 from conftest import FIXTURES
+
+H0 = TimeRef(horizon=0)
+NOON = parse_timeref("2026-08-08T12:00:00Z")
 
 
 def doc_bytes(method="GFS", generated_at="h0", entries=()):
@@ -29,7 +32,7 @@ class TestParseSourceMap:
         lams = parse_source_map((FIXTURES / "seaside" / "gfs.json").read_bytes())
         assert len(lams) == 21
         assert {l.label.method for l in lams} == {"GFS"}
-        assert {l.label.generated_at for l in lams} == {TimeRef.symbolic(0)}
+        assert {l.label.generated_at for l in lams} == {TimeRef(horizon=0)}
         by_kind = {}
         for l in lams:
             by_kind[l.map.condition] = by_kind.get(l.map.condition, 0) + 1
@@ -40,7 +43,7 @@ class TestParseSourceMap:
         lams = parse_source_map((FIXTURES / "seaside" / "obs.json").read_bytes())
         assert len(lams) == 7
         assert all(l.is_observation for l in lams)
-        assert all(l.map.valid_at == TimeRef.symbolic(0) for l in lams)
+        assert all(l.map.valid_at == TimeRef(horizon=0) for l in lams)
 
     def test_empty_entries(self):
         assert parse_source_map(doc_bytes(entries=[])) == []
@@ -51,7 +54,7 @@ class TestParseSourceMap:
             entry(location="North", magnitude=20),
         ])
         first = parse_source_map(data)
-        assert [l.map.location.name for l in first] == ["South", "North"]
+        assert [l.map.location for l in first] == ["South", "North"]
         assert parse_source_map(data) == first
 
     def test_duplicate_slot_rejected(self):
@@ -101,7 +104,7 @@ class TestParseSourceMap:
     ])
     def test_magnitudes_outside_the_bounds(self, raw):
         data = doc_bytes(entries=[entry(magnitude="@")]).replace(b'"@"', raw.encode())
-        diags = validate_source_map(data)
+        diags = validate_source_map(data, H0)
         assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].magnitude")]
 
     def test_unregistered_coordinates_rejected(self):
@@ -112,10 +115,10 @@ class TestParseSourceMap:
 
 class TestValidateSourceMap:
     def test_clean_document_has_no_diagnostics(self):
-        assert validate_source_map((FIXTURES / "seaside" / "ecmwf.json").read_bytes()) == []
+        assert validate_source_map((FIXTURES / "seaside" / "ecmwf.json").read_bytes(), H0) == []
 
     def test_percent_bound_diagnostic(self):
-        diags = validate_source_map(doc_bytes(entries=[entry(magnitude=120)]))
+        diags = validate_source_map(doc_bytes(entries=[entry(magnitude=120)]), H0)
         assert len(diags) == 1
         assert diags[0].severity == "error"
         assert diags[0].path == "entries[0]"
@@ -124,20 +127,28 @@ class TestValidateSourceMap:
     def test_hindcast_warning(self):
         diags = validate_source_map(doc_bytes(
             generated_at="2026-08-08T12:00:00Z",
-            entries=[entry(valid_at="2026-08-05T12:00:00Z")]))
+            entries=[entry(valid_at="2026-08-05T12:00:00Z")]), NOON)
         assert [d.severity for d in diags] == ["warning"]
         assert "hindcast" in diags[0].message
 
     def test_one_day_hindcast_is_not_warned(self):
         diags = validate_source_map(doc_bytes(
             generated_at="2026-08-08T12:00:00Z",
-            entries=[entry(valid_at="2026-08-07T12:00:00Z")]))
+            entries=[entry(valid_at="2026-08-07T12:00:00Z")]), NOON)
         assert diags == []
 
     def test_bad_method_id(self):
-        diags = validate_source_map(doc_bytes(method="no spaces"))
+        diags = validate_source_map(doc_bytes(method="no spaces"), H0)
         assert any(d.path == "method" for d in diags)
 
     def test_not_json(self):
-        diags = validate_source_map(b"{")
+        diags = validate_source_map(b"{", H0)
         assert diags[0].severity == "error"
+
+    def test_time_errors_come_from_the_same_scan(self):
+        """check_times' error on a clean document is one more diagnostic:
+        an absolute validity cannot be placed against a symbolic now."""
+        data = doc_bytes(entries=[entry(valid_at="2026-08-07T12:00:00Z")])
+        diags = validate_source_map(data, H0)
+        assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].valid_at")]
+        assert validate_source_map(data, NOON) == []

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -20,10 +19,10 @@ from fusecast.model import Condition
 @pytest.fixture
 def paper_kb():
     return KnowledgeBase(accuracies=(
-        AccuracyRecord("ECMWF", 1, Fraction(85, 100)),
-        AccuracyRecord("ECMWF", 2, Fraction(80, 100)),
-        AccuracyRecord("GFS", 1, Fraction(45, 100)),
-        AccuracyRecord("GFS", 2, Fraction(40, 100)),
+        AccuracyRecord("ECMWF", 1, 850_000),
+        AccuracyRecord("ECMWF", 2, 800_000),
+        AccuracyRecord("GFS", 1, 450_000),
+        AccuracyRecord("GFS", 2, 400_000),
     ))
 
 
@@ -108,13 +107,13 @@ class TestValidation:
 
     def test_accuracy_bounds(self):
         with pytest.raises(SchemaError):
-            KnowledgeBase(accuracies=(AccuracyRecord("GFS", 1, Fraction(13, 10)),))
+            KnowledgeBase(accuracies=(AccuracyRecord("GFS", 1, 1_300_000),))
 
     def test_duplicate_record(self):
         with pytest.raises(SchemaError):
             KnowledgeBase(accuracies=(
-                AccuracyRecord("GFS", 1, Fraction(1, 2)),
-                AccuracyRecord("GFS", 1, Fraction(1, 4)),
+                AccuracyRecord("GFS", 1, 500_000),
+                AccuracyRecord("GFS", 1, 250_000),
             ))
 
     def test_override_chain_of_1500_methods(self):
@@ -125,13 +124,13 @@ class TestValidation:
 
     def test_observation_not_overridable(self):
         with pytest.raises(SchemaError):
-            KnowledgeBase(accuracies=(AccuracyRecord("O", 1, Fraction(1, 2)),))
+            KnowledgeBase(accuracies=(AccuracyRecord("O", 1, 500_000),))
 
 
 class TestDocumentFormat:
     def test_minimal_document(self):
         kb = load_kb(b'{"accuracies": {"GFS": {"1": 0.5}}}')
-        assert kb.accuracies == (AccuracyRecord("GFS", 1, Fraction(1, 2)),)
+        assert kb.accuracies == (AccuracyRecord("GFS", 1, 500_000),)
         assert kb.min_micros == 0
 
     def test_paper_figures_round_trip(self, paper_kb):
@@ -149,6 +148,7 @@ class TestDocumentFormat:
         pytest.param('{"accuracies": {"GFS": {"%s": 0.5}}}' % ("9" * 5000),
                      "accuracies.GFS.999", id="5000-digit-horizon"),
         ('{"accuracies": {"GFS": {"1": 1e-5000}}}', "accuracies.GFS.1"),
+        ('{"accuracies": {"GFS": {"1": 0.1234567}}}', "accuracies.GFS.1"),
         ('{"accuracies": {"GFS": {"1": "0.5"}}}', "accuracies.GFS.1"),
         pytest.param('{"min_accuracy": %s}' % ("1" * 5000), "min_accuracy",
                      id="5000-digit-min-accuracy"),
@@ -169,7 +169,7 @@ class TestDocumentFormat:
 
 
 _methods = st.sampled_from(["ECMWF", "GFS", "ICON", "ARPAE"])
-_accuracy = st.integers(0, 1000).map(lambda n: Fraction(n, 1000))
+_accuracy = st.integers(0, 1000).map(lambda n: n * 1000)  # millionths
 
 
 @st.composite

@@ -13,11 +13,14 @@ from fusecast.lexicon import (
     direction_name,
     load_lexicon,
 )
-from fusecast.model import Compass, Condition, Value, make_value
+from fusecast.model import Compass, Condition, Value
+
+M = 1_000_000  # one unit in millionths
 
 
 def term(condition, magnitude, direction=None):
-    return classify(condition, make_value(condition, magnitude, direction))
+    """The term for a magnitude in whole units, or an exact Fraction of them."""
+    return classify(condition, Value(int(magnitude * M), direction))
 
 
 class TestAnchors:
@@ -141,7 +144,7 @@ def test_bisect_equals_the_linear_scan(table):
                 points.update(p for p in (upper - 1, upper, upper + 1) if p >= 0)
         direction = Compass.N if condition is Condition.WIND else None
         for micros in sorted(points):
-            value = Value.of(micros, direction)
+            value = Value(micros, direction)
             assert classify(condition, value, table) == _linear_classify(bands, micros), \
                 (condition, micros)
 
@@ -151,16 +154,16 @@ class TestOverrides:
         table = load_lexicon(json.dumps({
             "sea": [[100, "Calm"], [None, "Rough"]],
         }).encode())
-        assert classify(Condition.SEA, make_value(Condition.SEA, 65), table) == "Calm"
+        assert classify(Condition.SEA, Value(65 * M), table) == "Calm"
         # untouched conditions keep their defaults
         assert classify(Condition.CLOUDINESS,
-                        make_value(Condition.CLOUDINESS, 78), table) == "Mostly Cloudy"
+                        Value(78 * M), table) == "Mostly Cloudy"
 
     def test_snow_usable_once_configured(self):
         table = load_lexicon(json.dumps({
             "snow": [[10, "Snow flurry"], [None, "Snowstorm"]],
         }).encode())
-        assert classify(Condition.SNOW, make_value(Condition.SNOW, 3), table) == "Snow flurry"
+        assert classify(Condition.SNOW, Value(3 * M), table) == "Snow flurry"
 
     def test_terms_outside_vocabulary_rejected(self):
         with pytest.raises(SchemaError):
@@ -185,4 +188,4 @@ class TestOverrides:
             "cloudiness": [[50, "Clear or Sunny Skies"], [100, "Cloudy"]],
         }).encode())
         assert classify(Condition.CLOUDINESS,
-                        make_value(Condition.CLOUDINESS, 100), table) == "Cloudy"
+                        Value(100 * M), table) == "Cloudy"

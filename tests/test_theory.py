@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fusecast.errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from fusecast.inputs import exact_number, parse_horizon
-from fusecast.model import Compass, Condition, Value, check_value, make_value
+from fusecast.model import Compass, Condition, Value, check_value
 from fusecast.theory import (
     CONDITION_CODES,
     DefeasibleTheory,
@@ -17,12 +17,15 @@ from fusecast.theory import (
     RuleKind,
     decode_atom,
     encode_atom,
+    parse_literal,
     parse_theory,
     serialize_theory,
     validate_theory,
 )
 
 from genutil import random_theory
+
+M = 1_000_000  # one unit in millionths
 
 
 class TestLiteral:
@@ -32,31 +35,34 @@ class TestLiteral:
         assert str(lit.complement()) == "-CNorth_h1_78"
 
     def test_atom_grammar_enforced(self):
-        with pytest.raises(TheoryError):
-            Literal("9abc")
-        with pytest.raises(TheoryError):
-            Literal("a b")
-        with pytest.raises(TheoryError):
-            Literal("1x")
+        for atom in ("9abc", "a b", "1x"):
+            for text in (atom, f"-{atom}"):
+                with pytest.raises(TheoryError, match="bad atom"):
+                    parse_literal(text)
+            with pytest.raises(TheoryParseError, match="bad literal") as err:
+                parse_theory(f"r1: => A\n  >> {atom}\n")
+            assert (err.value.line, err.value.column) == (2, 6)
 
     def test_rule_id_grammar_enforced(self):
-        with pytest.raises(TheoryError):
-            Rule("bad id", RuleKind.DEFEASIBLE, (), Literal("A"))
+        for line, column in (("bad id: => A", 1), ("  9r: => A", 3)):
+            with pytest.raises(TheoryParseError, match="bad identifier") as err:
+                parse_theory(f">> A\n{line}\n")
+            assert (err.value.line, err.value.column) == (2, column)
 
 
 class TestAtomCodec:
     def test_tagged_cloudiness(self):
         atom = encode_atom(Condition.CLOUDINESS, "g", "North", 1,
-                           Value(Fraction(90)))
+                           Value(90 * M))
         assert atom == "CNorth_g_h1_90"
 
     def test_untagged_wind(self):
         atom = encode_atom(Condition.WIND, None, "Center", 2,
-                           make_value(Condition.WIND, 6, Compass.N))
+                           Value(6 * M, Compass.N))
         assert atom == "WCenter_h2_N6"
 
     def test_sea_spelling(self):
-        assert encode_atom(Condition.SEA, None, "Sea", 1, Value(Fraction(65))) == "Sea_h1_65"
+        assert encode_atom(Condition.SEA, None, "Sea", 1, Value(65 * M)) == "Sea_h1_65"
         decoded = decode_atom("Sea_h1_65")
         assert (decoded.condition, decoded.source, decoded.location,
                 decoded.horizon) == (Condition.SEA, None, "Sea", 1)
@@ -71,7 +77,7 @@ class TestAtomCodec:
         assert decoded.value.magnitude == 78
 
     def test_fractional_magnitude(self):
-        atom = encode_atom(Condition.RAIN, "e", "North", 0, Value(Fraction(1, 2)))
+        atom = encode_atom(Condition.RAIN, "e", "North", 0, Value(500_000))
         assert atom == "RNorth_e_h0_0p5"
         assert decode_atom(atom).value.magnitude == Fraction(1, 2)
 
@@ -97,26 +103,26 @@ class TestAtomCodec:
         from fusecast.errors import ForecastError
 
         with pytest.raises(ForecastError):
-            encode_atom(Condition.SEA, None, "North", 1, Value(Fraction(65)))
+            encode_atom(Condition.SEA, None, "North", 1, Value(65 * M))
 
     def test_negative_horizon_not_encodable(self):
         from fusecast.errors import ForecastError
 
         with pytest.raises(ForecastError):
-            encode_atom(Condition.RAIN, None, "North", -1, Value(Fraction(5)))
+            encode_atom(Condition.RAIN, None, "North", -1, Value(5 * M))
 
     def test_horizons_stop_at_366(self):
         from fusecast.errors import ForecastError
 
         atom = encode_atom(Condition.RAIN, None, "North", 366,
-                           Value(Fraction(999999999999999, 10**6)))
+                           Value(999_999_999_999_999))
         assert atom == "RNorth_h366_999999999p999999"
         assert decode_atom(atom).horizon == 366
         with pytest.raises(ForecastError):
-            encode_atom(Condition.RAIN, None, "North", 367, Value(Fraction(5)))
+            encode_atom(Condition.RAIN, None, "North", 367, Value(5 * M))
 
     def test_method_tag_lowering(self):
-        atom = encode_atom(Condition.RAIN, "ECMWF", "North", 1, Value(Fraction(5)))
+        atom = encode_atom(Condition.RAIN, "ECMWF", "North", 1, Value(5 * M))
         assert atom == "RNorth_ecmwf_h1_5"
         assert decode_atom(atom).source == "ecmwf"
 
@@ -124,14 +130,14 @@ class TestAtomCodec:
         from fusecast.errors import ForecastError
 
         with pytest.raises(ForecastError):
-            encode_atom(Condition.RAIN, "H1", "North", 1, Value(Fraction(5)))
+            encode_atom(Condition.RAIN, "H1", "North", 1, Value(5 * M))
 
 
 _conds = st.sampled_from(list(Condition))
 _locs = st.sampled_from(["North", "Center", "South", "Sea", "East", "West"])
-_mags = st.one_of(
-    st.integers(0, 100).map(Fraction),
-    st.integers(0, 400).map(lambda n: Fraction(n, 4)),
+_mags = st.one_of(  # millionths
+    st.integers(0, 100).map(lambda n: n * M),
+    st.integers(0, 400).map(lambda n: n * M // 4),
 )
 
 
@@ -142,7 +148,7 @@ def codec_tuples(draw):
     source = draw(st.sampled_from([None, "g", "e", "ecmwf", "icon2"]))
     horizon = draw(st.integers(0, 9))
     direction = draw(st.sampled_from(list(Compass))) if condition is Condition.WIND else None
-    value = make_value(condition, draw(_mags), direction)
+    value = check_value(condition, Value(draw(_mags), direction))
     return condition, source, location, horizon, value
 
 
@@ -199,7 +205,7 @@ def _liberal_fields(s: str):
     try:
         horizon = parse_horizon(hseg)
         micros = exact_number(Decimal(vseg.replace("p", ".")), "magnitude")
-        value = check_value(condition, Value.of(micros, direction))
+        value = check_value(condition, Value(micros, direction))
     except ForecastError:
         return None
     return condition, source, location, horizon, value
@@ -255,11 +261,11 @@ def edited_atoms(draw):
     location = "Sea" if condition is Condition.SEA else draw(_locs)
     source = draw(st.sampled_from([None, "g", "ecmwf", "xr3"]))
     places = draw(st.integers(0, 6))
-    magnitude = Fraction(draw(st.integers(0, 10**9 * 10**places - 1)), 10**places)
+    micros = draw(st.integers(0, 10**9 * 10**places - 1)) * 10**(6 - places)
     if condition.is_percent:
-        magnitude = min(magnitude, Fraction(100))
+        micros = min(micros, 100 * M)
     direction = draw(st.sampled_from(list(Compass))) if condition is Condition.WIND else None
-    value = make_value(condition, magnitude, direction)
+    value = check_value(condition, Value(micros, direction))
     atom = encode_atom(condition, source, location, draw(st.integers(0, 366)), value)
     i = draw(st.integers(0, len(atom)))
     edit = draw(st.sampled_from(["insert", "delete", "replace"]))

@@ -14,9 +14,8 @@ from fusecast.model import (
     Condition,
     Label,
     LabeledAssertionalMap,
-    Location,
     TimeRef,
-    make_value,
+    Value,
 )
 from fusecast.reasoner import conclusions
 from fusecast.theory import Literal, decode_atom, serialize_theory
@@ -32,22 +31,26 @@ from fusecast.tournament import (
 
 from genutil import random_two_model_inputs
 
-H = TimeRef.symbolic
+
+def H(k):
+    return TimeRef(horizon=k)
+
+
+M = 1_000_000  # one unit in millionths
 
 
 def lam(method, gen_h, condition, loc, valid_h, magnitude, direction=None):
     return LabeledAssertionalMap(
         Label(method, H(gen_h)),
-        AssertionalMap(condition, Location(loc), H(valid_h),
-                       make_value(condition, magnitude, direction)),
+        AssertionalMap(condition, loc, H(valid_h), Value(magnitude * M, direction)),
     )
 
 
 @pytest.fixture
 def flat_kb():
     return KnowledgeBase(accuracies=(
-        AccuracyRecord("Alpha", 0, Fraction(1, 2)),
-        AccuracyRecord("Beta", 0, Fraction(1, 2)),
+        AccuracyRecord("Alpha", 0, 500_000),
+        AccuracyRecord("Beta", 0, 500_000),
     ))
 
 
@@ -63,7 +66,7 @@ class TestSift:
         assert sift([future], flat_kb, H(0)) == []
 
     def test_below_threshold_removed_but_observations_survive(self, flat_kb):
-        kb = KnowledgeBase(flat_kb.accuracies, (), Fraction(3, 4))
+        kb = KnowledgeBase(flat_kb.accuracies, (), 750_000)
         model = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
         obs = lam("O", 0, Condition.RAIN, "North", 0, 5)
         assert sift([model, obs], kb, H(0)) == [obs]
@@ -71,19 +74,19 @@ class TestSift:
     def test_stale_validity_removed(self, seaside_kb):
         from datetime import datetime, timezone
 
-        now = TimeRef.absolute(datetime(2026, 8, 8, tzinfo=timezone.utc))
+        now = TimeRef(instant=datetime(2026, 8, 8, tzinfo=timezone.utc))
         old = LabeledAssertionalMap(
             Label("GFS", now),
-            AssertionalMap(Condition.RAIN, Location("North"),
-                           TimeRef.absolute(datetime(2026, 8, 6, tzinfo=timezone.utc)),
-                           make_value(Condition.RAIN, 5)))
+            AssertionalMap(Condition.RAIN, "North",
+                           TimeRef(instant=datetime(2026, 8, 6, tzinfo=timezone.utc)),
+                           Value(5 * M)))
         assert sift([old], seaside_kb, now) == []
 
     def test_accuracy_orders_groups(self, seaside_lams, seaside_kb, now_h0):
         ordered = sift(seaside_lams, seaside_kb, now_h0)
         by_slot = {}
         for l in ordered:
-            key = (l.map.condition, l.map.location.name, l.map.valid_at)
+            key = (l.map.condition, l.map.location, l.map.valid_at)
             by_slot.setdefault(key, []).append(l.label.method)
         for key, methods in by_slot.items():
             if key[2] == H(0):
@@ -93,7 +96,7 @@ class TestSift:
     def test_exact_accuracy_orders_when_floats_tie(self):
         """Accuracies one millionth apart, the finest a KB can hold, still
         order the pair; no float stands in for them."""
-        low, high = "0.333333", "0.333334"
+        low, high = 333_333, 333_334
         kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, low),
                                        AccuracyRecord("Beta", 1, high)))
         alpha = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
@@ -125,12 +128,12 @@ class TestPrevails:
     def test_recency_breaks_equal_accuracy(self, flat_kb):
         from datetime import datetime, timezone
 
-        early = TimeRef.absolute(datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
-        late = TimeRef.absolute(datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
+        early = TimeRef(instant=datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
+        late = TimeRef(instant=datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
         a = LabeledAssertionalMap(Label("Alpha", early), AssertionalMap(
-            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 5)))
+            Condition.RAIN, "North", H(1), Value(5 * M)))
         b = LabeledAssertionalMap(Label("Beta", late), AssertionalMap(
-            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 9)))
+            Condition.RAIN, "North", H(1), Value(9 * M)))
         verdict = prevails(a, b, flat_kb)
         assert verdict.winner is Winner.SECOND
         assert verdict.basis is PrevalenceBasis.RECENCY
@@ -151,26 +154,26 @@ _MILLIONTHS = st.integers(0, 10**6).map(lambda n: Fraction(n, 10**6))
 
 class TestSupremacy:
     def test_idempotent_on_equal_values(self):
-        v = make_value(Condition.CLOUDINESS, 90)
+        v = Value(90 * M)
         assert supremacy(v, v, 111_111, 900_000, Bias.FIRST) == v
 
     def test_spec_worked_example(self):
         # w = max(0.85, 1 - 0.45) = 0.85; round(0.85*50 + 0.15*100) = 58
-        got = supremacy(make_value(Condition.SEA, 100), make_value(Condition.SEA, 50),
+        got = supremacy(Value(100 * M), Value(50 * M),
                         450_000, 850_000, Bias.SECOND)
         assert got.magnitude == 58
 
     def test_biased_result_leans_toward_the_bias(self):
-        v90 = make_value(Condition.CLOUDINESS, 90)
-        v75 = make_value(Condition.CLOUDINESS, 75)
+        v90 = Value(90 * M)
+        v75 = Value(75 * M)
         first = supremacy(v90, v75, 450_000, 850_000, Bias.FIRST)
         second = supremacy(v90, v75, 450_000, 850_000, Bias.SECOND)
         assert 75 <= second.magnitude <= first.magnitude <= 90
         assert abs(first.magnitude - 90) < abs(second.magnitude - 90)
 
     def test_wind_direction_copied_from_bias(self):
-        g = make_value(Condition.WIND, 8, Compass.N)
-        e = make_value(Condition.WIND, 5, Compass.NE)
+        g = Value(8 * M, Compass.N)
+        e = Value(5 * M, Compass.NE)
         first = supremacy(g, e, 450_000, 850_000, Bias.FIRST)
         second = supremacy(g, e, 450_000, 850_000, Bias.SECOND)
         assert first.direction is Compass.N
@@ -178,16 +181,16 @@ class TestSupremacy:
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ForecastError):
-            supremacy(make_value(Condition.WIND, 8, Compass.N),
-                      make_value(Condition.SEA, 50),
+            supremacy(Value(8 * M, Compass.N),
+                      Value(50 * M),
                       500_000, 500_000, Bias.FIRST)
 
     @given(st.integers(0, 100), st.integers(0, 100),
            st.integers(0, 100), st.integers(0, 100),
            st.sampled_from([Bias.FIRST, Bias.SECOND]))
     def test_betweenness_and_idempotence(self, m1, m2, a1, a2, bias):
-        v1 = make_value(Condition.SEA, Fraction(m1, 2))
-        v2 = make_value(Condition.SEA, Fraction(m2, 2))
+        v1 = Value(m1 * M // 2)
+        v2 = Value(m2 * M // 2)
         got = supremacy(v1, v2, a1 * 10_000, a2 * 10_000, bias)
         assert min(v1.magnitude, v2.magnitude) <= got.magnitude <= max(
             v1.magnitude, v2.magnitude)
@@ -203,7 +206,7 @@ class TestSupremacy:
             magnitude = Fraction(data.draw(st.integers(0, 10**(9 + places) - 1)), 10**places)
             direction = data.draw(st.sampled_from(list(Compass))) \
                 if condition is Condition.WIND else None
-            return make_value(condition, magnitude, direction)
+            return Value(int(magnitude * M), direction)
 
         v1, v2 = draw_value(), draw_value()
         # round(w*v_bias + (1-w)*v_other) half up, w = clamp(max(a_bias,
@@ -214,7 +217,7 @@ class TestSupremacy:
         blend = w * v_bias.magnitude + (1 - w) * v_other.magnitude
         rounded = Fraction(math.floor(blend + Fraction(1, 2)))
         lo, hi = sorted((v1.magnitude, v2.magnitude))
-        expected = make_value(condition, min(max(rounded, lo), hi), v_bias.direction)
+        expected = Value(int(min(max(rounded, lo), hi) * M), v_bias.direction)
         assert supremacy(v1, v2, a1 * 10**6, a2 * 10**6, bias) == expected
 
 
@@ -263,16 +266,16 @@ class TestBuildTheory:
         from datetime import datetime, timezone
 
         kb = KnowledgeBase(accuracies=(
-            AccuracyRecord("Alpha", 0, Fraction(8, 10)),
-            AccuracyRecord("Beta", 0, Fraction(8, 10)),
+            AccuracyRecord("Alpha", 0, 800_000),
+            AccuracyRecord("Beta", 0, 800_000),
         ))
-        early = TimeRef.absolute(datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
-        late = TimeRef.absolute(datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
-        now = TimeRef.absolute(datetime(2026, 8, 8, 13, 0, tzinfo=timezone.utc))
+        early = TimeRef(instant=datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
+        late = TimeRef(instant=datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
+        now = TimeRef(instant=datetime(2026, 8, 8, 13, 0, tzinfo=timezone.utc))
         a = LabeledAssertionalMap(Label("Alpha", early), AssertionalMap(
-            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 0)))
+            Condition.RAIN, "North", H(1), Value(0)))
         b = LabeledAssertionalMap(Label("Beta", late), AssertionalMap(
-            Condition.RAIN, Location("North"), H(1), make_value(Condition.RAIN, 10)))
+            Condition.RAIN, "North", H(1), Value(10 * M)))
         t = build_theory([a, b], kb, now)
         # Beta is later, so its biased head (0.8*10 + 0.2*0 = 8) must win.
         assert set(t.superiority) == {
@@ -320,7 +323,7 @@ class TestBuildTheory:
             n = rng.randint(3, 6)
             methods = [f"M{i}" for i in range(n)]
             kb = KnowledgeBase(tuple(
-                AccuracyRecord(m, 0, Fraction(rng.randint(0, 100), 100))
+                AccuracyRecord(m, 0, rng.randint(0, 100) * 10_000)
                 for m in methods))
             lams = [
                 lam(m, 0, Condition.SEA, "Sea", 1, rng.randint(0, 30))
@@ -336,16 +339,16 @@ class TestBuildTheory:
 
     def test_reserved_tag_methods_rejected(self, flat_kb):
         kb = KnowledgeBase(flat_kb.accuracies + (
-            AccuracyRecord("XR0", 0, Fraction(1, 2)),))
+            AccuracyRecord("XR0", 0, 500_000),))
         lams = [lam("XR0", 0, Condition.RAIN, "North", 1, 5)]
         with pytest.raises(ForecastError):
             build_theory(lams, kb, H(0))
 
     def test_three_source_fold_keeps_one_untagged_winner(self):
         kb = KnowledgeBase(accuracies=(
-            AccuracyRecord("Alpha", 0, Fraction(9, 10)),
-            AccuracyRecord("Beta", 0, Fraction(5, 10)),
-            AccuracyRecord("Gamma", 0, Fraction(2, 10)),
+            AccuracyRecord("Alpha", 0, 900_000),
+            AccuracyRecord("Beta", 0, 500_000),
+            AccuracyRecord("Gamma", 0, 200_000),
         ))
         lams = [
             lam("Alpha", 0, Condition.SEA, "Sea", 1, 100),
