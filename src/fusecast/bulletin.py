@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import html as _html
 import json
-from dataclasses import dataclass, field
 from string import Formatter
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
 from .inputs import read_json_object
@@ -29,8 +28,7 @@ _DISPLAY_RANK.update(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioEntry:
+class ScenarioEntry(NamedTuple):
     condition: Condition
     location: str
     horizon: int
@@ -39,8 +37,7 @@ class ScenarioEntry:
     strength: str  # "+D" (fact-backed) or "+d"
 
 
-@dataclass(frozen=True, slots=True)
-class WeatherScenario:
+class WeatherScenario(NamedTuple):
     entries: tuple[ScenarioEntry, ...] = ()
     sources: tuple[str, ...] = ()  # model tags of the +d literals, sorted
 
@@ -94,34 +91,29 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
 # Sharp rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class BulletinEntry:
+class BulletinEntry(NamedTuple):
     condition: Condition
     term: str
     phrase: Optional[str]  # direction phrase, wind only
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
-class LocationBlock:
+class LocationBlock(NamedTuple):
     location: str
     entries: tuple[BulletinEntry, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BulletinSection:
+class BulletinSection(NamedTuple):
     horizon: int
     blocks: tuple[LocationBlock, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BulletinHeader:
+class BulletinHeader(NamedTuple):
     generated_at: Optional[str] = None
     sources: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BulletinDocument:
+class BulletinDocument(NamedTuple):
     header: BulletinHeader = BulletinHeader()
     sections: tuple[BulletinSection, ...] = ()
 
@@ -169,18 +161,22 @@ DEFAULT_FRAGMENTS: dict[Condition, str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SmoothTemplates:
-    """Sentence fragments per condition. `lowercase_clauses` joins the
-    per-condition clauses in lowercase instead of the vocabulary casing.
+class _SmoothTemplates(NamedTuple):
+    fragments: dict[Condition, str]
+    lowercase_clauses: bool
+
+
+class SmoothTemplates(_SmoothTemplates):
+    """Sentence fragments per condition, copied when built.
+    `lowercase_clauses` joins the per-condition clauses in lowercase instead
+    of the vocabulary casing.
     """
 
-    fragments: Mapping[Condition, str] = field(
-        default_factory=lambda: dict(DEFAULT_FRAGMENTS))
-    lowercase_clauses: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "fragments", dict(self.fragments))
+    def __new__(cls, fragments: Mapping[Condition, str] = DEFAULT_FRAGMENTS,
+                lowercase_clauses: bool = False):
+        return super().__new__(cls, dict(fragments), lowercase_clauses)
 
 
 DEFAULT_TEMPLATES = SmoothTemplates()

@@ -14,7 +14,7 @@ Every entry is checked here, where it enters; a location is its name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ForecastError, SchemaError
 from .inputs import MAX_HORIZON, exact_number, read_json_object
@@ -42,8 +42,7 @@ _CONDITIONS = {c.value: c for c in Condition}
 HINDCAST_WARN_DAYS = -1
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     path: str
     message: str

@@ -12,18 +12,16 @@ File format (UTF-8 JSON, exact decimals preserved):
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ForecastError, SchemaError, UnknownMethodError
 from .inputs import (
     MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
-from .model import Condition, OBSERVATION_METHOD, decimal_str
+from .model import NAME_RE, Condition, OBSERVATION_METHOD, decimal_str
 
 
-@dataclass(frozen=True, slots=True)
-class AccuracyRecord:
+class AccuracyRecord(NamedTuple):
     """A method's accuracy at one horizon, in millionths."""
 
     method: str
@@ -31,8 +29,7 @@ class AccuracyRecord:
     micros: int
 
 
-@dataclass(frozen=True, slots=True)
-class PriorityOverride:
+class PriorityOverride(NamedTuple):
     """An expert override: `winner` beats `loser`, optionally only within a
     (condition, location) scope. Unset scope fields mean "any"."""
 
@@ -46,30 +43,35 @@ class PriorityOverride:
         return 2 * (self.condition is not None) + (self.location is not None)
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeBase:
+class _KnowledgeBase(NamedTuple):
+    accuracies: tuple[AccuracyRecord, ...]
+    overrides: tuple[PriorityOverride, ...]
+    min_micros: int
+    #: method -> (recorded horizons ascending, their accuracies), built once.
+    by_method: dict[str, tuple[list[int], list[int]]]
+
+
+class KnowledgeBase(_KnowledgeBase):
     """Records sorted by (method, horizon), overrides sorted, and the
     reliability threshold in millionths; validated when built."""
 
-    accuracies: tuple[AccuracyRecord, ...] = ()
-    overrides: tuple[PriorityOverride, ...] = ()
-    min_micros: int = 0
-    #: method -> (recorded horizons ascending, their accuracies), built once.
-    _by_method: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        accuracies = tuple(sorted(self.accuracies, key=lambda r: (r.method, r.horizon)))
+    def __new__(cls, accuracies=(), overrides=(), min_micros=0):
+        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
         by_method: dict[str, tuple[list[int], list[int]]] = {}
         for rec in accuracies:
             horizons, micros = by_method.setdefault(rec.method, ([], []))
             horizons.append(rec.horizon)
             micros.append(rec.micros)
-        overrides = tuple(sorted(self.overrides, key=lambda o: (
+        overrides = tuple(sorted(overrides, key=lambda o: (
             o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
-        object.__setattr__(self, "accuracies", accuracies)
-        object.__setattr__(self, "overrides", overrides)
-        object.__setattr__(self, "_by_method", by_method)
-        _validate(self)
+        kb = super().__new__(cls, accuracies, overrides, min_micros, by_method)
+        _validate(kb)
+        return kb
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[:3]
 
 
 def _validate(kb: KnowledgeBase) -> None:
@@ -116,7 +118,7 @@ def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
     if method == OBSERVATION_METHOD:
         return MILLION
     try:
-        horizons, micros = kb._by_method[method]
+        horizons, micros = kb.by_method[method]
     except KeyError:
         raise UnknownMethodError(f"unknown method: {method!r}") from None
     return micros[max(bisect_right(horizons, horizon) - 1, 0)]
@@ -182,7 +184,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
         winner, loser, location = item.get("winner"), item.get("loser"), item.get("location")
         if not (isinstance(winner, str) and isinstance(loser, str)):
             raise SchemaError(f"overrides[{i}]", "winner and loser must be method ids")
-        if location is not None and not isinstance(location, str):
+        if location is not None and not (isinstance(location, str) and NAME_RE.match(location)):
             raise SchemaError(f"overrides[{i}].location", "must be a location name")
         condition = None
         if "condition" in item:
@@ -191,6 +193,10 @@ def load_kb(data: bytes) -> KnowledgeBase:
             except ValueError:
                 raise SchemaError(f"overrides[{i}].condition",
                                   f"unknown condition {item['condition']!r}") from None
+        for role, method in (("winner", winner), ("loser", loser)):
+            if method not in accs:  # the tournament refuses such a method
+                raise SchemaError(f"overrides[{i}].{role}",
+                                  f"no accuracy record for method {method!r}")
         overrides.append(PriorityOverride(winner, loser, condition, location))
 
     min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")

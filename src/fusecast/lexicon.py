@@ -13,8 +13,7 @@ temperature/pressure/humidity) must be configured explicitly before use.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
 from .inputs import MILLION, exact_number, read_json_object
@@ -96,19 +95,23 @@ DIRECTION_PHRASES: dict[Compass, str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class LexiconTable:
-    bands: Mapping[Condition, tuple[Band, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_BANDS))
+class _LexiconTable(NamedTuple):
+    bands: dict[Condition, tuple[Band, ...]]
     #: condition -> (bounds, terms) for a bisect, built once: a leading (0,
     #: term) band holds exactly 0, which is [0, 1) in millionths, and a table
     #: without an unbounded band ends with its last term again.
-    _search: dict = field(init=False, repr=False, compare=False)
+    search: dict[Condition, tuple[list[int], list[str]]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "bands", dict(self.bands))
+
+class LexiconTable(_LexiconTable):
+    """Bands per condition, copied and checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, bands: Mapping[Condition, tuple[Band, ...]] = DEFAULT_BANDS):
+        table = dict(bands)
         search = {}
-        for condition, bands in self.bands.items():
+        for condition, bands in table.items():
             _check_bands(condition, bands)
             bounds = [1 if i == 0 and upper == 0 else upper
                       for i, (upper, _) in enumerate(bands) if upper is not None]
@@ -116,7 +119,10 @@ class LexiconTable:
             if bands[-1][0] is not None:
                 terms.append(terms[-1])
             search[condition] = (bounds, terms)
-        object.__setattr__(self, "_search", search)
+        return super().__new__(cls, table, search)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[:1]
 
 
 def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
@@ -152,7 +158,7 @@ DEFAULT_LEXICON = LexiconTable()
 def classify(condition: Condition, value: Value,
              table: LexiconTable = DEFAULT_LEXICON) -> str:
     """The term of the band containing the value's magnitude."""
-    search = table._search.get(condition)
+    search = table.search.get(condition)
     if search is None:
         raise LexiconError(
             f"no bands configured for {condition.value}; "

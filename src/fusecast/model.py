@@ -7,20 +7,21 @@ Layers (pure data, no I/O):
   Label                   the contextualised method that produced a map
   LabeledAssertionalMap   an assertional map plus its label
 
-All types are immutable and slotted, with one constructor that checks
-nothing; input is checked where it enters. Magnitudes are ints in millionths:
-every number that enters has at most six places (inputs.exact_number), so they
-are exact and survive a round trip through the textual theory encoding.
+Every record is a typing.NamedTuple, so it is immutable and is built, hashed
+and compared by tuple code. Each has one constructor, which checks nothing
+but TimeRef's shape; input is checked where it enters. Magnitudes are ints
+in millionths: every number that enters has at most six places
+(inputs.exact_number), so they are exact and survive a round trip through
+the textual theory encoding.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ForecastError
 from .inputs import MILLION, parse_horizon
@@ -34,6 +35,8 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 class Condition(Enum):
     """Weather condition kinds, each with a fixed measurement unit."""
+
+    __hash__ = object.__hash__  # members compare by identity; hash in C
 
     TEMPERATURE = "temperature"
     PRESSURE = "pressure"
@@ -53,6 +56,8 @@ class Condition(Enum):
 class Compass(Enum):
     """Eight-point compass rose for wind direction."""
 
+    __hash__ = object.__hash__
+
     N = "N"
     NE = "NE"
     E = "E"
@@ -70,8 +75,7 @@ def decimal_str(micros: int) -> str:
     return f"{sign}{whole}.{places:06d}".rstrip("0") if places else f"{sign}{whole}"
 
 
-@dataclass(frozen=True, slots=True)
-class Value:
+class Value(NamedTuple):
     """A measured value: its non-negative magnitude in millionths of the
     condition's unit, plus, for wind only, a compass direction."""
 
@@ -103,25 +107,28 @@ def check_value(condition: Condition, value: Value) -> Value:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class TimeRef:
+class _TimeRef(NamedTuple):
+    instant: Optional[datetime]
+    horizon: Optional[int]
+
+
+class TimeRef(_TimeRef):
     """Either an absolute UTC instant or a symbolic horizon h_k (k days from now)."""
 
-    instant: Optional[datetime] = None
-    horizon: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.instant is None) == (self.horizon is None):
+    def __new__(cls, instant: Optional[datetime] = None, horizon: Optional[int] = None):
+        if (instant is None) == (horizon is None):
             raise ForecastError("TimeRef needs exactly one of instant/horizon")
-        if self.horizon is not None and self.horizon < 0:
+        if horizon is not None and horizon < 0:
             raise ForecastError("symbolic horizons are non-negative")
-        if self.instant is not None:
-            dt = self.instant
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
+        if instant is not None:
+            if instant.tzinfo is None:
+                instant = instant.replace(tzinfo=timezone.utc)
             else:
-                dt = dt.astimezone(timezone.utc)
-            object.__setattr__(self, "instant", dt.replace(microsecond=0))
+                instant = instant.astimezone(timezone.utc)
+            instant = instant.replace(microsecond=0)
+        return super().__new__(cls, instant, horizon)
 
     @property
     def is_symbolic(self) -> bool:
@@ -197,8 +204,7 @@ def is_future(t: TimeRef, now: TimeRef) -> bool:
     return resolve_instant(t, now) > ref
 
 
-@dataclass(frozen=True, slots=True)
-class AssertionalMap:
+class AssertionalMap(NamedTuple):
     """One ground quantitative assertion: condition @ location @ valid_at = value."""
 
     condition: Condition
@@ -207,16 +213,14 @@ class AssertionalMap:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
+class Label(NamedTuple):
     """The contextualised method: which model produced the map, and when."""
 
     method: str
     generated_at: TimeRef
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledAssertionalMap:
+class LabeledAssertionalMap(NamedTuple):
     """An assertional map tagged with the label that produced it."""
 
     label: Label

@@ -32,25 +32,19 @@ search — a structurally different algorithm used for differential testing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OracleLimitError, SchemaError, TheoryError
 from .inputs import read_json_object
 from .theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_literal, validate_theory
 
 
-@dataclass(frozen=True, slots=True)
-class ConclusionSet:
+class ConclusionSet(NamedTuple):
     plus_definite: frozenset[Literal] = frozenset()
     minus_definite: frozenset[Literal] = frozenset()
     plus_defeasible: frozenset[Literal] = frozenset()
     minus_defeasible: frozenset[Literal] = frozenset()
     undetermined: frozenset[Literal] = frozenset()
-
-    def __post_init__(self):
-        for name in ("plus_definite", "minus_definite", "plus_defeasible",
-                     "minus_defeasible", "undetermined"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
 
 
 def conclusions(theory: DefeasibleTheory) -> ConclusionSet:

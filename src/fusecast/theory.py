@@ -30,9 +30,8 @@ every other string opaque.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from .inputs import HORIZON_RE, MAX_HORIZON, MAX_PLACES, MILLION, has_cycle
@@ -56,8 +55,7 @@ _CONDITIONS_BY_CODE = {c: k for k, c in CONDITION_CODES.items() if k is not Cond
 _COMPASS = {d.value: d for d in Compass}
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     atom: str
     positive: bool = True
 
@@ -84,8 +82,7 @@ class RuleKind(Enum):
     DEFEATER = "~>"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     kind: RuleKind
     body: tuple[Literal, ...]
@@ -97,17 +94,10 @@ class Rule:
         return f"{self.id}: {sep}{self.kind.value} {self.head}"
 
 
-@dataclass(frozen=True, slots=True)
-class DefeasibleTheory:
+class DefeasibleTheory(NamedTuple):
     facts: tuple[Literal, ...] = ()
     rules: tuple[Rule, ...] = ()
     superiority: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "facts", tuple(self.facts))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "superiority",
-                           tuple((w, l) for w, l in self.superiority))
 
 
 def validate_theory(theory: DefeasibleTheory) -> None:
@@ -136,8 +126,7 @@ def validate_theory(theory: DefeasibleTheory) -> None:
 # Canonical atom codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DecodedAtom:
+class DecodedAtom(NamedTuple):
     condition: Condition
     source: Optional[str]
     location: str

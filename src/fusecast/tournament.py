@@ -20,11 +20,10 @@ scenario-visible (with two sources this is the plain pairwise construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ForecastError
 from .inputs import MILLION
@@ -69,8 +68,7 @@ class PrevalenceBasis(Enum):
     RECENCY = "recency"
 
 
-@dataclass(frozen=True, slots=True)
-class Prevalence:
+class Prevalence(NamedTuple):
     winner: Winner
     basis: Optional[PrevalenceBasis]  # None exactly when winner is TIE
 

@@ -378,15 +378,33 @@ class TestInputBoundary:
 
     def test_override_chain_of_1500_methods(self, tmp_path, capsys):
         chain = [{"winner": f"M{i}", "loser": f"M{i + 1}"} for i in range(1499)]
+        accuracies = {"ECMWF": {"1": 0.85}, "GFS": {"1": 0.45},
+                      **{f"M{i}": {"1": 0.5} for i in range(1500)}}
         kb = tmp_path / "kb.json"
-        kb.write_text(json.dumps({"accuracies": {"ECMWF": {"1": 0.85}, "GFS": {"1": 0.45}},
-                                  "overrides": chain}))
+        kb.write_text(json.dumps({"accuracies": accuracies, "overrides": chain}))
         assert main(_swap(VALIDATE, "--kb", kb)) == 0
-        kb.write_text(json.dumps({"overrides": chain + [{"winner": "M1499", "loser": "M0"}]}))
+        kb.write_text(json.dumps({"accuracies": accuracies,
+                                  "overrides": chain + [{"winner": "M1499", "loser": "M0"}]}))
         assert main(_swap(VALIDATE, "--kb", kb)) == 1
         assert "form a cycle" in capsys.readouterr().out
         assert main(_swap(pipeline_args(tmp_path), "--kb", kb)) == 1
         _staged_error(capsys, "kb", kb)
+
+    @pytest.mark.parametrize("override, where", [
+        ('{"winner": "Gfs", "loser": "ECMWF"}', "overrides[0].winner"),
+        ('{"winner": "GFS", "loser": "ICON"}', "overrides[0].loser"),
+        ('{"winner": "O", "loser": "GFS"}', "overrides[0].winner"),
+        ('{"winner": "GFS", "loser": "ECMWF", "location": "no such place"}',
+         "overrides[0].location"),
+    ], ids=["mistyped-winner", "unrecorded-loser", "observation", "location-name"])
+    def test_override_that_can_never_match(self, tmp_path, capsys, override, where):
+        """An override naming a method without an accuracy record, or a place
+        that is no location name, would be ignored without a word."""
+        bad = _seaside_with(tmp_path, "kb.json", ("overrides",), f"[{override}]")
+        assert main(["validate", *_swap(_seaside_inputs(), "--kb", bad)]) == 1
+        assert f"{bad}: error: {where}: " in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), "--kb", bad)) == 1
+        assert f"({bad}): {where}: " in _staged_error(capsys, "kb", bad)
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         kb = tmp_path / "kb.json"

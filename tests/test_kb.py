@@ -156,6 +156,14 @@ class TestDocumentFormat:
         ('{"overrides": [{"winner": 5, "loser": "GFS"}]}', "overrides[0]"),
         ('{"overrides": [{"winner": "A", "loser": "B", "location": []}]}',
          "overrides[0].location"),
+        ('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}},'
+         ' "overrides": [{"winner": "GFS", "loser": "ECMWF", "location": "no such place"}]}',
+         "overrides[0].location"),
+        ('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}},'
+         ' "overrides": [{"winner": "Gfs", "loser": "ECMWF"}]}', "overrides[0].winner"),
+        ('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}},'
+         ' "overrides": [{"winner": "GFS", "loser": "ECMWF"}, {"winner": "ECMWF", "loser": "O"}]}',
+         "overrides[1].loser"),
     ])
     def test_out_of_bounds_or_mistyped_value_rejected(self, doc, path):
         with pytest.raises(SchemaError) as err:
@@ -177,9 +185,14 @@ def knowledge_bases(draw):
     pairs = draw(st.sets(st.tuples(_methods, st.integers(0, 5)), max_size=8))
     records = tuple(AccuracyRecord(m, h, draw(_accuracy)) for m, h in pairs)
     overrides = []
-    winner_loser = draw(st.sets(
-        st.tuples(_methods, _methods).filter(lambda p: p[0] != p[1]),
-        max_size=3))
+    # load_kb refuses an override naming a method without an accuracy record.
+    recorded = sorted({m for m, _ in pairs})
+    winner_loser = set()
+    if len(recorded) > 1:
+        winner_loser = draw(st.sets(
+            st.tuples(st.sampled_from(recorded), st.sampled_from(recorded))
+            .filter(lambda p: p[0] != p[1]),
+            max_size=3))
     for winner, loser in winner_loser:
         scope_cond = draw(st.sampled_from([None, Condition.WIND, Condition.SEA]))
         scope_loc = draw(st.sampled_from([None, "Sea", "North"]))

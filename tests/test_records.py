@@ -1,0 +1,172 @@
+"""Every record type is an immutable typing.NamedTuple with value equality,
+and importing the CLI loads neither `dataclasses` nor `inspect`."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import pytest
+
+import fusecast
+from fusecast.bulletin import (
+    DEFAULT_FRAGMENTS,
+    BulletinDocument,
+    BulletinEntry,
+    BulletinHeader,
+    BulletinSection,
+    LocationBlock,
+    ScenarioEntry,
+    SmoothTemplates,
+    WeatherScenario,
+)
+from fusecast.errors import SchemaError
+from fusecast.ingest import Diagnostic
+from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride
+from fusecast.lexicon import DEFAULT_BANDS, LexiconTable
+from fusecast.model import (
+    AssertionalMap,
+    Compass,
+    Condition,
+    Label,
+    LabeledAssertionalMap,
+    TimeRef,
+    Value,
+)
+from fusecast.reasoner import ConclusionSet
+from fusecast.theory import DecodedAtom, DefeasibleTheory, Literal, Rule, RuleKind
+from fusecast.tournament import Prevalence, PrevalenceBasis, Winner
+
+
+def _value():
+    return Value(12_500_000, Compass.NE)
+
+
+def _map():
+    return AssertionalMap(Condition.WIND, "North", TimeRef(horizon=1), _value())
+
+
+def _label():
+    return Label("GFS", TimeRef(horizon=0))
+
+
+def _rule():
+    return Rule("r1", RuleKind.DEFEASIBLE, (Literal("a"),), Literal("b", False))
+
+
+def _entry():
+    return BulletinEntry(Condition.WIND, "Moderate Winds", "from North East", _value())
+
+
+def _section():
+    return BulletinSection(1, (LocationBlock("North", (_entry(),)),))
+
+
+#: One maker per record type; each call builds a new record from equal fields.
+#: A record that holds a dict is unhashable, as the dict is.
+RECORDS = {
+    "Value": (_value, True),
+    "TimeRef": (lambda: TimeRef(instant=datetime(2026, 8, 8, 6, tzinfo=timezone.utc)), True),
+    "AssertionalMap": (_map, True),
+    "Label": (_label, True),
+    "LabeledAssertionalMap": (lambda: LabeledAssertionalMap(_label(), _map()), True),
+    "AccuracyRecord": (lambda: AccuracyRecord("GFS", 1, 450_000), True),
+    "PriorityOverride": (lambda: PriorityOverride("ECMWF", "GFS", Condition.SEA), True),
+    "KnowledgeBase": (lambda: KnowledgeBase((AccuracyRecord("GFS", 1, 450_000),)), False),
+    "Literal": (lambda: Literal("CNorth_h1_75"), True),
+    "Rule": (_rule, True),
+    "DefeasibleTheory": (lambda: DefeasibleTheory((Literal("a"),), (_rule(),), ()), True),
+    "DecodedAtom": (lambda: DecodedAtom(Condition.WIND, None, "North", 1, _value()), True),
+    "ConclusionSet": (lambda: ConclusionSet(plus_defeasible=frozenset({Literal("a")})), True),
+    "Prevalence": (lambda: Prevalence(Winner.FIRST, PrevalenceBasis.ACCURACY), True),
+    "Diagnostic": (lambda: Diagnostic("error", "entries[0]", "bad"), True),
+    "ScenarioEntry": (lambda: ScenarioEntry(Condition.WIND, "North", 1, _value(),
+                                            "WNorth_h1_NE12.5", "+d"), True),
+    "WeatherScenario": (lambda: WeatherScenario((), ("gfs",)), True),
+    "BulletinEntry": (_entry, True),
+    "LocationBlock": (lambda: LocationBlock("North", (_entry(),)), True),
+    "BulletinSection": (_section, True),
+    "BulletinHeader": (lambda: BulletinHeader("h0", ("ecmwf", "gfs")), True),
+    "BulletinDocument": (lambda: BulletinDocument(BulletinHeader(), (_section(),)), True),
+    "LexiconTable": (LexiconTable, False),
+    "SmoothTemplates": (lambda: SmoothTemplates(lowercase_clauses=True), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_is_immutable_with_value_equality(name):
+    make, hashable = RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a is not b and a == b
+    if hashable:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], b[0])
+    with pytest.raises(AttributeError):
+        a.extra = 1  # no instance dict: every class in the chain is slotted
+    assert a == b
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_timeref_normalises_to_utc_whole_seconds():
+    t = TimeRef(instant=datetime(2026, 8, 8, 14, 5, 7, 999_999,
+                                 tzinfo=timezone(timedelta(hours=2))))
+    assert t.instant == datetime(2026, 8, 8, 12, 5, 7, tzinfo=timezone.utc)
+    assert t.instant.tzinfo is timezone.utc
+    assert str(t) == "2026-08-08T12:05:07Z"
+    assert TimeRef(instant=datetime(2026, 8, 8, 12, 5, 7)) == t  # naive reads as UTC
+
+
+def test_knowledge_base_sorts_and_validates():
+    kb = KnowledgeBase(
+        (AccuracyRecord("GFS", 2, 400_000), AccuracyRecord("ECMWF", 1, 850_000),
+         AccuracyRecord("GFS", 1, 450_000)),
+        (PriorityOverride("GFS", "ECMWF"), PriorityOverride("ECMWF", "GFS", Condition.SEA)),
+        500_000)
+    assert [(r.method, r.horizon) for r in kb.accuracies] == [
+        ("ECMWF", 1), ("GFS", 1), ("GFS", 2)]
+    assert [o.winner for o in kb.overrides] == ["ECMWF", "GFS"]
+    assert kb.by_method == {"ECMWF": ([1], [850_000]), "GFS": ([1, 2], [450_000, 400_000])}
+    with pytest.raises(SchemaError, match="duplicate"):
+        KnowledgeBase((AccuracyRecord("GFS", 1, 1), AccuracyRecord("GFS", 1, 2)))
+    with pytest.raises(SchemaError, match="min_accuracy"):
+        KnowledgeBase(min_micros=2_000_000)
+
+
+def test_lexicon_table_builds_its_search():
+    bands = {Condition.RAIN: ((0, "No precipitation"), (2_000_000, "Very Light Rains"),
+                              (None, "Heavy Rains"))}
+    table = LexiconTable(bands)
+    assert table.bands == bands and table.bands is not bands
+    assert table.search == {Condition.RAIN: (
+        [1, 2_000_000], ["No precipitation", "Very Light Rains", "Heavy Rains"])}
+    assert LexiconTable().bands == DEFAULT_BANDS
+    assert LexiconTable().bands is not DEFAULT_BANDS
+
+
+def test_smooth_templates_copy_their_fragments():
+    fragments = {Condition.SEA: "sea state {term}"}
+    templates = SmoothTemplates(fragments)
+    fragments[Condition.SEA] = "{term}"
+    assert templates.fragments == {Condition.SEA: "sea state {term}"}
+    assert SmoothTemplates().fragments == DEFAULT_FRAGMENTS
+    assert SmoothTemplates().fragments is not DEFAULT_FRAGMENTS
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up is paid by every command; these two modules cost about 10 ms."""
+    code = ("import sys; before = set(sys.modules); import fusecast.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(fusecast.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "fusecast.cli" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
