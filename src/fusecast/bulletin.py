@@ -8,7 +8,6 @@ text, HTML, or structured JSON, byte-deterministically.
 
 from __future__ import annotations
 
-import html as _html
 import json
 from string import Formatter
 from typing import Mapping, NamedTuple, Optional
@@ -54,17 +53,20 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
 
     Opaque atoms and the fold rounds' reserved tags are skipped; two distinct
     winners on one slot mean the theory was malformed and raise ScenarioError.
+    A tagged atom (four "_"-separated segments) whose tag was read is skipped.
     """
     by_slot: dict[tuple, ScenarioEntry] = {}
-    sources: set[str] = set()
-    for lit in sorted(conclusions.plus_defeasible, key=str):
+    tags: set[str] = set()   # source tags read so far, reserved ones included
+    for lit in sorted(conclusions.plus_defeasible):
+        segments = lit.split("_")
+        if len(segments) == 4 and segments[1] in tags:
+            continue
         try:
             decoded = decode_atom(lit.atom)
         except OpaqueAtomError:
             continue
         if decoded.source is not None:
-            if not RESERVED_TAG_RE.match(decoded.source):
-                sources.add(decoded.source)
+            tags.add(decoded.source)
             continue
         if not lit.positive:
             continue
@@ -72,19 +74,18 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
         strength = "+D" if lit in conclusions.plus_definite else "+d"
         entry = ScenarioEntry(decoded.condition, decoded.location,
                               decoded.horizon, decoded.value, str(lit), strength)
-        other = by_slot.get(slot)
-        if other is not None and other.value != entry.value:
+        other = by_slot.setdefault(slot, entry)
+        if other.value != entry.value:
             raise ScenarioError(
                 f"incoherent scenario: both {other.witness} and {entry.witness} "
                 f"hold for {decoded.condition.value} @ {decoded.location} @ h{decoded.horizon}"
             )
-        if other is None:
-            by_slot[slot] = entry
     entries = sorted(
         by_slot.values(),
         key=lambda e: (e.horizon, e.location, _DISPLAY_RANK[e.condition]),
     )
-    return WeatherScenario(tuple(entries), tuple(sorted(sources)))
+    return WeatherScenario(tuple(entries), tuple(sorted(
+        tag for tag in tags if not RESERVED_TAG_RE.match(tag))))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,7 @@ def _to_json(doc: BulletinDocument) -> bytes:
 
 
 def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> bytes:
+    import html as _html  # only this format escapes; every other command skips the import
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',

@@ -246,13 +246,13 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Lint with the parsers `pipeline` uses, so it accepts exactly what
-    `pipeline` ingests."""
+    """Lint with the parsers `pipeline` uses, then, if every document passes,
+    build the theory as it does, so it accepts exactly what `pipeline` accepts."""
     now = _parse_now(args.now)
     min_accuracy = _parse_min_accuracy(args.min_accuracy)
     status = 0
     try:
-        _load_kb(args.kb, min_accuracy)
+        knowledge = _load_kb(args.kb, min_accuracy)
         print(f"{args.kb}: ok")
     except _StageError as exc:
         print(f"{args.kb}: error: {exc.cause}")
@@ -271,6 +271,9 @@ def _cmd_validate(args) -> int:
             print(f"{path}: {diag}")
             if diag.severity == "error":
                 status = 1
+    if status == 0:
+        with _stage("tournament"):
+            tournament.build_theory(_load_lams(args.source, args.obs, now), knowledge, now)
     return status
 
 

@@ -17,8 +17,9 @@ defeasible rules for a head, R all rules for a head including defeaters):
 
 `conclusions` runs one worklist over interned literals, after Maher
 ("Propositional defeasible logic has linear complexity", TPLP 2001) without
-his theory transformations. Atom k gives literal ids 2k and 2k + 1, so ~q is
-q ^ 1. Counts stand for the quantifiers above, so checking a literal is O(1);
+his theory transformations. Literals are interned by text: the first one met
+of the k-th atom gets id 2k and its complement 2k + 1, so ~q is q ^ 1. Counts
+stand for the quantifiers above, so checking a literal is O(1);
 it is checked once, then only when a rule for q or ~q becomes applicable or
 discarded. Termination is structural: in each pass (+Δ, then ±∂) a literal
 is tagged at most once, and a rule changes state at most once, enqueueing its
@@ -67,14 +68,13 @@ def _pick(lits: list[Literal], flags: bytearray, value: int) -> frozenset[Litera
 
 def _close(theory: DefeasibleTheory) -> tuple[list[Literal], bytearray, bytearray]:
     """The literals by id, their +Δ flags, and their tags (1 +∂, 2 −∂)."""
-    atoms: dict[str, int] = {}
-    lits: list = []                 # literal id -> Literal, None until seen
+    ids: dict[Literal, int] = {}          # in id order: each literal, then its complement
 
     def intern(lit: Literal) -> int:
-        i = 2 * atoms.setdefault(lit.atom, len(atoms)) + (not lit.positive)
-        if i >= len(lits):
-            lits.extend((None, None))
-        lits[i] = lit
+        i = ids.get(lit)
+        if i is None:
+            i = ids[lit] = len(ids)
+            ids[lit.complement()] = i + 1
         return i
 
     heads, sizes = [], []                 # rule -> head literal, body length
@@ -95,7 +95,7 @@ def _close(theory: DefeasibleTheory) -> tuple[list[Literal], bytearray, bytearra
             unbeaten[number[l]] += 1
     work = [intern(f) for f in theory.facts]
     work += [h for h, k, z in zip(heads, kinds, sizes) if k == 2 and not z]
-    lits = [q or lits[i ^ 1].complement() for i, q in enumerate(lits)]
+    lits = list(ids)
 
     # +Δ: count down each strict rule's body; a rule at zero fires its head.
     definite = bytearray(len(lits))
@@ -291,26 +291,32 @@ def oracle_conclusions(theory: DefeasibleTheory) -> ConclusionSet:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-_JSON_KEYS = (("+D", "plus_definite"), ("-D", "minus_definite"),
-              ("+d", "plus_defeasible"), ("-d", "minus_defeasible"),
-              ("undetermined", "undetermined"))
+_JSON_KEYS = {"+D": "plus_definite", "-D": "minus_definite", "+d": "plus_defeasible",
+              "-d": "minus_defeasible", "undetermined": "undetermined"}
 
 
 def conclusions_to_json(cs: ConclusionSet) -> bytes:
-    doc = {key: sorted(str(lit) for lit in getattr(cs, attr))
-           for key, attr in _JSON_KEYS}
-    return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    """json.dumps(doc, indent=2)'s bytes, each sorted list through json's C encoder."""
+    parts = []
+    for key, attr in _JSON_KEYS.items():
+        items = json.dumps(sorted(getattr(cs, attr)), separators=(",\n    ", ""))
+        parts.append(f'  "{key}": ' + (items if items == "[]" else f"[\n    {items[1:-1]}\n  ]"))
+    return ("{\n" + ",\n".join(parts) + "\n}\n").encode("utf-8")
 
 
 def conclusions_from_json(data: bytes) -> ConclusionSet:
+    """Tag sets from `conclusions_to_json` output; only "+d" is required."""
     doc = read_json_object(data)
     sets = {}
-    for key, attr in _JSON_KEYS:
-        items = doc.get(key, [])
+    for key, items in doc.items():
+        if key not in _JSON_KEYS:
+            raise SchemaError(key, "unknown key")
         if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise SchemaError(key, "must be a list of literal strings")
         try:
-            sets[attr] = frozenset(parse_literal(s) for s in items)
+            sets[_JSON_KEYS[key]] = frozenset(parse_literal(s) for s in items)
         except TheoryError as exc:
             raise SchemaError(key, f"bad literal: {exc}") from exc
+    if "+d" not in doc:
+        raise SchemaError("+d", "missing key")
     return ConclusionSet(**sets)

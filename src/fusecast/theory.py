@@ -24,7 +24,9 @@ what a pattern cannot say: the horizon is at most 366, a percentage at most
 100, the source tag does not look like a horizon, and the value carries a
 direction exactly when the condition is wind. It is the strict inverse of
 encode_atom: it accepts exactly the strings encode_atom writes, and reports
-every other string opaque.
+every other string opaque. encode_atom joins the checked slot_segments, the
+"_<src>" tag and value_code; the tournament calls slot_segments once per slot
+and method_tag once per method, then only joins strings per atom.
 """
 
 from __future__ import annotations
@@ -55,15 +57,19 @@ _CONDITIONS_BY_CODE = {c: k for k, c in CONDITION_CODES.items() if k is not Cond
 _COMPASS = {d.value: d for d in Compass}
 
 
-class Literal(NamedTuple):
-    atom: str
-    positive: bool = True
+class Literal(str):
+    """The atom, or "-" and the atom: it hashes, sorts and joins as text, in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, atom: str, positive: bool = True) -> "Literal":
+        return str.__new__(cls, atom if positive else "-" + atom)
+
+    atom = property(lambda self: self[1:] if self.startswith("-") else str(self))
+    positive = property(lambda self: not self.startswith("-"))
 
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-    def __str__(self) -> str:
-        return self.atom if self.positive else f"-{self.atom}"
+        return str.__new__(Literal, self[1:] if self.startswith("-") else "-" + self)
 
 
 def parse_literal(text: str) -> Literal:
@@ -89,7 +95,7 @@ class Rule(NamedTuple):
     head: Literal
 
     def __str__(self) -> str:
-        body = ", ".join(map(str, self.body))
+        body = ", ".join(self.body)
         sep = f"{body} " if body else ""
         return f"{self.id}: {sep}{self.kind.value} {self.head}"
 
@@ -113,7 +119,7 @@ def validate_theory(theory: DefeasibleTheory) -> None:
             if rid not in by_id:
                 raise TheoryError(f"superiority references unknown rule {rid!r}")
         head, other = by_id[winner].head, by_id[loser].head
-        if head.atom != other.atom or head.positive == other.positive:
+        if head != "-" + other and other != "-" + head:
             raise TheoryError(
                 f"superiority {winner} > {loser} relates non-complementary heads "
                 f"({head} vs {other})"
@@ -168,28 +174,29 @@ def atom_head(condition: Condition, location: str) -> str:
     return CONDITION_CODES[condition] + location
 
 
-def encode_atom(
-    condition: Condition,
-    source: Optional[str],
-    location: str,
-    horizon: int,
-    value: Value,
-) -> str:
-    """Canonical, injective atom for a (condition, source, slot, value) tuple."""
+def slot_segments(condition: Condition, location: str, horizon: int) -> tuple[str, str]:
+    """The checked parts of a slot's atoms: the <COND><LOC> head and the
+    "_h<k>_" segment before the value code. A source tag goes between them."""
     if not NAME_RE.match(location):
         raise ForecastError(f"location name {location!r} cannot be embedded in an atom")
-    parts = [atom_head(condition, location)]
-    if source is not None:
-        parts.append(source_tag(source))
+    head = atom_head(condition, location)
     if not 0 <= horizon <= MAX_HORIZON:
         raise ForecastError(f"atoms encode horizons 0..{MAX_HORIZON}, not {horizon}")
-    parts.append(f"h{horizon}")
+    return head, f"_h{horizon}_"
+
+
+def value_code(condition: Condition, value: Value) -> str:
+    """The last segment of an atom: the magnitude, after the direction for wind."""
     mag = decimal_str(value.micros).replace(".", "p")
-    if condition is Condition.WIND:
-        parts.append(value.direction.value + mag)
-    else:
-        parts.append(mag)
-    return "_".join(parts)
+    return value.direction.value + mag if condition is Condition.WIND else mag
+
+
+def encode_atom(condition: Condition, source: Optional[str], location: str, horizon: int,
+                value: Value) -> str:
+    """Canonical, injective atom for a (condition, source, slot, value) tuple."""
+    head, when = slot_segments(condition, location, horizon)
+    tag = "" if source is None else "_" + source_tag(source)
+    return head + tag + when + value_code(condition, value)
 
 
 #: The canonical atom grammar. The bounds that are not about spelling

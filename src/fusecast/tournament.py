@@ -45,9 +45,10 @@ from .theory import (
     Literal,
     Rule,
     RuleKind,
-    encode_atom,
     method_tag,
+    slot_segments,
     validate_theory,
+    value_code,
 )
 
 
@@ -231,12 +232,12 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 
     Sifts internally (idempotent), then processes slots in canonical order,
     which is sift's. Deterministic: equal inputs, in any order, serialize
-    identically. Each assertion's tagged literal is encoded once and shared
-    by its r_ rule, the fold and the pass-through rule. Observations that
-    disagree on a slot are an error.
+    identically. Atom segments are checked once per slot and method tags once;
+    each assertion's tagged literal is shared by its r_ rule, the fold and the
+    pass-through rule. Observations that disagree on a slot are an error.
     """
     lams = sift(metarules, kb, now)
-    _check_tag_collisions(lams)
+    tags = _method_tags(lams)
 
     facts: dict[Literal, None] = {}
     rules: dict[str, Rule] = {}
@@ -253,13 +254,14 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         group = list(group)
         cond = group[0][0].map.condition
         location = group[0][0].map.location
+        stem, when = slot_segments(cond, location, horizon)
         obs = [lam.map.value for lam, _ in group if lam.is_observation]
         models = []
         for lam, (_, acc) in group:
             if not lam.is_observation:
-                tagged = Literal(encode_atom(cond, lam.label.method, location, horizon,
-                                             lam.map.value))
-                add_rule(Rule(f"r_{tagged.atom}", RuleKind.DEFEASIBLE, (), tagged))
+                tagged = Literal(f"{stem}_{tags[lam.label.method]}{when}"
+                                 + value_code(cond, lam.map.value))
+                add_rule(Rule("r_" + tagged, RuleKind.DEFEASIBLE, (), tagged))
                 models.append((lam, tagged, acc))
 
         if obs:
@@ -268,20 +270,19 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                 if value != obs[0]:
                     raise ForecastError(f"observations disagree on {cond.value} @ "
                                         f"{location} @ h{horizon}: {obs[0]} and {value}")
-            facts.setdefault(Literal(encode_atom(cond, None, location, horizon, obs[0])))
+            facts.setdefault(Literal(stem + when + value_code(cond, obs[0])))
             continue
         if not models:
             continue
 
         rounds = _fold_slot(models, cond, location, kb)
         if rounds:
-            _emit_rounds(rounds, models[0][1], cond, location, horizon, add_rule, sups)
+            _emit_rounds(rounds, models[0][1], cond, stem, when, add_rule, sups)
             continue
         # Uncontested: every model asserts the first one's value.
-        untagged = Literal(encode_atom(cond, None, location, horizon,
-                                       models[0][0].map.value))
+        untagged = Literal(stem + when + value_code(cond, models[0][0].map.value))
         for _, tagged, _ in models:
-            add_rule(Rule(f"pt_{tagged.atom}", RuleKind.DEFEASIBLE, (tagged,), untagged))
+            add_rule(Rule("pt_" + tagged, RuleKind.DEFEASIBLE, (tagged,), untagged))
 
     theory = DefeasibleTheory(tuple(facts), tuple(rules.values()), tuple(sups))
     validate_theory(theory)
@@ -320,9 +321,8 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
 
 
 def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit: Literal,
-                 cond: Condition, location: str, horizon: int,
-                 add_rule, sups: list) -> None:
-    """The rules and priorities of a slot's fold, from the first model's literal.
+                 cond: Condition, stem: str, when: str, add_rule, sups: list) -> None:
+    """A slot's fold rules and priorities, from the first model's literal.
 
     Each non-final round concludes atoms in its own reserved namespace (tag
     "xr<i>"), so rounds never share literals, however the blended values
@@ -330,20 +330,20 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
     Each round's body holds the previous winner's head.
     """
     for index, (tagged_next, blend_first, blend_second, first_wins) in enumerate(rounds):
-        src = None if index == len(rounds) - 1 else f"xr{index}"
+        prefix = stem + when if index == len(rounds) - 1 else f"{stem}_xr{index}{when}"
         body = (champ_lit, tagged_next)
-        head_first = Literal(encode_atom(cond, src, location, horizon, blend_first))
+        head_first = Literal(prefix + value_code(cond, blend_first))
         champ_lit = head_first
+        sr_first = Rule("sr_" + head_first, RuleKind.DEFEASIBLE, body, head_first)
         if blend_first == blend_second:
             # Both biased outcomes agree: the contest is vacuous.
-            add_rule(Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first))
+            add_rule(sr_first)
             continue
-        head_second = Literal(encode_atom(cond, src, location, horizon, blend_second))
-        sr_first = Rule(f"sr_{head_first.atom}", RuleKind.DEFEASIBLE, body, head_first)
-        sr_second = Rule(f"sr_{head_second.atom}", RuleKind.DEFEASIBLE, body, head_second)
-        vc_first = Rule(f"vc_{head_first.atom}", RuleKind.DEFEASIBLE,
+        head_second = Literal(prefix + value_code(cond, blend_second))
+        sr_second = Rule("sr_" + head_second, RuleKind.DEFEASIBLE, body, head_second)
+        vc_first = Rule("vc_" + head_first, RuleKind.DEFEASIBLE,
                         (head_first,), head_second.complement())
-        vc_second = Rule(f"vc_{head_second.atom}", RuleKind.DEFEASIBLE,
+        vc_second = Rule("vc_" + head_second, RuleKind.DEFEASIBLE,
                          (head_second,), head_first.complement())
         for rule in (sr_first, sr_second, vc_first, vc_second):
             add_rule(rule)
@@ -356,12 +356,13 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
             sups.append((sr_second.id, vc_first.id))
 
 
-def _check_tag_collisions(lams: Sequence[LabeledAssertionalMap]) -> None:
-    tags: dict[str, str] = {}
+def _method_tags(lams: Sequence[LabeledAssertionalMap]) -> dict[str, str]:
+    methods: dict[str, str] = {}
     for method in dict.fromkeys(lam.label.method for lam in lams):
         tag = method_tag(method)
-        other = tags.setdefault(tag, method)
+        other = methods.setdefault(tag, method)
         if other != method:
             raise ForecastError(
                 f"method ids {other!r} and {method!r} collide on atom tag {tag!r}"
             )
+    return {method: tag for tag, method in methods.items()}

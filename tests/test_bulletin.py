@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast.bulletin import (
+    _DISPLAY_RANK,
     BulletinHeader,
+    ScenarioEntry,
     SmoothTemplates,
+    WeatherScenario,
     extract_scenario,
     horizon_heading,
     load_templates,
@@ -12,10 +17,10 @@ from fusecast.bulletin import (
     render_sharp,
     render_smooth,
 )
-from fusecast.errors import ScenarioError, TemplateError
+from fusecast.errors import OpaqueAtomError, ScenarioError, TemplateError
 from fusecast.model import Compass, Condition
 from fusecast.reasoner import ConclusionSet, conclusions
-from fusecast.theory import Literal
+from fusecast.theory import RESERVED_TAG_RE, Literal, decode_atom
 
 
 def cs_with(*atoms, definite=()):
@@ -69,6 +74,77 @@ class TestExtractScenario:
             assert witness in cs.plus_defeasible
             if entry.strength == "+D":
                 assert witness in cs.plus_definite
+
+
+def _reference_scenario(cs: ConclusionSet) -> WeatherScenario:
+    """extract_scenario as a loop that decodes every +d literal."""
+    by_slot: dict[tuple, ScenarioEntry] = {}
+    sources: set[str] = set()
+    for q in sorted(cs.plus_defeasible, key=str):
+        try:
+            decoded = decode_atom(q.atom)
+        except OpaqueAtomError:
+            continue
+        if decoded.source is not None:
+            if not RESERVED_TAG_RE.match(decoded.source):
+                sources.add(decoded.source)
+            continue
+        if not q.positive:
+            continue
+        slot = (decoded.condition, decoded.location, decoded.horizon)
+        entry = ScenarioEntry(decoded.condition, decoded.location, decoded.horizon,
+                              decoded.value, str(q),
+                              "+D" if q in cs.plus_definite else "+d")
+        other = by_slot.setdefault(slot, entry)
+        if other.value != entry.value:
+            raise ScenarioError(
+                f"incoherent scenario: both {other.witness} and {entry.witness} "
+                f"hold for {decoded.condition.value} @ {decoded.location} @ h{decoded.horizon}")
+    entries = sorted(by_slot.values(),
+                     key=lambda e: (e.horizon, e.location, _DISPLAY_RANK[e.condition]))
+    return WeatherScenario(tuple(entries), tuple(sorted(sources)))
+
+
+_HEADS = st.sampled_from(["CNorth", "CSouth", "RNorth", "Sea"])
+_MAGS = st.sampled_from(["0", "25", "50", "0p5", "100"])
+_SLOT = st.tuples(_HEADS, st.integers(0, 2))
+_UNTAGGED = st.builds(lambda slot, mag: f"{slot[0]}_h{slot[1]}_{mag}", _SLOT, _MAGS)
+_TAGGED = st.builds(lambda slot, tag, mag: f"{slot[0]}_{tag}_h{slot[1]}_{mag}", _SLOT,
+                    st.sampled_from(["gfs", "ecmwf", "icon2", "xr0", "xr1", "xr12"]), _MAGS)
+#: Not canonical: a percentage over 100 behind a real or a reserved tag, a
+#: horizon-shaped tag, two tags, no value, a wind value with no direction.
+_OPAQUE = st.sampled_from(["Foo", "xr0", "CNorth_h1", "CNorth_gfs_h1_500",
+                           "CNorth_xr0_h1_500", "CNorth_h2_h1_50", "CNorth_gfs_xr0_h1_5",
+                           "WNorth_gfs_h1_12", "CNorth_h400_75"])
+
+
+@st.composite
+def _conclusions(draw):
+    """+d literals: tagged and opaque atoms of either sign, repeated tags,
+    negative untagged literals, one consistent winner per drawn slot, and
+    maybe one more untagged positive that may clash with a winner."""
+    plus = {Literal(text, draw(st.booleans()))
+            for text in draw(st.lists(st.one_of(_TAGGED, _OPAQUE), max_size=40))}
+    plus.update(Literal(text, False) for text in draw(st.lists(_UNTAGGED, max_size=5)))
+    winners = draw(st.dictionaries(_SLOT, _MAGS, max_size=6))
+    plus.update(Literal(f"{head}_h{k}_{mag}") for (head, k), mag in winners.items())
+    plus.update(map(Literal, draw(st.lists(_UNTAGGED, max_size=1))))
+    definite = frozenset(q for q in sorted(plus) if draw(st.booleans()))
+    return ConclusionSet(plus_definite=definite, plus_defeasible=frozenset(plus))
+
+
+def _outcome(extract, cs):
+    try:
+        return extract(cs)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conclusions())
+def test_extract_scenario_equals_decoding_every_literal(cs):
+    """Skipping a literal whose tag was already read changes nothing."""
+    assert _outcome(extract_scenario, cs) == _outcome(_reference_scenario, cs)
 
 
 class TestRenderSharp:

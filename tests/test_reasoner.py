@@ -1,7 +1,10 @@
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast.errors import OracleLimitError, SchemaError
 from fusecast.reasoner import (
@@ -121,7 +124,8 @@ class TestConclusionSetLaws:
         data = conclusions_to_json(cs)
         assert conclusions_from_json(data) == cs
 
-    @pytest.mark.parametrize("doc", [b'{"+d": [5]}', b'{"+d": "A"}', b'{"-d": ["A B"]}'])
+    @pytest.mark.parametrize("doc", [b'{"+d": [5]}', b'{"+d": "A"}', b'{"-d": ["A B"]}',
+                                     b'{"+d": [], "-d": ["A B"]}'])
     def test_json_rejects_non_literals(self, doc):
         with pytest.raises(SchemaError):
             conclusions_from_json(doc)
@@ -130,6 +134,31 @@ class TestConclusionSetLaws:
         cs = conclusions(parse_theory("r1: => B\nr2: => A\n"))
         data = conclusions_to_json(cs).decode()
         assert data.index('"A"') < data.index('"B"')
+
+
+_LITERAL_TEXT = st.builds(lambda sign, first, rest: sign + first + rest,
+                          st.sampled_from(["", "-"]), st.sampled_from("AbZ"),
+                          st.text("a_9Z", max_size=8))
+
+
+def _reference_to_json(cs: ConclusionSet) -> bytes:
+    """The indenting writer conclusions_to_json replaces."""
+    doc = {key: sorted(str(q) for q in getattr(cs, attr)) for key, attr in (
+        ("+D", "plus_definite"), ("-D", "minus_definite"), ("+d", "plus_defeasible"),
+        ("-d", "minus_defeasible"), ("undetermined", "undetermined"))}
+    return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(frozenset()),
+                          st.builds(lambda t: frozenset({t}), _LITERAL_TEXT),
+                          st.frozensets(_LITERAL_TEXT, max_size=30)),
+                min_size=5, max_size=5))
+def test_json_writer_equals_the_indenting_writer(sets):
+    """Byte for byte, for empty, one-item and larger tag sets."""
+    cs = ConclusionSet(*(frozenset(map(lit, s)) for s in sets))
+    assert conclusions_to_json(cs) == _reference_to_json(cs)
+    assert conclusions_from_json(conclusions_to_json(cs)) == cs
 
 
 class TestOracle:

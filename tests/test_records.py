@@ -1,5 +1,6 @@
 """Every record type is an immutable typing.NamedTuple with value equality,
-and importing the CLI loads neither `dataclasses` nor `inspect`."""
+a literal is its own text, and importing the CLI loads neither `dataclasses`
+nor `inspect` (nor `html`, which only the HTML format uses)."""
 
 import copy
 import os
@@ -76,7 +77,6 @@ RECORDS = {
     "AccuracyRecord": (lambda: AccuracyRecord("GFS", 1, 450_000), True),
     "PriorityOverride": (lambda: PriorityOverride("ECMWF", "GFS", Condition.SEA), True),
     "KnowledgeBase": (lambda: KnowledgeBase((AccuracyRecord("GFS", 1, 450_000),)), False),
-    "Literal": (lambda: Literal("CNorth_h1_75"), True),
     "Rule": (_rule, True),
     "DefeasibleTheory": (lambda: DefeasibleTheory((Literal("a"),), (_rule(),), ()), True),
     "DecodedAtom": (lambda: DecodedAtom(Condition.WIND, None, "North", 1, _value()), True),
@@ -111,6 +111,30 @@ def test_record_is_immutable_with_value_equality(name):
     assert a == b
     assert copy.copy(a) == a and copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_literal_is_its_own_text():
+    """A slotted str subclass, not a record: the atom, or "-" and the atom."""
+    pos, neg = Literal("CNorth_h1_75"), Literal("CNorth_h1_75", positive=False)
+    assert (pos, neg) == ("CNorth_h1_75", "-CNorth_h1_75")
+    assert isinstance(pos, str) and not hasattr(pos, "_fields")
+    assert (pos.atom, pos.positive) == ("CNorth_h1_75", True)
+    assert (neg.atom, neg.positive) == ("CNorth_h1_75", False)
+    assert type(pos.atom) is str and type(neg.atom) is str
+    assert pos.complement() == neg and neg.complement() == pos
+    assert type(pos.complement()) is Literal and type(neg.complement()) is Literal
+    assert type(str(neg)) is str and str(neg) == "-CNorth_h1_75"
+    with pytest.raises(AttributeError):
+        pos.extra = 1  # no instance dict
+    for lit in (pos, neg):
+        assert hash(lit) == hash(str(lit))
+        assert {str(lit): 1}[lit] == 1 and {lit: 1}[str(lit)] == 1
+        copies = [copy.copy(lit), copy.deepcopy(lit)]
+        copies += [pickle.loads(pickle.dumps(lit, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is Literal and other == lit
+            assert (other.atom, other.positive) == (lit.atom, lit.positive)
 
 
 def test_timeref_normalises_to_utc_whole_seconds():
@@ -159,7 +183,8 @@ def test_smooth_templates_copy_their_fragments():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Start-up is paid by every command; these two modules cost about 10 ms."""
+    """Start-up is paid by every command; these two modules cost about 10 ms,
+    and `html` (with its entity table) 1.5 ms."""
     code = ("import sys; before = set(sys.modules); import fusecast.cli; "
             "print(*sorted(set(sys.modules) - before))")
     src = str(Path(fusecast.__file__).resolve().parents[1])
@@ -170,3 +195,4 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "fusecast.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+    assert "html" not in added
