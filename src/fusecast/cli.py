@@ -257,6 +257,7 @@ def _cmd_validate(args) -> int:
     except _StageError as exc:
         print(f"{args.kb}: error: {exc.cause}")
         status = 1
+    lams = []
     for path in list(args.source) + ([args.obs] if args.obs else []):
         try:
             data = _read(path)
@@ -264,7 +265,8 @@ def _cmd_validate(args) -> int:
             print(f"{path}: error: {exc}")
             status = 1
             continue
-        diags = ingest.validate_source_map(data, now)
+        found, diags = ingest.validate_source_map(data, now)
+        lams += found
         if not diags:
             print(f"{path}: ok")
         for diag in diags:
@@ -273,7 +275,7 @@ def _cmd_validate(args) -> int:
                 status = 1
     if status == 0:
         with _stage("tournament"):
-            tournament.build_theory(_load_lams(args.source, args.obs, now), knowledge, now)
+            tournament.build_theory(lams, knowledge, now)
     return status
 
 

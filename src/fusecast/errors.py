@@ -38,10 +38,6 @@ class OpaqueAtomError(ForecastError):
     """The atom is not in the canonical grammar; it stays an uninterpreted symbol."""
 
 
-class OracleLimitError(ForecastError):
-    """The brute-force oracle only accepts small theories."""
-
-
 class ScenarioError(ForecastError):
     """Reasoner conclusions do not determine a coherent weather scenario."""
 

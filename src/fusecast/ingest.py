@@ -61,16 +61,17 @@ def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
     return lams
 
 
-def validate_source_map(data: bytes, now: TimeRef) -> list[Diagnostic]:
-    """All diagnostics for a document, from one scan; empty iff
-    check_times(parse_source_map(data), now) would pass."""
+def validate_source_map(data: bytes, now: TimeRef) -> tuple[list[LabeledAssertionalMap],
+                                                            list[Diagnostic]]:
+    """A document's assertions and all its diagnostics, from one scan; no error
+    among them iff check_times(parse_source_map(data), now) returns those."""
     lams, diagnostics = _scan(data)
     if not any(diag.severity == "error" for diag in diagnostics):
         try:
             check_times(lams, now)
         except SchemaError as exc:
             diagnostics.append(Diagnostic("error", exc.path, exc.message))
-    return diagnostics
+    return lams, diagnostics
 
 
 def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[LabeledAssertionalMap]:

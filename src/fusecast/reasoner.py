@@ -26,8 +26,9 @@ is tagged at most once, and a rule changes state at most once, enqueueing its
 head and the head's complement: O(|literals| + |rules| + |superiority| +
 |bodies|) work in all. Literals left untagged (derivation loops) are undetermined.
 
-`oracle_conclusions` recomputes the tags by depth-bounded top-down proof
-search — a structurally different algorithm used for differential testing.
+`oracle_conclusions` recomputes the tags as the least fixpoint of the
+conditions above, by repeated passes with no ids, counts or worklist — a
+structurally different algorithm used for differential testing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import OracleLimitError, SchemaError, TheoryError
+from .errors import SchemaError, TheoryError
 from .inputs import read_json_object
 from .theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_literal, validate_theory
 
@@ -169,7 +170,7 @@ def _close(theory: DefeasibleTheory) -> tuple[list[Literal], bytearray, bytearra
 # Differential-testing oracle
 # ---------------------------------------------------------------------------
 
-ORACLE_MAX_ATOMS = 12
+ORACLE_MAX_ATOMS = 12  # read only by perfbench's per-component oracle check
 
 
 class _Index:
@@ -194,95 +195,64 @@ class _Index:
 
 
 def oracle_conclusions(theory: DefeasibleTheory) -> ConclusionSet:
-    """Tags by exhaustive top-down proof search with depth bounding.
+    """Tags as the least fixpoint of the module docstring's conditions, which
+    transcribe Antoniou, Billington, Governatori and Maher ("Representation
+    results for defeasible logic", ACM TOCL 2001).
 
-    A goal holds iff it holds at nesting depth K = 2|universe| + 4, since the
-    inductive definitions add at least one tag per level. Memoization keeps,
-    per goal, the smallest depth that succeeded and the largest that failed
-    (both sound because provability is monotone in depth).
+    +Δ grows by passes until one adds nothing; −Δ is the rest. Then passes
+    test each untagged literal against the +∂ and the −∂ condition, with the
+    tags found so far, until one adds nothing. Both conditions need body
+    literals to carry tags, never to lack them, so both are monotone and the
+    passes reach the least fixpoint. No literal has both a +∂ and a −∂ proof,
+    so a tagged literal is not tested again.
     """
     validate_theory(theory)
     idx = _Index(theory)
-    atoms = {lit.atom for lit in idx.universe}
-    if len(atoms) > ORACLE_MAX_ATOMS:
-        raise OracleLimitError(
-            f"oracle accepts at most {ORACLE_MAX_ATOMS} distinct atoms, got {len(atoms)}"
-        )
-    depth = 2 * len(idx.universe) + 4
-    memo_true: dict[tuple[str, Literal], int] = {}
-    memo_false: dict[tuple[str, Literal], int] = {}
+    definite: set[Literal] = set()
+    while grown := {q for q in idx.universe - definite if q in idx.facts or any(
+            all(b in definite for b in r.body) for r in idx.strict.get(q, ()))}:
+        definite |= grown
 
-    def prove(tag: str, q: Literal, d: int) -> bool:
-        key = (tag, q)
-        if key in memo_true and memo_true[key] <= d:
-            return True
-        if key in memo_false and d <= memo_false[key]:
-            return False
-        if d <= 0:
-            return False
-        result = _eval(tag, q, d - 1)
-        if result:
-            memo_true[key] = min(memo_true.get(key, d), d)
-        else:
-            memo_false[key] = max(memo_false.get(key, d), d)
-        return result
+    plus: set[Literal] = set()
+    minus: set[Literal] = set()
 
-    def _eval(tag: str, q: Literal, d: int) -> bool:
-        neg = q.complement()
-        if tag == "+D":
-            if q in idx.facts:
-                return True
-            return any(
-                all(prove("+D", b, d) for b in r.body)
-                for r in idx.strict.get(q, ())
-            )
-        if tag == "-D":
-            return not prove("+D", q, depth)
+    def applicable(r: Rule) -> bool:
+        return all(b in plus for b in r.body)
+
+    def discarded(r: Rule) -> bool:
+        return any(b in minus for b in r.body)
+
+    def provable(q: Literal, neg: Literal) -> bool:
         supports = idx.support.get(q, ())
-        attackers = idx.attackers.get(neg, ())
-        if tag == "+d":
-            if prove("+D", q, depth):
-                return True
-            if not prove("-D", neg, depth):
-                return False
-            if not any(all(prove("+d", b, d) for b in r.body) for r in supports):
-                return False
-            for s in attackers:
-                if any(prove("-d", b, d) for b in s.body):
-                    continue
-                if not any(
-                    (t.id, s.id) in idx.beats
-                    and all(prove("+d", b, d) for b in t.body)
-                    for t in supports
-                ):
-                    return False
-            return True
-        if tag == "-d":
-            if not prove("-D", q, depth):
-                return False
-            if prove("+D", neg, depth):
-                return True
-            if all(any(prove("-d", b, d) for b in r.body) for r in supports):
-                return True
-            for s in attackers:
-                if all(prove("+d", b, d) for b in s.body) and not any(
-                    (t.id, s.id) in idx.beats
-                    and not any(prove("-d", b, d) for b in t.body)
-                    for t in supports
-                ):
-                    return True
-            return False
-        raise ValueError(tag)
+        return q in definite or (
+            neg not in definite
+            and any(applicable(r) for r in supports)
+            and all(discarded(s) or any((t.id, s.id) in idx.beats and applicable(t)
+                                        for t in supports)
+                    for s in idx.attackers.get(neg, ())))
 
-    plus_def = frozenset(q for q in idx.universe if prove("+D", q, depth))
-    minus_def = frozenset(idx.universe - plus_def)
-    plus = frozenset(q for q in idx.universe if prove("+d", q, depth))
-    minus = frozenset(q for q in idx.universe if prove("-d", q, depth))
+    def refutable(q: Literal, neg: Literal) -> bool:
+        supports = idx.support.get(q, ())
+        return q not in definite and (
+            neg in definite
+            or all(discarded(r) for r in supports)
+            or any(applicable(s) and all(discarded(t) for t in supports
+                                         if (t.id, s.id) in idx.beats)
+                   for s in idx.attackers.get(neg, ())))
+
+    grew = True
+    while grew:
+        grew = False
+        for q in idx.universe - plus - minus:
+            for tagged, holds in ((plus, provable), (minus, refutable)):
+                if holds(q, q.complement()):
+                    tagged.add(q)
+                    grew = True
     return ConclusionSet(
-        plus_definite=plus_def,
-        minus_definite=minus_def,
-        plus_defeasible=plus,
-        minus_defeasible=minus,
+        plus_definite=frozenset(definite),
+        minus_definite=idx.universe - definite,
+        plus_defeasible=frozenset(plus),
+        minus_defeasible=frozenset(minus),
         undetermined=idx.universe - plus - minus,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from fusecast.inputs import MILLION
 from fusecast.kb import AccuracyRecord, KnowledgeBase
@@ -79,7 +80,7 @@ def codec_seed_tuple(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# Random tournament inputs (two models, optional observations)
+# Random tournament inputs (two or more models, optional observations)
 # ---------------------------------------------------------------------------
 
 _SLOT_POOL = [
@@ -99,9 +100,8 @@ def _random_value(rng: random.Random, condition: Condition):
     return Value(rng.randint(0, upper) * MILLION)
 
 
-def random_two_model_inputs(rng: random.Random):
-    """(lams, kb) for a randomized two-model run, sometimes with observations."""
-    methods = ("Alpha", "Beta")
+def random_two_model_inputs(rng: random.Random, methods: Sequence[str] = ("Alpha", "Beta")):
+    """(lams, kb) for a randomized run of `methods`, sometimes with observations."""
     records = []
     for method in methods:
         for horizon in (0, 1, 2):

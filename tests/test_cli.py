@@ -2,12 +2,14 @@ import gc
 import io
 import json
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusecast import cli
 from fusecast.cli import main
 
 from conftest import FIXTURES
@@ -165,6 +167,19 @@ class TestValidate:
         assert validated.err.startswith(f"fusecast: error [tournament]: {cause}")
         assert main(["pipeline", *inputs, "--out", str(tmp_path / "b.txt")]) == 1
         assert capsys.readouterr().err == validated.err
+
+    def test_reads_each_document_once(self, monkeypatch, capsys):
+        reads = Counter()
+        read = cli._read
+
+        def counting_read(path):
+            reads[str(path)] += 1
+            return read(path)
+
+        monkeypatch.setattr(cli, "_read", counting_read)
+        assert main(["validate", *_seaside_inputs()]) == 0
+        assert reads == Counter({str(SEASIDE / name): 1 for name in (
+            "gfs.json", "ecmwf.json", "obs.json", "kb.json")})
 
     def test_bad_magnitude_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

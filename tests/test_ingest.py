@@ -104,7 +104,7 @@ class TestParseSourceMap:
     ])
     def test_magnitudes_outside_the_bounds(self, raw):
         data = doc_bytes(entries=[entry(magnitude="@")]).replace(b'"@"', raw.encode())
-        diags = validate_source_map(data, H0)
+        _, diags = validate_source_map(data, H0)
         assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].magnitude")]
 
     def test_unregistered_coordinates_rejected(self):
@@ -115,40 +115,41 @@ class TestParseSourceMap:
 
 class TestValidateSourceMap:
     def test_clean_document_has_no_diagnostics(self):
-        assert validate_source_map((FIXTURES / "seaside" / "ecmwf.json").read_bytes(), H0) == []
+        data = (FIXTURES / "seaside" / "ecmwf.json").read_bytes()
+        assert validate_source_map(data, H0) == (parse_source_map(data), [])
 
     def test_percent_bound_diagnostic(self):
-        diags = validate_source_map(doc_bytes(entries=[entry(magnitude=120)]), H0)
+        _, diags = validate_source_map(doc_bytes(entries=[entry(magnitude=120)]), H0)
         assert len(diags) == 1
         assert diags[0].severity == "error"
         assert diags[0].path == "entries[0]"
         assert "100" in diags[0].message
 
     def test_hindcast_warning(self):
-        diags = validate_source_map(doc_bytes(
+        _, diags = validate_source_map(doc_bytes(
             generated_at="2026-08-08T12:00:00Z",
             entries=[entry(valid_at="2026-08-05T12:00:00Z")]), NOON)
         assert [d.severity for d in diags] == ["warning"]
         assert "hindcast" in diags[0].message
 
     def test_one_day_hindcast_is_not_warned(self):
-        diags = validate_source_map(doc_bytes(
+        _, diags = validate_source_map(doc_bytes(
             generated_at="2026-08-08T12:00:00Z",
             entries=[entry(valid_at="2026-08-07T12:00:00Z")]), NOON)
         assert diags == []
 
     def test_bad_method_id(self):
-        diags = validate_source_map(doc_bytes(method="no spaces"), H0)
+        _, diags = validate_source_map(doc_bytes(method="no spaces"), H0)
         assert any(d.path == "method" for d in diags)
 
     def test_not_json(self):
-        diags = validate_source_map(b"{", H0)
+        _, diags = validate_source_map(b"{", H0)
         assert diags[0].severity == "error"
 
     def test_time_errors_come_from_the_same_scan(self):
         """check_times' error on a clean document is one more diagnostic:
         an absolute validity cannot be placed against a symbolic now."""
         data = doc_bytes(entries=[entry(valid_at="2026-08-07T12:00:00Z")])
-        diags = validate_source_map(data, H0)
+        _, diags = validate_source_map(data, H0)
         assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].valid_at")]
-        assert validate_source_map(data, NOON) == []
+        assert validate_source_map(data, NOON)[1] == []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecast.errors import OracleLimitError, SchemaError
+from fusecast.errors import SchemaError
+from fusecast.model import parse_timeref
 from fusecast.reasoner import (
     ConclusionSet,
     conclusions,
@@ -15,8 +16,9 @@ from fusecast.reasoner import (
     oracle_conclusions,
 )
 from fusecast.theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_theory
+from fusecast.tournament import build_theory
 
-from genutil import random_theory
+from genutil import random_theory, random_two_model_inputs
 
 
 def lit(s):
@@ -174,10 +176,24 @@ class TestOracle:
         t = DefeasibleTheory((), rules, sups)
         assert oracle_conclusions(t) == conclusions(t)
 
-    def test_size_bound(self):
-        rules = "\n".join(f"r{i}: => A{i}" for i in range(13))
-        with pytest.raises(OracleLimitError):
-            oracle_conclusions(parse_theory(rules + "\n"))
+    @pytest.mark.parametrize("fixture", ["seaside_theory", "seaside_reference_theory",
+                                         "rain_reference_theory"])
+    def test_whole_fixture_theories(self, fixture, request):
+        t = request.getfixturevalue(fixture)
+        assert oracle_conclusions(t) == conclusions(t)
+
+    def test_attacked_chain(self):
+        t = _attacked_chain(50, reverse=True)
+        assert oracle_conclusions(t) == conclusions(t)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_many_model_folds(self, seed):
+        rng = random.Random(seed)
+        methods = [f"M{i}" for i in range(rng.randint(3, 16))]
+        lams, kb = random_two_model_inputs(rng, methods)
+        t = build_theory(lams, kb, parse_timeref("h0"))
+        assert any("_xr" in rule.head.atom for rule in t.rules)  # at least one fold round
+        assert oracle_conclusions(t) == conclusions(t)
 
 
 def _check_laws(cs: ConclusionSet):
