@@ -54,10 +54,11 @@ def _read(path: Path) -> bytes:
 
 
 def _write(path: Optional[Path], data: bytes) -> None:
-    if path is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        Path(path).write_bytes(data)
+    with _stage("output", path):
+        if path is None:
+            sys.stdout.write(data.decode("utf-8"))
+        else:
+            Path(path).write_bytes(data)
 
 
 def _load_kb(path: Path, min_micros: Optional[int]) -> kb_mod.KnowledgeBase:

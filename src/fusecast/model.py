@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import ForecastError
@@ -83,8 +82,9 @@ class Value(NamedTuple):
     direction: Optional[Compass] = None
 
     @property
-    def magnitude(self) -> Fraction:
-        """The exact magnitude; built when read."""
+    def magnitude(self):
+        """The exact magnitude as a Fraction; built when read."""
+        from fractions import Fraction  # no command reads it; start-up skips the import
         return Fraction(self.micros, MILLION)
 
     def __str__(self) -> str:
@@ -168,12 +168,13 @@ def parse_timeref(text: str) -> TimeRef:
 def horizon_index(valid_at: TimeRef, now: TimeRef) -> int:
     """Day offset of valid_at relative to now.
 
-    Symbolic valid_at returns its own k regardless of now; absolute pairs use
-    the calendar-day difference (so now+36h at 14:05 lands on day 1). A
-    symbolic `now` against an absolute valid_at is unresolvable.
+    A symbolic valid_at h_k lies k - j days from a symbolic now h_j and k days
+    from an absolute now; absolute pairs use the calendar-day difference (so
+    now+36h at 14:05 lands on day 1). A symbolic `now` against an absolute
+    valid_at is unresolvable.
     """
     if valid_at.is_symbolic:
-        return valid_at.horizon
+        return valid_at.horizon - (now.horizon or 0)
     if now.is_symbolic:
         raise ForecastError(
             "cannot compute a horizon for an absolute time against a symbolic 'now'"
@@ -247,10 +248,6 @@ def conflicts_with(a: AssertionalMap, b: AssertionalMap) -> bool:
 def hindcast_days(valid_at: TimeRef, generated_at: TimeRef) -> Optional[int]:
     """How far valid_at sits from the generation instant, in days; None when
     the pair is not comparable (absolute valid_at under a symbolic label)."""
-    if valid_at.is_symbolic and generated_at.is_symbolic:
-        return valid_at.horizon - generated_at.horizon
-    if valid_at.is_symbolic:
-        return valid_at.horizon
-    if generated_at.is_symbolic:
+    if generated_at.is_symbolic and not valid_at.is_symbolic:
         return None
     return horizon_index(valid_at, generated_at)

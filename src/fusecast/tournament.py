@@ -9,7 +9,7 @@ Per slot (condition, location, day horizon):
   * a conflicting pair yields two "supremacy" rules (one blended value biased
     toward each side), two conflict rules connecting the blended outcomes,
     and two priorities oriented toward whichever side prevails
-    (override, then accuracy, then recency);
+    (override, then accuracy, then recency, the last two by sift's order);
   * an uncontested slot gets pass-through rules so the scenario layer always
     reads untagged literals.
 
@@ -192,34 +192,30 @@ def _label_order(a: Label, b: Label) -> int:
     return (ta > tb) - (ta < tb)
 
 
-def _prevalence(label_a: Label, acc_a: int, label_b: Label, acc_b: int,
-                kb: KnowledgeBase, condition: Condition,
-                location: Optional[str]) -> Prevalence:
-    ov = override_winner(kb, label_a.method, label_b.method, condition, location)
-    if ov is not None:
-        return Prevalence(Winner.FIRST if ov == label_a.method else Winner.SECOND,
-                          PrevalenceBasis.SPECIFIC)
-    if acc_a != acc_b:
-        return Prevalence(Winner.FIRST if acc_a > acc_b else Winner.SECOND,
-                          PrevalenceBasis.ACCURACY)
-    order = _label_order(label_a, label_b)
-    if order:
-        return Prevalence(Winner.FIRST if order > 0 else Winner.SECOND,
-                          PrevalenceBasis.RECENCY)
-    return Prevalence(Winner.TIE, None)
-
-
 def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
              kb: KnowledgeBase) -> Prevalence:
     """Which of two conflicting assertions wins.
 
     Expert override first, then higher accuracy at the lead horizon, then the
-    more recent generation time; Tie only when all three are silent.
+    more recent generation time; Tie only when all three are silent. This is
+    the reference for the fold, which asks only the override: sift's order
+    already ranks each slot by accuracy and then recency.
     """
     if not conflicts_with(a.map, b.map):
         raise ForecastError("prevails requires two conflicting assertional maps")
-    return _prevalence(a.label, _lam_accuracy(a, kb), b.label, _lam_accuracy(b, kb),
-                       kb, a.map.condition, a.map.location)
+    ov = override_winner(kb, a.label.method, b.label.method, a.map.condition, a.map.location)
+    if ov is not None:
+        return Prevalence(Winner.FIRST if ov == a.label.method else Winner.SECOND,
+                          PrevalenceBasis.SPECIFIC)
+    acc_a, acc_b = _lam_accuracy(a, kb), _lam_accuracy(b, kb)
+    if acc_a != acc_b:
+        return Prevalence(Winner.FIRST if acc_a > acc_b else Winner.SECOND,
+                          PrevalenceBasis.ACCURACY)
+    order = _label_order(a.label, b.label)
+    if order:
+        return Prevalence(Winner.FIRST if order > 0 else Winner.SECOND,
+                          PrevalenceBasis.RECENCY)
+    return Prevalence(Winner.TIE, None)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +268,6 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                                         f"{location} @ h{horizon}: {obs[0]} and {value}")
             facts.setdefault(Literal(stem + when + value_code(cond, obs[0])))
             continue
-        if not models:
-            continue
 
         rounds = _fold_slot(models, cond, location, kb)
         if rounds:
@@ -297,8 +291,9 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
 
     Per contested round: the challenger's literal, the blends biased toward
     the champion and toward the challenger, and whether the champion wins.
-    The champion's running value is the winner's blend, its label the
-    winner's original label.
+    The champion precedes the challenger in sift order, which ranks accuracy
+    and then recency, so only an override makes the champion lose; its
+    running value is the winner's blend, its label the winner's.
     """
     champ_lam, _, champ_acc = models[0]
     champ_value = champ_lam.map.value
@@ -310,9 +305,8 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
                                 Bias.FIRST)
         blend_second = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
                                  Bias.SECOND)
-        verdict = _prevalence(champ_lam.label, champ_acc, nxt.label, nxt_acc,
-                              kb, cond, location)
-        first_wins = verdict.winner is not Winner.SECOND  # ties keep the champion
+        first_wins = override_winner(kb, champ_lam.label.method, nxt.label.method,
+                                     cond, location) != nxt.label.method
         rounds.append((tagged_next, blend_first, blend_second, first_wins))
         if not first_wins:
             champ_lam, champ_acc = nxt, nxt_acc

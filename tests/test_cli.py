@@ -116,6 +116,32 @@ class TestPipeline:
         assert "Tomorrow" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-theory"])
+    def test_unwritable_output_names_the_stage(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "out.txt"
+        args = pipeline_args(tmp_path)
+        assert main(_swap(args, "--out", target) if flag == "--out"
+                    else [*args, flag, str(target)]) == 1
+        assert "No such file or directory" in _staged_error(capsys, "output", target)
+
+    def test_symbolic_now_places_validities_as_the_calendar_does(self, tmp_path, capsys):
+        """h0 and h3 under a label generated at h2 and --now h2 are the day
+        before yesterday and tomorrow, as their absolute counterparts are."""
+        kb = str(SEASIDE / "kb.json")
+        bulletins = []
+        for generated, valid, now in [
+                ("h2", ("h0", "h3"), "h2"),
+                ("2026-08-10T00:00Z", ("2026-08-08T12:00Z", "2026-08-11T12:00Z"),
+                 "2026-08-10T06:00Z")]:
+            source = tmp_path / "gfs.json"
+            source.write_text(json.dumps({"method": "GFS", "generated_at": generated, "entries": [
+                {"condition": "cloudiness", "location": "North", "valid_at": at, "magnitude": m}
+                for at, m in zip(valid, (90, 20))]}))
+            assert main(["pipeline", "--kb", kb, "--source", str(source), "--now", now]) == 0
+            bulletins.append(capsys.readouterr().out)
+        assert bulletins[0] == bulletins[1] == "Tomorrow\nNorth: Partly Cloudy.\n"
+
+
 def _three_model_inputs(tmp_path):
     """The seaside inputs plus ICON: GFS's entries at other magnitudes, and
     accuracies between GFS's and ECMWF's."""

@@ -19,6 +19,7 @@ from fusecast.model import (
     check_value,
     conflicts_with,
     decimal_str,
+    hindcast_days,
     horizon_index,
     parse_timeref,
     resolve_instant,
@@ -138,6 +139,19 @@ class TestHorizonIndex:
     def test_symbolic_passthrough(self):
         assert horizon_index(H(2), H(0)) == 2
         assert horizon_index(H(2), parse_timeref("2026-08-08T00:00:00Z")) == 2
+
+    def test_symbolic_now_shifts_symbolic_validities(self):
+        # h_k lies k - j days from a symbolic now h_j, as it would on a calendar.
+        assert horizon_index(H(1), H(2)) == -1
+        assert horizon_index(H(3), H(2)) == 1
+        assert horizon_index(H(2), H(2)) == 0
+
+    def test_hindcast_days(self):
+        gen = parse_timeref("2026-08-10T00:00:00Z")
+        assert hindcast_days(H(3), H(2)) == 1
+        assert hindcast_days(H(3), gen) == 3
+        assert hindcast_days(parse_timeref("2026-08-11T12:00:00Z"), gen) == 1
+        assert hindcast_days(gen, H(2)) is None
 
     def test_same_instant_is_zero(self):
         t = parse_timeref("2026-08-08T14:05:00Z")

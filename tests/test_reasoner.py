@@ -232,6 +232,8 @@ def test_differential_and_laws_on_dense_random_theories(seed):
     ">> a\nr: => a\ns: => -a\ns > r\n",       # fact that also heads a defeasible rule
     "r: => b\nd: b ~> -a\ns: => a\n",         # defeater with a body
     "r: => b\nd: b ~> -a\ns: => a\ns > d\n",  # ... beaten by the supporting rule
+    "r: => a\ns: => -a\nd: ~> a\nd > s\n",    # defeater that wins a superiority pair
+    ">> a\nr: a => -c\ns: => c\n",             # applicability re-queues the complement
 ])
 def test_edge_cases_against_oracle(text):
     theory = parse_theory(text)

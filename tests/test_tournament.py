@@ -26,6 +26,7 @@ from fusecast.tournament import (
     build_theory,
     prevails,
     sift,
+    slot_key,
     supremacy,
 )
 
@@ -286,6 +287,37 @@ class TestBuildTheory:
         scenario_lits = {str(l) for l in cs.plus_defeasible if l.positive}
         assert "RNorth_h1_8" in scenario_lits
 
+    def test_override_orients_priorities_toward_the_challenger(self, seaside_kb):
+        # ECMWF (0.85) leads sift's order; the override lets GFS (0.45) win.
+        kb = KnowledgeBase(seaside_kb.accuracies, (PriorityOverride("GFS", "ECMWF"),))
+        lams = [lam("ECMWF", 0, Condition.CLOUDINESS, "North", 1, 75),
+                lam("GFS", 0, Condition.CLOUDINESS, "North", 1, 90)]
+        t = build_theory(lams, kb, H(0))
+        # Blends: 77 biased toward ECMWF (first), 83 toward GFS (second).
+        assert set(t.superiority) == {
+            ("vc_CNorth_h1_83", "sr_CNorth_h1_77"),
+            ("sr_CNorth_h1_83", "vc_CNorth_h1_77"),
+        }
+        cs = conclusions(t)
+        assert Literal("CNorth_h1_83") in cs.plus_defeasible
+        assert Literal("CNorth_h1_77") in cs.minus_defeasible
+
+    def test_challenger_that_wins_carries_its_accuracy_into_the_next_round(self):
+        kb = KnowledgeBase((
+            AccuracyRecord("Alpha", 0, 850_000),
+            AccuracyRecord("Beta", 0, 450_000),
+            AccuracyRecord("Gamma", 0, 300_000),
+        ), (PriorityOverride("Beta", "Alpha"),))
+        lams = [lam("Alpha", 0, Condition.CLOUDINESS, "North", 1, 75),
+                lam("Beta", 0, Condition.CLOUDINESS, "North", 1, 90),
+                lam("Gamma", 0, Condition.CLOUDINESS, "North", 1, 10)]
+        t = build_theory(lams, kb, H(0))
+        # Round 2 blends Beta's 83 at 0.45 with Gamma's 10 at 0.3, so the
+        # weights are 1 - 0.3 toward Beta (61.1) and 1 - 0.45 toward Gamma (42.85);
+        # with Alpha's 0.85 kept they would be 72.05 and 46.5.
+        assert ("sr_CNorth_h1_61", "vc_CNorth_h1_43") in t.superiority
+        assert Literal("CNorth_h1_61") in conclusions(t).plus_defeasible
+
     def test_equal_accuracy_midpoint_blends_collapse_to_one_rule(self, flat_kb):
         # At accuracy exactly 1/2 both biased blends are the midpoint, so the
         # contest is vacuous: one combined rule, no conflict machinery.
@@ -362,6 +394,76 @@ class TestBuildTheory:
                     and decode_of(l).source is None]
         assert len(untagged) == 1
         assert cs.undetermined == frozenset()
+
+
+def _many_model_inputs(rng):
+    """Many methods over few slots, at few accuracies, with acyclic global
+    and scoped overrides; generation times are all symbolic under a symbolic
+    now, or absolute and symbolic under an absolute one."""
+    from datetime import datetime, timedelta, timezone
+
+    methods = [f"M{i}" for i in range(rng.randint(3, 16))]
+    kb = KnowledgeBase(tuple(
+        AccuracyRecord(m, h, rng.choice((400_000, 700_000)))
+        for m in methods for h in range(rng.randint(1, 3))),
+        tuple({(w, l, c, loc): PriorityOverride(w, l, c, loc)
+               for c, loc in [(None, None), (Condition.RAIN, None), (None, "North"),
+                              (Condition.RAIN, "North")]
+               for w, l in [rng.sample(methods, 2) for _ in range(rng.randint(0, 3))]
+               if methods.index(w) < methods.index(l)}.values()))
+    symbolic = rng.random() < 0.5
+    start = datetime(2026, 8, 10, 6, 0, tzinfo=timezone.utc)
+    now = H(2) if symbolic else TimeRef(instant=start)
+    if symbolic:
+        generated = [H(k) for k in range(4)]
+    else:
+        generated = [H(0), H(1)] + [TimeRef(instant=start - timedelta(hours=6 * k))
+                                    for k in range(6)]
+    valid = {}
+    lams = []
+    for m in methods:
+        label = Label(m, rng.choice(generated))
+        for cond, loc, k in rng.sample([(c, loc, k) for c in (Condition.RAIN, Condition.SEA)
+                                        for loc in ("North", "Sea") for k in range(1, 5)], 4):
+            if (cond is Condition.SEA) != (loc == "Sea"):
+                continue
+            # Day k - 2 from now: k of a symbolic label h2, else an instant or h(k-2).
+            at = valid.setdefault((cond, loc, k), H(k) if symbolic else (
+                H(k - 2) if k >= 2 and rng.random() < 0.5
+                else TimeRef(instant=start + timedelta(days=k - 2))))
+            lams.append(LabeledAssertionalMap(
+                label, AssertionalMap(cond, loc, at, Value(rng.randint(0, 3) * M))))
+    return lams, kb, now
+
+
+def test_sift_order_leaves_only_overrides_to_reverse_a_round():
+    """prevails' accuracy and recency steps never pick the later of two sift
+    survivors of a slot, so the fold may ask only the override."""
+    seen = set()
+    for seed in range(150):
+        lams, kb, now = _many_model_inputs(random.Random(seed))
+        slots = {}
+        for kept in sift(lams, kb, now):
+            slots.setdefault(slot_key(kept, now), []).append(kept)
+        for group in slots.values():
+            # Every champion of the fold is an earlier survivor than its
+            # challenger, so every ordered pair covers every round it plays.
+            for i, champion in enumerate(group):
+                for challenger in group[i + 1:]:
+                    if champion.map.value == challenger.map.value:
+                        # A round may still pit it against a blend; values do
+                        # not rank, so prevails compares it as another value.
+                        challenger = challenger._replace(map=challenger.map._replace(
+                            value=Value(challenger.map.value.micros + M)))
+                    verdict = prevails(champion, challenger, kb)
+                    seen.add((verdict.winner, verdict.basis))
+                    if verdict.winner is Winner.SECOND:
+                        assert verdict.basis is PrevalenceBasis.SPECIFIC
+    assert seen == {(Winner.FIRST, PrevalenceBasis.SPECIFIC),
+                    (Winner.SECOND, PrevalenceBasis.SPECIFIC),
+                    (Winner.FIRST, PrevalenceBasis.ACCURACY),
+                    (Winner.FIRST, PrevalenceBasis.RECENCY),
+                    (Winner.TIE, None)}
 
 
 def decode_of(literal):
