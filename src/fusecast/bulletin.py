@@ -9,12 +9,14 @@ text, HTML, or structured JSON, byte-deterministically.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import attrgetter
 from string import Formatter
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
 from .inputs import read_json_object
-from .lexicon import DEFAULT_LEXICON, LexiconTable, classify, direction_name
+from .lexicon import DEFAULT_LEXICON, DIRECTION_PHRASES, LexiconTable, classify
 from .model import Condition, Value, decimal_str
 from .reasoner import ConclusionSet
 from .theory import RESERVED_TAG_RE, OpaqueAtomError, decode_atom
@@ -37,14 +39,11 @@ class ScenarioEntry(NamedTuple):
 
 
 class WeatherScenario(NamedTuple):
+    """One entry per slot, in display order: horizon, then location, then
+    sky / wind / sea / rain / the rest. render_sharp reads them in that order."""
+
     entries: tuple[ScenarioEntry, ...] = ()
     sources: tuple[str, ...] = ()  # model tags of the +d literals, sorted
-
-    def at(self, horizon: int) -> list[ScenarioEntry]:
-        return [e for e in self.entries if e.horizon == horizon]
-
-    def horizons(self) -> list[int]:
-        return sorted({e.horizon for e in self.entries})
 
 
 def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
@@ -122,26 +121,20 @@ class BulletinDocument(NamedTuple):
 def render_sharp(scenario: WeatherScenario,
                  lexicon: LexiconTable = DEFAULT_LEXICON,
                  header: BulletinHeader = BulletinHeader()) -> BulletinDocument:
-    """Classify every scenario entry; deterministic ordering throughout
-    (horizon asc, location asc, then sky / wind / sea / rain / the rest)."""
+    """Classify every scenario entry, in one pass over the scenario's
+    display order: a section per horizon, a block per location."""
     sections = []
-    for horizon in scenario.horizons():
-        blocks: dict[str, list[BulletinEntry]] = {}
-        for entry in scenario.at(horizon):
-            term = classify(entry.condition, entry.value, lexicon)
-            phrase = None
-            if entry.condition is Condition.WIND:
-                phrase = direction_name(entry.value.direction)
-            blocks.setdefault(entry.location, []).append(
-                BulletinEntry(entry.condition, term, phrase, entry.value))
-        sections.append(BulletinSection(
-            horizon,
-            tuple(
-                LocationBlock(loc, tuple(sorted(
-                    blocks[loc], key=lambda e: _DISPLAY_RANK[e.condition])))
-                for loc in sorted(blocks)
-            ),
-        ))
+    for horizon, at_horizon in groupby(scenario.entries, attrgetter("horizon")):
+        blocks = []
+        for location, at_location in groupby(at_horizon, attrgetter("location")):
+            blocks.append(LocationBlock(location, tuple(
+                BulletinEntry(
+                    e.condition, classify(e.condition, e.value, lexicon),
+                    DIRECTION_PHRASES[e.value.direction]
+                    if e.condition is Condition.WIND else None,
+                    e.value)
+                for e in at_location)))
+        sections.append(BulletinSection(horizon, tuple(blocks)))
     return BulletinDocument(header, tuple(sections))
 
 

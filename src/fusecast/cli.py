@@ -45,7 +45,7 @@ class _StageError(Exception):
 def _stage(stage: str, path: Union[Path, str, None] = None):
     try:
         yield
-    except (ForecastError, OSError) as exc:
+    except (ForecastError, OSError, UnicodeDecodeError) as exc:  # a text file not UTF-8
         raise _StageError(stage, path, exc) from exc
 
 

@@ -167,10 +167,6 @@ def classify(condition: Condition, value: Value,
     return terms[bisect_right(bounds, value.micros)]
 
 
-def direction_name(point: Compass) -> str:
-    return DIRECTION_PHRASES[point]
-
-
 def load_lexicon(data: bytes) -> LexiconTable:
     """Defaults overridden per condition from a JSON document:
     {"cloudiness": [[10, "Clear or Sunny Skies"], ..., [null, "Overcast"]]}"""

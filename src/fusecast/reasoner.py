@@ -50,8 +50,8 @@ class ConclusionSet(NamedTuple):
 
 
 def conclusions(theory: DefeasibleTheory) -> ConclusionSet:
-    """All four proof-tag sets for a valid theory, plus undetermined literals."""
-    validate_theory(theory)
+    """All four proof-tag sets, plus undetermined literals, for a valid theory:
+    one from `parse_theory` or `build_theory`, which both validate it."""
     lits, definite, tag = _close(theory)
     return ConclusionSet(
         plus_definite=_pick(lits, definite, 1),

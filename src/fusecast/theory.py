@@ -291,11 +291,8 @@ def _parse_rule(line: str, lineno: int, raw: str) -> Rule:
         raise TheoryParseError(lineno, raw.find(":") + 2, "rule has no arrow")
     pos, arrow = arrow_pos
     body_text, head_text = rest[:pos], rest[pos + len(arrow):]
-    body = tuple(
-        _parse_literal_at(part, lineno, raw)
-        for part in body_text.split(",")
-        if part.strip()
-    )
+    body = tuple(_parse_literal_at(part, lineno, raw)
+                 for part in body_text.split(",")) if body_text.strip() else ()
     head = _parse_literal_at(head_text, lineno, raw)
     return Rule(rid, RuleKind(arrow), body, head)
 

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from fusecast.bulletin import (
     _DISPLAY_RANK,
+    BulletinDocument,
+    BulletinEntry,
     BulletinHeader,
+    BulletinSection,
+    LocationBlock,
     ScenarioEntry,
     SmoothTemplates,
     WeatherScenario,
@@ -17,7 +21,8 @@ from fusecast.bulletin import (
     render_sharp,
     render_smooth,
 )
-from fusecast.errors import OpaqueAtomError, ScenarioError, TemplateError
+from fusecast.errors import LexiconError, OpaqueAtomError, ScenarioError, TemplateError
+from fusecast.lexicon import DEFAULT_LEXICON, DIRECTION_PHRASES, classify, load_lexicon
 from fusecast.model import Compass, Condition
 from fusecast.reasoner import ConclusionSet, conclusions
 from fusecast.theory import RESERVED_TAG_RE, Literal, decode_atom
@@ -39,14 +44,18 @@ def seaside_scenario(seaside_theory):
     return extract_scenario(conclusions(seaside_theory))
 
 
+def _at(scenario, horizon):
+    return [e for e in scenario.entries if e.horizon == horizon]
+
+
 class TestExtractScenario:
     def test_seaside_slots(self, seaside_scenario):
-        assert len(seaside_scenario.at(1)) == 7
-        assert len(seaside_scenario.at(2)) == 7
-        assert len(seaside_scenario.at(0)) == 7  # observation facts
+        assert len(_at(seaside_scenario, 1)) == 7
+        assert len(_at(seaside_scenario, 2)) == 7
+        assert len(_at(seaside_scenario, 0)) == 7  # observation facts
 
     def test_seaside_values_follow_the_more_accurate_model(self, seaside_scenario):
-        north_h1 = {e.condition: e for e in seaside_scenario.at(1)
+        north_h1 = {e.condition: e for e in _at(seaside_scenario, 1)
                     if e.location == "North"}
         assert north_h1[Condition.CLOUDINESS].value.magnitude == 77
         wind = north_h1[Condition.WIND].value
@@ -166,6 +175,61 @@ class TestRenderSharp:
     def test_empty_scenario(self):
         doc = render_sharp(extract_scenario(ConclusionSet()))
         assert doc.sections == ()
+
+
+def _reference_sharp(scenario, lexicon):
+    """render_sharp as it was when it grouped and sorted the entries itself."""
+    sections = []
+    for horizon in sorted({e.horizon for e in scenario.entries}):
+        blocks: dict[str, list[BulletinEntry]] = {}
+        for entry in [e for e in scenario.entries if e.horizon == horizon]:
+            term = classify(entry.condition, entry.value, lexicon)
+            phrase = None
+            if entry.condition is Condition.WIND:
+                phrase = DIRECTION_PHRASES[entry.value.direction]
+            blocks.setdefault(entry.location, []).append(
+                BulletinEntry(entry.condition, term, phrase, entry.value))
+        sections.append(BulletinSection(horizon, tuple(
+            LocationBlock(loc, tuple(sorted(
+                blocks[loc], key=lambda e: _DISPLAY_RANK[e.condition])))
+            for loc in sorted(blocks))))
+    return BulletinDocument(BulletinHeader(), tuple(sections))
+
+
+#: Values per condition code; temperature has no default bands.
+_VALUE_CODES = {"C": ["0", "30", "78", "100"], "W": ["N6", "NE15", "SW0p5", "E40"],
+                "S": ["0", "58", "190"], "R": ["0", "4", "24"], "T": ["12", "30"]}
+_RENDER_HEADS = st.sampled_from(["CNorth", "CSouth", "WNorth", "WCenter", "RNorth",
+                                 "RSouth", "Sea", "TNorth", "TCenter"])
+_TEMPERATURE_LEXICON = load_lexicon(b'{"temperature": [[20, "Mild"], [null, "Hot"]]}')
+
+
+@st.composite
+def _renderable_conclusions(draw):
+    """One positive untagged winner per drawn slot, among tagged and opaque noise."""
+    slots = draw(st.lists(st.tuples(_RENDER_HEADS, st.integers(0, 3)),
+                          unique=True, max_size=14))
+    plus = {Literal(f"{head}_h{k}_{draw(st.sampled_from(_VALUE_CODES[head[0]]))}")
+            for head, k in slots}
+    plus.update(Literal(text, draw(st.booleans()))
+                for text in draw(st.lists(st.one_of(_TAGGED, _OPAQUE), max_size=10)))
+    return ConclusionSet(plus_defeasible=frozenset(plus))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_renderable_conclusions(), st.sampled_from([DEFAULT_LEXICON, _TEMPERATURE_LEXICON]))
+def test_render_sharp_equals_grouping_and_sorting_the_entries(cs, lexicon):
+    """One pass over extract_scenario's order builds the document that
+    grouping by horizon and location and sorting each block built."""
+    scenario = extract_scenario(cs)
+
+    def outcome(render):
+        try:
+            return render(scenario, lexicon)
+        except LexiconError as exc:
+            return str(exc)
+
+    assert outcome(render_sharp) == outcome(_reference_sharp)
 
 
 class TestRenderSmooth:

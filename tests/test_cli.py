@@ -15,6 +15,8 @@ from fusecast.cli import main
 from conftest import FIXTURES
 
 SEASIDE = FIXTURES / "seaside"
+RAIN_THEORY = FIXTURES / "rain" / "reference_theory.dfl"
+RAIN_CONCLUSIONS = FIXTURES / "golden" / "rain_conclusions.json"
 
 
 def _seaside_inputs():
@@ -233,6 +235,32 @@ class TestReason:
         bad.write_text("r1: => A\n???\n")
         assert main(["reason", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_theory_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dfl"
+        bad.write_bytes(b"r1: => A\xff\n")
+        assert main(["reason", str(bad)]) == 1
+        _staged_error(capsys, "reason", bad)
+
+
+def test_each_theory_is_validated_once(tmp_path, monkeypatch):
+    """The code that makes a theory validates it; the reasoner takes it as valid."""
+    from fusecast import reasoner, theory, tournament
+
+    calls = []
+    validate = theory.validate_theory
+
+    def counted(t):
+        calls.append(t)
+        return validate(t)
+
+    for module in (theory, tournament, reasoner):
+        monkeypatch.setattr(module, "validate_theory", counted)
+    assert main(pipeline_args(tmp_path)) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["reason", str(RAIN_THEORY), "--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 1
 
 
 def _parent(doc, pointer):
@@ -578,6 +606,32 @@ def test_mutated_fixtures_end_in_staged_errors(tmp_path_factory, data):
     assert "Traceback" not in err
     if validated == 0:
         assert status == 0, err
+
+
+def _mutate(data, draw):
+    """`data` with one to four bytes replaced, often by bytes that are not UTF-8."""
+    raw = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.one_of(
+            st.integers(0, 255), st.sampled_from(b"\xff\xc3\x80\n,:>-=~%\"[]{}")))
+    return bytes(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_stage_inputs_end_in_staged_errors(tmp_path_factory, data):
+    """A theory or a conclusions document with mutated bytes makes `reason`
+    or `bulletin` exit 0 or 1, never raise."""
+    tmp = tmp_path_factory.mktemp("stage")
+    theory = tmp / "theory.dfl"
+    theory.write_bytes(_mutate(RAIN_THEORY.read_bytes(), data.draw))
+    concls = tmp / "conclusions.json"
+    concls.write_bytes(_mutate(RAIN_CONCLUSIONS.read_bytes(), data.draw))
+    for argv in (["reason", str(theory), "--out", str(tmp / "out.json")],
+                 ["bulletin", str(concls), "--out", str(tmp / "out.text")]):
+        status, err = _run(argv)
+        assert status in (0, 1)
+        assert "Traceback" not in err
 
 
 def test_main_leaves_the_gc_policy_alone(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fusecast.errors import LexiconError, SchemaError
 from fusecast.lexicon import (
     DEFAULT_LEXICON,
+    DIRECTION_PHRASES,
     VOCABULARY,
     classify,
-    direction_name,
     load_lexicon,
 )
 from fusecast.model import Compass, Condition, Value
@@ -79,11 +79,11 @@ class TestBoundaries:
 
 class TestDirections:
     def test_paper_phrases(self):
-        assert direction_name(Compass.NE) == "from North East"
-        assert direction_name(Compass.N) == "from North"
+        assert DIRECTION_PHRASES[Compass.NE] == "from North East"
+        assert DIRECTION_PHRASES[Compass.N] == "from North"
 
     def test_all_eight_points(self):
-        phrases = [direction_name(p) for p in Compass]
+        phrases = [DIRECTION_PHRASES[p] for p in Compass]
         assert phrases == [
             "from North", "from North East", "from East", "from South East",
             "from South", "from South West", "from West", "from North West",

@@ -360,6 +360,12 @@ class TestTheoryFormat:
         with pytest.raises(TheoryParseError):
             parse_theory("r1: A, B\n")
 
+    @pytest.mark.parametrize("rule", ["r1: a,,b => c", "r1: , => c", "r1: a, => c"])
+    def test_empty_body_item(self, rule):
+        with pytest.raises(TheoryParseError) as err:
+            parse_theory(f">> a\n{rule}\n")
+        assert err.value.line == 2
+
     def test_serialize_orders_rules_by_id(self):
         t = DefeasibleTheory(rules=(
             Rule("r2", RuleKind.DEFEASIBLE, (), Literal("B")),
