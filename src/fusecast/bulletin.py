@@ -12,7 +12,7 @@ import json
 from itertools import groupby
 from operator import attrgetter
 from string import Formatter
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
 from .inputs import read_json_object
@@ -155,22 +155,13 @@ DEFAULT_FRAGMENTS: dict[Condition, str] = {
 }
 
 
-class _SmoothTemplates(NamedTuple):
-    fragments: dict[Condition, str]
-    lowercase_clauses: bool
-
-
-class SmoothTemplates(_SmoothTemplates):
-    """Sentence fragments per condition, copied when built.
-    `lowercase_clauses` joins the per-condition clauses in lowercase instead
-    of the vocabulary casing.
+class SmoothTemplates(NamedTuple):
+    """Sentence fragments per condition. `lowercase_clauses` joins the
+    per-condition clauses in lowercase instead of the vocabulary casing.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, fragments: Mapping[Condition, str] = DEFAULT_FRAGMENTS,
-                lowercase_clauses: bool = False):
-        return super().__new__(cls, dict(fragments), lowercase_clauses)
+    fragments: dict[Condition, str] = DEFAULT_FRAGMENTS
+    lowercase_clauses: bool = False
 
 
 DEFAULT_TEMPLATES = SmoothTemplates()

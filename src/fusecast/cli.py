@@ -26,8 +26,8 @@ from . import bulletin as bulletin_mod
 from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
 from . import tournament
 from .errors import ForecastError
-from .inputs import read_json_number
-from .model import TimeRef, parse_timeref
+from .inputs import MILLION, read_json_number
+from .model import TimeRef, decimal_str, parse_timeref
 
 
 class _StageError(Exception):
@@ -80,6 +80,7 @@ def _load_lams(sources: Sequence[Path], obs: Optional[Path], now: TimeRef):
 
 def _render_bulletin(
     conclusions: reasoner.ConclusionSet,
+    conclusions_path: Optional[Path],
     now: Optional[TimeRef],
     lexicon_path: Optional[Path],
     templates_path: Optional[Path],
@@ -93,7 +94,7 @@ def _render_bulletin(
     if templates_path is not None:
         with _stage("templates", templates_path):
             templates = bulletin_mod.load_templates(_read(templates_path))
-    with _stage("bulletin"):
+    with _stage("bulletin", conclusions_path):
         scenario = bulletin_mod.extract_scenario(conclusions)
         # The header is read from the conclusions alone, so the bulletin stage
         # names the same sources standalone as inside the pipeline.
@@ -141,11 +142,15 @@ def _parse_now(text: Optional[str]) -> TimeRef:
 
 
 def _parse_min_accuracy(text: Optional[str]) -> Optional[int]:
-    """The --min-accuracy threshold in millionths, spelled as in a KB document."""
+    """The --min-accuracy threshold in millionths, spelled and bounded as in a
+    KB document."""
     if text is None:
         return None
     with _stage("args", "--min-accuracy"):
-        return read_json_number(text)
+        micros = read_json_number(text)
+        if not 0 <= micros <= MILLION:
+            raise ForecastError(f"{decimal_str(micros)} outside [0, 1]")
+        return micros
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +214,7 @@ def _cmd_bulletin(args) -> int:
     with _stage("bulletin", args.conclusions):
         concls = reasoner.conclusions_from_json(_read(args.conclusions))
     rendered = _render_bulletin(
-        concls, _parse_now(args.now) if args.now else None,
+        concls, args.conclusions, _parse_now(args.now) if args.now else None,
         args.lexicon, args.templates, args.format)
     _write(args.out, rendered)
     return 0
@@ -238,7 +243,7 @@ def _cmd_pipeline(args) -> int:
     if args.emit_conclusions is not None:
         _write(args.emit_conclusions, reasoner.conclusions_to_json(concls))
     rendered = timed("bulletin", lambda: _render_bulletin(
-        concls, now, args.lexicon, args.templates, args.format))
+        concls, None, now, args.lexicon, args.templates, args.format))
     _write(args.out, rendered)
     if args.timings:
         for stage, seconds in timings:

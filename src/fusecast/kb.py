@@ -11,7 +11,6 @@ File format (UTF-8 JSON, exact decimals preserved):
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from decimal import Decimal
 from typing import NamedTuple, Optional
 
@@ -47,8 +46,6 @@ class _KnowledgeBase(NamedTuple):
     accuracies: tuple[AccuracyRecord, ...]
     overrides: tuple[PriorityOverride, ...]
     min_micros: int
-    #: method -> (recorded horizons ascending, their accuracies), built once.
-    by_method: dict[str, tuple[list[int], list[int]]]
 
 
 class KnowledgeBase(_KnowledgeBase):
@@ -59,19 +56,11 @@ class KnowledgeBase(_KnowledgeBase):
 
     def __new__(cls, accuracies=(), overrides=(), min_micros=0):
         accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
-        by_method: dict[str, tuple[list[int], list[int]]] = {}
-        for rec in accuracies:
-            horizons, micros = by_method.setdefault(rec.method, ([], []))
-            horizons.append(rec.horizon)
-            micros.append(rec.micros)
         overrides = tuple(sorted(overrides, key=lambda o: (
             o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
-        kb = super().__new__(cls, accuracies, overrides, min_micros, by_method)
+        kb = super().__new__(cls, accuracies, overrides, min_micros)
         _validate(kb)
         return kb
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self[:3]
 
 
 def _validate(kb: KnowledgeBase) -> None:
@@ -117,11 +106,11 @@ def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
     """
     if method == OBSERVATION_METHOD:
         return MILLION
-    try:
-        horizons, micros = kb.by_method[method]
-    except KeyError:
-        raise UnknownMethodError(f"unknown method: {method!r}") from None
-    return micros[max(bisect_right(horizons, horizon) - 1, 0)]
+    records = [rec for rec in kb.accuracies if rec.method == method]
+    if not records:
+        raise UnknownMethodError(f"unknown method: {method!r}")
+    return next((rec for rec in reversed(records) if rec.horizon <= horizon),
+                records[0]).micros
 
 
 def override_winner(

@@ -12,7 +12,6 @@ temperature/pressure/humidity) must be configured explicitly before use.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
@@ -96,33 +95,18 @@ DIRECTION_PHRASES: dict[Compass, str] = {
 
 
 class _LexiconTable(NamedTuple):
-    bands: dict[Condition, tuple[Band, ...]]
-    #: condition -> (bounds, terms) for a bisect, built once: a leading (0,
-    #: term) band holds exactly 0, which is [0, 1) in millionths, and a table
-    #: without an unbounded band ends with its last term again.
-    search: dict[Condition, tuple[list[int], list[str]]]
+    bands: Mapping[Condition, tuple[Band, ...]]
 
 
 class LexiconTable(_LexiconTable):
-    """Bands per condition, copied and checked when built."""
+    """Bands per condition, checked when built."""
 
     __slots__ = ()
 
     def __new__(cls, bands: Mapping[Condition, tuple[Band, ...]] = DEFAULT_BANDS):
-        table = dict(bands)
-        search = {}
-        for condition, bands in table.items():
-            _check_bands(condition, bands)
-            bounds = [1 if i == 0 and upper == 0 else upper
-                      for i, (upper, _) in enumerate(bands) if upper is not None]
-            terms = [term for _, term in bands]
-            if bands[-1][0] is not None:
-                terms.append(terms[-1])
-            search[condition] = (bounds, terms)
-        return super().__new__(cls, table, search)
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self[:1]
+        for condition, condition_bands in bands.items():
+            _check_bands(condition, condition_bands)
+        return super().__new__(cls, bands)
 
 
 def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
@@ -157,14 +141,19 @@ DEFAULT_LEXICON = LexiconTable()
 
 def classify(condition: Condition, value: Value,
              table: LexiconTable = DEFAULT_LEXICON) -> str:
-    """The term of the band containing the value's magnitude."""
-    search = table.search.get(condition)
-    if search is None:
+    """The term of the band containing the value's magnitude: the first band
+    whose upper bound is above it, where a leading (0, term) band holds
+    exactly 0. A percent table that ends at 100 gives 100 its last term."""
+    bands = table.bands.get(condition)
+    if bands is None:
         raise LexiconError(
             f"no bands configured for {condition.value}; "
             "supply a lexicon override to classify it")
-    bounds, terms = search
-    return terms[bisect_right(bounds, value.micros)]
+    micros = value.micros
+    for upper, term in bands:
+        if upper is None or micros < upper or micros == upper == 0:
+            return term
+    return bands[-1][1]
 
 
 def load_lexicon(data: bytes) -> LexiconTable:

@@ -429,6 +429,8 @@ class TestInputBoundary:
         ("--min-accuracy", "0.5_0"),
         ("--min-accuracy", " 0.5"),
         ("--min-accuracy", "+0.5"),
+        ("--min-accuracy", "2"),
+        ("--min-accuracy", "-1"),
         ("--now", "bogus"),
         ("--now", "h367"),
         ("--now", "0001-01-01T00:00:00+05:00"),
@@ -439,14 +441,6 @@ class TestInputBoundary:
         _staged_error(capsys, "args", flag)
         assert main([*VALIDATE, flag, value]) == 1
         _staged_error(capsys, "args", flag)
-
-    def test_min_accuracy_outside_unit_interval(self, tmp_path, capsys):
-        assert main(pipeline_args(tmp_path, extra=["--min-accuracy", "2"])) == 1
-        _staged_error(capsys, "kb", SEASIDE / "kb.json")
-        assert main([*VALIDATE, "--min-accuracy", "2", "--now", "bogus"]) == 1
-        _staged_error(capsys, "args", "--now")
-        assert main([*VALIDATE, "--min-accuracy", "2"]) == 1
-        assert "min_accuracy: 2 outside [0, 1]" in capsys.readouterr().out
 
     def test_out_of_bounds_atoms_are_opaque_to_the_bulletin(self, tmp_path):
         conclusions = tmp_path / "conclusions.json"
@@ -470,6 +464,12 @@ class TestInputBoundary:
         conclusions.write_text(json.dumps(doc))
         assert main(["bulletin", str(conclusions)]) == 1
         assert _staged_error(capsys, "bulletin", conclusions).endswith(f": {message}\n")
+
+    def test_render_error_names_the_conclusions_file(self, tmp_path, capsys):
+        conclusions = tmp_path / "conclusions.json"
+        conclusions.write_text(json.dumps({"+d": ["CNorth_h1_75", "CNorth_h1_80"]}))
+        assert main(["bulletin", str(conclusions)]) == 1
+        assert "incoherent scenario" in _staged_error(capsys, "bulletin", conclusions)
 
     def test_non_string_literal_is_a_schema_error(self, tmp_path, capsys):
         conclusions = tmp_path / "conclusions.json"

@@ -231,3 +231,19 @@ def test_override_winner_antisymmetric(kb, a, b):
     if a == b:
         return
     assert override_winner(kb, a, b) == override_winner(kb, b, a)
+
+
+@given(knowledge_bases(), st.one_of(_methods, st.just("O")), st.integers(0, 366))
+def test_accuracy_of_follows_its_rule(kb, method, horizon):
+    """The record at the largest horizon <= h, or else the record at the
+    smallest horizon; 1.0 for O; an error for a method with no records."""
+    by_horizon = {rec.horizon: rec.micros for rec in kb.accuracies if rec.method == method}
+    if method == "O":
+        assert accuracy_of(kb, method, horizon) == 1_000_000
+    elif not by_horizon:
+        with pytest.raises(UnknownMethodError):
+            accuracy_of(kb, method, horizon)
+    else:
+        below = [h for h in by_horizon if h <= horizon]
+        expected = by_horizon[max(below) if below else min(by_horizon)]
+        assert accuracy_of(kb, method, horizon) == expected

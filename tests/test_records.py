@@ -76,7 +76,7 @@ RECORDS = {
     "LabeledAssertionalMap": (lambda: LabeledAssertionalMap(_label(), _map()), True),
     "AccuracyRecord": (lambda: AccuracyRecord("GFS", 1, 450_000), True),
     "PriorityOverride": (lambda: PriorityOverride("ECMWF", "GFS", Condition.SEA), True),
-    "KnowledgeBase": (lambda: KnowledgeBase((AccuracyRecord("GFS", 1, 450_000),)), False),
+    "KnowledgeBase": (lambda: KnowledgeBase((AccuracyRecord("GFS", 1, 450_000),)), True),
     "Rule": (_rule, True),
     "DefeasibleTheory": (lambda: DefeasibleTheory((Literal("a"),), (_rule(),), ()), True),
     "DecodedAtom": (lambda: DecodedAtom(Condition.WIND, None, "North", 1, _value()), True),
@@ -155,31 +155,25 @@ def test_knowledge_base_sorts_and_validates():
     assert [(r.method, r.horizon) for r in kb.accuracies] == [
         ("ECMWF", 1), ("GFS", 1), ("GFS", 2)]
     assert [o.winner for o in kb.overrides] == ["ECMWF", "GFS"]
-    assert kb.by_method == {"ECMWF": ([1], [850_000]), "GFS": ([1, 2], [450_000, 400_000])}
     with pytest.raises(SchemaError, match="duplicate"):
         KnowledgeBase((AccuracyRecord("GFS", 1, 1), AccuracyRecord("GFS", 1, 2)))
     with pytest.raises(SchemaError, match="min_accuracy"):
         KnowledgeBase(min_micros=2_000_000)
 
 
-def test_lexicon_table_builds_its_search():
+def test_lexicon_table_holds_its_bands():
     bands = {Condition.RAIN: ((0, "No precipitation"), (2_000_000, "Very Light Rains"),
                               (None, "Heavy Rains"))}
     table = LexiconTable(bands)
-    assert table.bands == bands and table.bands is not bands
-    assert table.search == {Condition.RAIN: (
-        [1, 2_000_000], ["No precipitation", "Very Light Rains", "Heavy Rains"])}
+    assert table.bands == bands
     assert LexiconTable().bands == DEFAULT_BANDS
-    assert LexiconTable().bands is not DEFAULT_BANDS
 
 
-def test_smooth_templates_copy_their_fragments():
+def test_smooth_templates_hold_their_fragments():
     fragments = {Condition.SEA: "sea state {term}"}
     templates = SmoothTemplates(fragments)
-    fragments[Condition.SEA] = "{term}"
     assert templates.fragments == {Condition.SEA: "sea state {term}"}
     assert SmoothTemplates().fragments == DEFAULT_FRAGMENTS
-    assert SmoothTemplates().fragments is not DEFAULT_FRAGMENTS
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
