@@ -9,6 +9,9 @@ Theory text grammar (UTF-8, line oriented, "%" starts a comment):
     literal   := ["-"] atom
     id, atom  := [A-Za-z][A-Za-z0-9_]*
 
+Whitespace is free around every token, "-" included. A parse error's column
+is the first character of the offending part, or 1 when that part is empty.
+
 Canonical atoms encode one weather slot and value:
 
     <COND><LOC>[_<src>]_h<k>_<DIR?><MAG>
@@ -39,7 +42,7 @@ from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseErro
 from .inputs import HORIZON_RE, MAX_HORIZON, MAX_PLACES, MILLION, has_cycle
 from .model import NAME_RE, Compass, Condition, Value, decimal_str
 
-_ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_LITERAL_RE = re.compile(r"\s*(?:-\s*)?[A-Za-z][A-Za-z0-9_]*\s*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 CONDITION_CODES = {
@@ -73,13 +76,10 @@ class Literal(str):
 
 
 def parse_literal(text: str) -> Literal:
-    """A literal from text; its atom must match the id grammar."""
-    text = text.strip()
-    positive = not text.startswith("-")
-    atom = text if positive else text[1:].strip()
-    if not _ATOM_RE.match(atom):
-        raise TheoryError(f"bad atom {atom!r}")
-    return Literal(atom, positive)
+    """A literal from text: an optional "-", then an atom in the id grammar."""
+    if _LITERAL_RE.match(text) is None:
+        raise TheoryError(f"bad atom {text.strip().removeprefix('-').strip()!r}")
+    return str.__new__(Literal, "".join(text.split()))
 
 
 class RuleKind(Enum):
@@ -234,8 +234,8 @@ def decode_atom(atom: str) -> DecodedAtom:
 # Text format
 # ---------------------------------------------------------------------------
 
-_ARROWS = ("->", "=>", "~>")
 _ID_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\Z")
+_ARROW_RE = re.compile(r"->|=>|~>")
 
 
 def parse_theory(text: str) -> DefeasibleTheory:
@@ -244,57 +244,55 @@ def parse_theory(text: str) -> DefeasibleTheory:
     rules: list[Rule] = []
     sups: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+        line = raw.split("%", 1)[0]
+        stripped = line.strip()
+        if not stripped:
             continue
-        if line.startswith(">>"):
-            facts.append(_parse_literal_at(line[2:], lineno, raw))
-        elif ":" in line:
-            rules.append(_parse_rule(line, lineno, raw))
-        elif ">" in line:
-            winner, _, loser = line.partition(">")
-            sups.append((_parse_id(winner, lineno, raw),
-                         _parse_id(loser, lineno, raw)))
+        if stripped.startswith(">>"):
+            facts.append(_read_literal(line, line.index(">>") + 2, len(line), lineno))
+        elif ":" in stripped:
+            colon = line.index(":")
+            rid = _read_id(line, 0, colon, lineno)
+            arrow = _ARROW_RE.search(line, colon)
+            if arrow is None:
+                raise TheoryParseError(lineno, colon + 2, "rule has no arrow")
+            body, start, stop = [], colon + 1, arrow.start()
+            if line[start:stop].strip():
+                for part in line[start:stop].split(","):
+                    body.append(_read_literal(line, start, start + len(part), lineno))
+                    start += len(part) + 1
+            head = _read_literal(line, arrow.end(), len(line), lineno)
+            rules.append(Rule(rid, RuleKind(arrow[0]), tuple(body), head))
+        elif ">" in stripped:
+            gt = line.index(">")
+            sups.append((_read_id(line, 0, gt, lineno),
+                         _read_id(line, gt + 1, len(line), lineno)))
         else:
-            raise TheoryParseError(lineno, 1, f"unrecognized line: {line!r}")
+            raise TheoryParseError(lineno, 1, f"unrecognized line: {stripped!r}")
     theory = DefeasibleTheory(tuple(facts), tuple(rules), tuple(sups))
     validate_theory(theory)
     return theory
 
 
-def _parse_id(text: str, lineno: int, raw: str) -> str:
-    m = _ID_RE.match(text)
-    if not m:
-        col = raw.find(text.strip()) + 1 if text.strip() else 1
-        raise TheoryParseError(lineno, max(col, 1), f"bad identifier: {text.strip()!r}")
-    return m.group(1)
+def _read_id(line: str, start: int, end: int, lineno: int) -> str:
+    m = _ID_RE.match(line, start, end)
+    if m is None:
+        raise _parse_error(line, start, end, lineno, "bad identifier")
+    return m[1]
 
 
-def _parse_literal_at(text: str, lineno: int, raw: str) -> Literal:
+def _read_literal(line: str, start: int, end: int, lineno: int) -> Literal:
     try:
-        return parse_literal(text)
+        return parse_literal(line[start:end])
     except TheoryError:
-        col = raw.find(text.strip()) + 1 if text.strip() else 1
-        raise TheoryParseError(lineno, max(col, 1),
-                               f"bad literal: {text.strip()!r}") from None
+        raise _parse_error(line, start, end, lineno, "bad literal") from None
 
 
-def _parse_rule(line: str, lineno: int, raw: str) -> Rule:
-    rule_id, _, rest = line.partition(":")
-    rid = _parse_id(rule_id, lineno, raw)
-    arrow_pos = None
-    for arrow in _ARROWS:
-        pos = rest.find(arrow)
-        if pos >= 0 and (arrow_pos is None or pos < arrow_pos[0]):
-            arrow_pos = (pos, arrow)
-    if arrow_pos is None:
-        raise TheoryParseError(lineno, raw.find(":") + 2, "rule has no arrow")
-    pos, arrow = arrow_pos
-    body_text, head_text = rest[:pos], rest[pos + len(arrow):]
-    body = tuple(_parse_literal_at(part, lineno, raw)
-                 for part in body_text.split(",")) if body_text.strip() else ()
-    head = _parse_literal_at(head_text, lineno, raw)
-    return Rule(rid, RuleKind(arrow), body, head)
+def _parse_error(line: str, start: int, end: int, lineno: int, what: str) -> TheoryParseError:
+    """The error for the part line[start:end], at its first non-blank character."""
+    part = line[start:end].strip()
+    column = line.find(part, start) + 1 if part else 1
+    return TheoryParseError(lineno, column, f"{what}: {part!r}")
 
 
 def serialize_theory(theory: DefeasibleTheory) -> str:

@@ -230,7 +230,8 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     which is sift's. Deterministic: equal inputs, in any order, serialize
     identically. Atom segments are checked once per slot and method tags once;
     each assertion's tagged literal is shared by its r_ rule, the fold and the
-    pass-through rule. Observations that disagree on a slot are an error.
+    pass-through rule. A rule id (kind prefix, then head) fixes the rule, so a
+    repeated id is kept once. Observations that disagree on a slot are an error.
     """
     lams = sift(metarules, kb, now)
     tags = _method_tags(lams)
@@ -240,11 +241,7 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     sups: list[tuple[str, str]] = []
 
     def add_rule(rule: Rule) -> None:
-        existing = rules.get(rule.id)
-        if existing is None:
-            rules[rule.id] = rule
-        elif existing != rule:
-            raise ForecastError(f"conflicting definitions for rule {rule.id!r}")
+        rules.setdefault(rule.id, rule)
 
     for (_, _, horizon), group in groupby(zip(lams, lams.facts), key=lambda p: p[1][0]):
         group = list(group)

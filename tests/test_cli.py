@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -103,6 +104,15 @@ class TestPipeline:
         # GFS (0.45/0.40) is below threshold: ECMWF raw values pass through,
         # so tomorrow's cloudiness is 75 (Mostly Cloudy) everywhere.
         assert "North: Mostly Cloudy, Light Winds from North East." in text
+
+    @pytest.mark.parametrize("threshold, gfs_horizons", [("0.45", {"h0", "h1"}),
+                                                         ("0.450001", set())])
+    def test_min_accuracy_keeps_a_model_exactly_at_it(self, tmp_path, threshold, gfs_horizons):
+        # GFS scores exactly 0.45 at h0 and h1 and 0.40 at h2.
+        out = tmp_path / "theory.dfl"
+        assert main(["tournament", *_seaside_inputs(), "--min-accuracy", threshold,
+                     "--out", str(out)]) == 0
+        assert set(re.findall(r"^r_\w+_gfs_(h\d)_", out.read_text(), re.M)) == gfs_horizons
 
     def test_timings_flag(self, tmp_path, capsys):
         assert main(pipeline_args(tmp_path, extra=["--timings"])) == 0

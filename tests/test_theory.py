@@ -1,3 +1,4 @@
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecast.errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
+from fusecast.errors import (
+    ForecastError,
+    OpaqueAtomError,
+    SchemaError,
+    TheoryError,
+    TheoryParseError,
+)
 from fusecast.inputs import exact_number, parse_horizon
 from fusecast.model import Compass, Condition, Value, check_value
+from fusecast.reasoner import conclusions_from_json
 from fusecast.theory import (
     CONDITION_CODES,
     DefeasibleTheory,
@@ -23,6 +31,8 @@ from fusecast.theory import (
     validate_theory,
 )
 
+import reference_reader
+from conftest import FIXTURES
 from genutil import random_theory
 
 M = 1_000_000  # one unit in millionths
@@ -366,6 +376,23 @@ class TestTheoryFormat:
             parse_theory(f">> a\n{rule}\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("r1: 1 => a", 1, 5),
+        ("a9: b => 9", 1, 10),
+        ("x: a9, 9 => c", 1, 8),
+        ("r9 > 9", 1, 6),
+        ("r1: => a\nr1 > 1", 2, 6),
+    ])
+    def test_error_column_is_the_offending_part_not_an_earlier_copy(self, text, line, column):
+        with pytest.raises(TheoryParseError) as err:
+            parse_theory(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_free_spacing_reads_as_the_canonical_theory(self, rain_reference_theory):
+        spaced = (FIXTURES / "rain" / "spaced_theory.dfl").read_text()
+        assert "\t" in spaced and "- " in spaced
+        assert parse_theory(spaced) == rain_reference_theory
+
     def test_serialize_orders_rules_by_id(self):
         t = DefeasibleTheory(rules=(
             Rule("r2", RuleKind.DEFEASIBLE, (), Literal("B")),
@@ -399,3 +426,82 @@ class TestValidation:
 def test_parse_serialize_round_trip(seed):
     theory = random_theory(random.Random(seed))
     assert parse_theory(serialize_theory(theory)) == theory
+
+
+# ---------------------------------------------------------------------------
+# Both readers against the reference reader kept in tests/reference_reader.py
+# ---------------------------------------------------------------------------
+
+_IDS = st.sampled_from(["r1", "r2", "a", "B_2", "x9", "CNorth_h1_78"])
+_BLANK = st.text(alphabet=" \t\xa0", max_size=2)
+_TOKENS = st.one_of(_IDS, _BLANK, st.sampled_from(
+    ["-", ",", ":", ">", ">>", "->", "=>", "~>", "%", "9", "\u00e9", "=", "~"]))
+_SOUP = st.lists(_TOKENS, max_size=8).map("".join)
+
+
+@st.composite
+def _literal_text(draw):
+    """A literal with random spacing; now and then its atom is missing."""
+    sign = draw(st.sampled_from(["", "-"]))
+    atom = draw(st.one_of(_IDS, st.just(""))) if draw(st.booleans()) else draw(_IDS)
+    return draw(_BLANK) + sign + draw(_BLANK) + atom + draw(_BLANK)
+
+
+@st.composite
+def _theory_line(draw):
+    """A fact, rule or superiority line with random spacing, or a token soup;
+    either may carry one stray token and a trailing comment."""
+    shape = draw(st.sampled_from(["fact", "rule", "sup", "soup"]))
+    if shape == "fact":
+        line = draw(_BLANK) + ">>" + draw(_literal_text())
+    elif shape == "rule":
+        body = ",".join(draw(st.lists(_literal_text(), max_size=3)))
+        arrow = draw(st.sampled_from(["->", "=>", "~>"]))
+        line = draw(_BLANK) + draw(_IDS) + draw(_BLANK) + ":" + body + arrow \
+            + draw(_literal_text())
+    elif shape == "sup":
+        line = draw(_BLANK) + draw(_IDS) + draw(_BLANK) + ">" + draw(_BLANK) + draw(_IDS)
+    else:
+        line = draw(_SOUP)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(_TOKENS) + line[at:]
+    if draw(st.booleans()):
+        line += draw(_BLANK) + "%" + draw(_SOUP)
+    return line
+
+
+def _outcome(read, text):
+    """What a reader returns, or its error's type, line, column and message."""
+    try:
+        return read(text)
+    except TheoryError as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
+
+
+@settings(max_examples=400)
+@given(st.lists(_theory_line(), min_size=1, max_size=4))
+def test_parse_theory_matches_the_reference_reader(lines):
+    text = "\n".join(lines)
+    got = _outcome(parse_theory, text)
+    assert got == _outcome(reference_reader.parse_theory, text)
+    if isinstance(got, DefeasibleTheory):
+        literals = [*got.facts, *(lit for r in got.rules for lit in (*r.body, r.head))]
+        assert all(type(lit) is Literal for lit in literals)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_literal_text(), _SOUP), max_size=4))
+def test_conclusions_from_json_matches_per_item_reference_literals(items):
+    for item in items:
+        assert _outcome(parse_literal, item) == _outcome(reference_reader.parse_literal, item)
+    try:
+        expected = frozenset(reference_reader.parse_literal(s) for s in items)
+    except TheoryError as exc:
+        expected = str(SchemaError("+d", f"bad literal: {exc}"))
+    try:
+        got = conclusions_from_json(json.dumps({"+d": items}).encode()).plus_defeasible
+        assert all(type(lit) is Literal for lit in got)
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == expected

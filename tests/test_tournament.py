@@ -369,6 +369,15 @@ class TestBuildTheory:
                         and decode_of(l).source is None]
             assert len(untagged) == (1 if lams else 0)
 
+    def test_one_method_agreeing_across_two_cycles_gives_each_rule_once(self, seaside_kb):
+        # Both maps tag their literal with the method alone, so the r_ and pt_
+        # rules of the second map repeat those of the first.
+        lams = [lam("GFS", 0, Condition.CLOUDINESS, "North", 2, 75),
+                lam("GFS", 1, Condition.CLOUDINESS, "North", 2, 75)]
+        t = build_theory(lams, seaside_kb, H(1))
+        assert [r.id for r in t.rules] == ["r_CNorth_gfs_h1_75", "pt_CNorth_gfs_h1_75"]
+        assert (t.facts, t.superiority) == ((), ())
+
     def test_reserved_tag_methods_rejected(self, flat_kb):
         kb = KnowledgeBase(flat_kb.accuracies + (
             AccuracyRecord("XR0", 0, 500_000),))
