@@ -34,8 +34,7 @@ class ScenarioEntry(NamedTuple):
     location: str
     horizon: int
     value: Value
-    witness: str   # the literal this entry was read from
-    strength: str  # "+D" (fact-backed) or "+d"
+    witness: str  # the literal this entry was read from
 
 
 class WeatherScenario(NamedTuple):
@@ -70,9 +69,8 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
         if not lit.positive:
             continue
         slot = (decoded.condition, decoded.location, decoded.horizon)
-        strength = "+D" if lit in conclusions.plus_definite else "+d"
         entry = ScenarioEntry(decoded.condition, decoded.location,
-                              decoded.horizon, decoded.value, str(lit), strength)
+                              decoded.horizon, decoded.value, str(lit))
         other = by_slot.setdefault(slot, entry)
         if other.value != entry.value:
             raise ScenarioError(

@@ -26,8 +26,7 @@ from . import bulletin as bulletin_mod
 from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
 from . import tournament
 from .errors import ForecastError
-from .inputs import MILLION, read_json_number
-from .model import TimeRef, decimal_str, parse_timeref
+from .model import TimeRef, parse_timeref
 
 
 class _StageError(Exception):
@@ -61,13 +60,9 @@ def _write(path: Optional[Path], data: bytes) -> None:
             Path(path).write_bytes(data)
 
 
-def _load_kb(path: Path, min_micros: Optional[int]) -> kb_mod.KnowledgeBase:
+def _load_kb(path: Path) -> kb_mod.KnowledgeBase:
     with _stage("kb", path):
-        knowledge = kb_mod.load_kb(_read(path))
-        if min_micros is not None:
-            knowledge = kb_mod.KnowledgeBase(
-                knowledge.accuracies, knowledge.overrides, min_micros)
-    return knowledge
+        return kb_mod.load_kb(_read(path))
 
 
 def _load_lams(sources: Sequence[Path], obs: Optional[Path], now: TimeRef):
@@ -120,8 +115,6 @@ def _add_source_args(p: argparse.ArgumentParser, need_sources: bool = True):
                    help="knowledge base document")
     p.add_argument("--now", type=str, default=None,
                    help="reference time (ISO-8601 or h0); default: current UTC")
-    p.add_argument("--min-accuracy", type=str, default=None, metavar="NUM",
-                   help="override the KB reliability threshold")
 
 
 def _add_bulletin_args(p: argparse.ArgumentParser):
@@ -139,18 +132,6 @@ def _parse_now(text: Optional[str]) -> TimeRef:
         return TimeRef(instant=datetime.now(timezone.utc))
     with _stage("args", "--now"):
         return parse_timeref(text)
-
-
-def _parse_min_accuracy(text: Optional[str]) -> Optional[int]:
-    """The --min-accuracy threshold in millionths, spelled and bounded as in a
-    KB document."""
-    if text is None:
-        return None
-    with _stage("args", "--min-accuracy"):
-        micros = read_json_number(text)
-        if not 0 <= micros <= MILLION:
-            raise ForecastError(f"{decimal_str(micros)} outside [0, 1]")
-        return micros
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_tournament(args) -> int:
     now = _parse_now(args.now)
-    knowledge = _load_kb(args.kb, _parse_min_accuracy(args.min_accuracy))
+    knowledge = _load_kb(args.kb)
     lams = _load_lams(args.source, args.obs, now)
     with _stage("tournament"):
         built = tournament.build_theory(lams, knowledge, now)
@@ -223,7 +204,6 @@ def _cmd_bulletin(args) -> int:
 def _cmd_pipeline(args) -> int:
     """All stages, composed as `tournament`, `reason` and `bulletin` are."""
     now = _parse_now(args.now)
-    min_accuracy = _parse_min_accuracy(args.min_accuracy)
     timings: list[tuple[str, float]] = []
 
     def timed(stage, fn):
@@ -232,7 +212,7 @@ def _cmd_pipeline(args) -> int:
         timings.append((stage, time.perf_counter() - start))
         return result
 
-    knowledge = timed("kb", lambda: _load_kb(args.kb, min_accuracy))
+    knowledge = timed("kb", lambda: _load_kb(args.kb))
     lams = timed("ingest", lambda: _load_lams(args.source, args.obs, now))
     with _stage("tournament"):
         built = timed("tournament", lambda: tournament.build_theory(lams, knowledge, now))
@@ -255,10 +235,9 @@ def _cmd_validate(args) -> int:
     """Lint with the parsers `pipeline` uses, then, if every document passes,
     build the theory as it does, so it accepts exactly what `pipeline` accepts."""
     now = _parse_now(args.now)
-    min_accuracy = _parse_min_accuracy(args.min_accuracy)
     status = 0
     try:
-        knowledge = _load_kb(args.kb, min_accuracy)
+        knowledge = _load_kb(args.kb)
         print(f"{args.kb}: ok")
     except _StageError as exc:
         print(f"{args.kb}: error: {exc.cause}")

@@ -85,19 +85,6 @@ def _check_keys(doc: dict) -> None:
             stack.extend((f"{path}[{i}]", child) for i, child in enumerate(node))
 
 
-def read_json_number(text: str) -> int:
-    """exact_number of a text that is one JSON number and nothing else, so a
-    flag takes exactly the numbers a document does."""
-    decoder = json.JSONDecoder(parse_float=Decimal, parse_int=Decimal)
-    try:
-        value, end = decoder.raw_decode(text)
-    except (ValueError, InvalidOperation, RecursionError):
-        end = None
-    if end != len(text):
-        raise ForecastError(f"bad number {text!r}")
-    return exact_number(value, "")
-
-
 def exact_number(value, path: str) -> int:
     """A JSON number in millionths, checked against the bounds first, which
     make it exact. Trailing zeros after the point do not count."""

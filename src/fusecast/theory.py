@@ -10,7 +10,9 @@ Theory text grammar (UTF-8, line oriented, "%" starts a comment):
     id, atom  := [A-Za-z][A-Za-z0-9_]*
 
 Whitespace is free around every token, "-" included. A parse error's column
-is the first character of the offending part, or 1 when that part is empty.
+is the first character of the offending part. A blank part is reported where
+it starts, just after the ":", ",", ">", ">>" or arrow before it, or at 1 when
+it starts the line.
 
 Canonical atoms encode one weather slot and value:
 
@@ -289,9 +291,10 @@ def _read_literal(line: str, start: int, end: int, lineno: int) -> Literal:
 
 
 def _parse_error(line: str, start: int, end: int, lineno: int, what: str) -> TheoryParseError:
-    """The error for the part line[start:end], at its first non-blank character."""
+    """The error for the part line[start:end], at its first non-blank
+    character, or at `start` when it is blank."""
     part = line[start:end].strip()
-    column = line.find(part, start) + 1 if part else 1
+    column = line.find(part, start) + 1
     return TheoryParseError(lineno, column, f"{what}: {part!r}")
 
 

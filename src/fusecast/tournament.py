@@ -52,11 +52,6 @@ from .theory import (
 )
 
 
-class Bias(Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
 class Winner(Enum):
     FIRST = "first"
     SECOND = "second"
@@ -78,10 +73,9 @@ class Prevalence(NamedTuple):
 MIN_WEIGHT = MILLION // 2
 
 
-def supremacy(v_first: Value, v_second: Value, a_first: int,
-              a_second: int, bias: Bias) -> Value:
-    """Biased blend of two conflicting values of the same kind, from the two
-    sides' accuracies in millionths.
+def supremacy(v_bias: Value, v_other: Value, a_bias: int, a_other: int) -> Value:
+    """Blend of two conflicting values of the same kind, biased toward the
+    first, from the two sides' accuracies in millionths.
 
     The biased side weighs w = clamp(max(a_bias, 1 - a_other), MIN_WEIGHT, 1);
     the magnitude is rounded half up to a whole unit and kept inside the
@@ -89,12 +83,8 @@ def supremacy(v_first: Value, v_second: Value, a_first: int,
     the biased value unchanged (idempotence). The direction is the biased
     side's. Weights and magnitudes are ints in millionths, so it is exact.
     """
-    if (v_first.direction is None) != (v_second.direction is None):
+    if (v_bias.direction is None) != (v_other.direction is None):
         raise ForecastError("cannot blend values of mixed condition kinds")
-    if bias is Bias.FIRST:
-        v_bias, v_other, a_bias, a_other = v_first, v_second, a_first, a_second
-    else:
-        v_bias, v_other, a_bias, a_other = v_second, v_first, a_second, a_first
     w = min(max(a_bias, MILLION - a_other, MIN_WEIGHT), MILLION)
     vb, vo = v_bias.micros, v_other.micros
     # w * vb + (1 - w) * vo, in millionths of millionths of a unit.
@@ -298,10 +288,8 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
     for nxt, tagged_next, nxt_acc in models[1:]:
         if nxt.map.value == champ_value:
             continue
-        blend_first = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
-                                Bias.FIRST)
-        blend_second = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc,
-                                 Bias.SECOND)
+        blend_first = supremacy(champ_value, nxt.map.value, champ_acc, nxt_acc)
+        blend_second = supremacy(nxt.map.value, champ_value, nxt_acc, champ_acc)
         first_wins = override_winner(kb, champ_lam.label.method, nxt.label.method,
                                      cond, location) != nxt.label.method
         rounds.append((tagged_next, blend_first, blend_second, first_wins))

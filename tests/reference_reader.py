@@ -1,10 +1,12 @@
 """A reference theory reader for the differential tests of `fusecast.theory`.
 
 It is the reader as it was before each token kind got one pattern: a strip,
-a sign test and a regex per literal, and three `find`s for the arrow. One
-thing differs from that reader: an error's column is searched for from where
+a sign test and a regex per literal, and three `find`s for the arrow. Two
+things differ from that reader. An error's column is searched for from where
 the offending part starts, not from the start of the line, so a bad part is
-not reported at an earlier copy of its text.
+not reported at an earlier copy of its text. And a blank part is reported
+where it starts, not at column 1; the rule id and the superiority winner
+start the line, so they are searched for from 0.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def parse_theory(text: str) -> DefeasibleTheory:
             rules.append(_parse_rule(line, lineno, raw, at))
         elif ">" in line:
             winner, _, loser = line.partition(">")
-            sups.append((_parse_id(winner, lineno, raw, at),
+            sups.append((_parse_id(winner, lineno, raw, 0),
                          _parse_id(loser, lineno, raw, at + len(winner) + 1)))
         else:
             raise TheoryParseError(lineno, 1, f"unrecognized line: {line!r}")
@@ -53,7 +55,7 @@ def parse_theory(text: str) -> DefeasibleTheory:
 
 
 def _column(text: str, raw: str, at: int) -> int:
-    return raw.find(text.strip(), at) + 1 if text.strip() else 1
+    return raw.find(text.strip(), at) + 1
 
 
 def _parse_id(text: str, lineno: int, raw: str, at: int) -> str:
@@ -74,7 +76,7 @@ def _parse_literal_at(text: str, lineno: int, raw: str, at: int) -> Literal:
 
 def _parse_rule(line: str, lineno: int, raw: str, at: int) -> Rule:
     rule_id, _, rest = line.partition(":")
-    rid = _parse_id(rule_id, lineno, raw, at)
+    rid = _parse_id(rule_id, lineno, raw, 0)
     arrow_pos = None
     for arrow in _ARROWS:
         pos = rest.find(arrow)

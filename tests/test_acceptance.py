@@ -22,7 +22,7 @@ from fusecast.lexicon import classify
 from fusecast.model import Compass, Condition, Value
 from fusecast.reasoner import conclusions, oracle_conclusions
 from fusecast.theory import Literal, decode_atom, encode_atom, parse_theory, serialize_theory
-from fusecast.tournament import Bias, build_theory, supremacy
+from fusecast.tournament import build_theory, supremacy
 
 from conftest import record_criterion
 from genutil import codec_seed_tuple, random_theory, random_two_model_inputs
@@ -145,9 +145,9 @@ def test_criterion_3_tournament_structure(seaside_theory, seaside_kb):
         v_e = decode_atom(body_first.atom).value
         v_g = decode_atom(body_second.atom).value
         e_head = encode_atom(condition, None, location, horizon,
-                             supremacy(v_e, v_g, a_e, a_g, Bias.FIRST))
+                             supremacy(v_e, v_g, a_e, a_g))
         g_head = encode_atom(condition, None, location, horizon,
-                             supremacy(v_e, v_g, a_e, a_g, Bias.SECOND))
+                             supremacy(v_g, v_e, a_g, a_e))
         # both priorities oriented toward the more accurate model's candidate
         assert (f"vc_{e_head}", f"sr_{g_head}") in sup_pairs
         assert (f"sr_{e_head}", f"vc_{g_head}") in sup_pairs
@@ -273,9 +273,9 @@ def test_criterion_6d_supremacy_laws():
         m2 = Fraction(rng.randint(0, 400), rng.choice((1, 2, 4)))
         a1 = rng.randint(0, 100) * 10_000  # millionths
         a2 = rng.randint(0, 100) * 10_000
-        bias = rng.choice((Bias.FIRST, Bias.SECOND))
+        swap = rng.choice((False, True))
         v1, v2 = Value(int(m1 * M)), Value(int(m2 * M))
-        got = supremacy(v1, v2, a1, a2, bias)
+        got = supremacy(v2, v1, a2, a1) if swap else supremacy(v1, v2, a1, a2)
         assert min(m1, m2) <= got.magnitude <= max(m1, m2)
         if m1 == m2:
             assert got.magnitude == m1

@@ -81,8 +81,6 @@ class TestExtractScenario:
         for entry in extract_scenario(cs).entries:
             witness = Literal(entry.witness)
             assert witness in cs.plus_defeasible
-            if entry.strength == "+D":
-                assert witness in cs.plus_definite
 
 
 def _reference_scenario(cs: ConclusionSet) -> WeatherScenario:
@@ -102,8 +100,7 @@ def _reference_scenario(cs: ConclusionSet) -> WeatherScenario:
             continue
         slot = (decoded.condition, decoded.location, decoded.horizon)
         entry = ScenarioEntry(decoded.condition, decoded.location, decoded.horizon,
-                              decoded.value, str(q),
-                              "+D" if q in cs.plus_definite else "+d")
+                              decoded.value, str(q))
         other = by_slot.setdefault(slot, entry)
         if other.value != entry.value:
             raise ScenarioError(

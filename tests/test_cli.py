@@ -98,8 +98,8 @@ class TestPipeline:
         assert html.startswith("<!DOCTYPE html>")
 
     def test_min_accuracy_filters_models(self, tmp_path):
-        args = pipeline_args(tmp_path, extra=["--min-accuracy", "0.5"])
-        assert main(args) == 0
+        kb = _seaside_with(tmp_path, "kb.json", ("min_accuracy",), "0.5")
+        assert main(_swap(pipeline_args(tmp_path), "--kb", kb)) == 0
         text = (tmp_path / "bulletin.txt").read_text()
         # GFS (0.45/0.40) is below threshold: ECMWF raw values pass through,
         # so tomorrow's cloudiness is 75 (Mostly Cloudy) everywhere.
@@ -110,7 +110,8 @@ class TestPipeline:
     def test_min_accuracy_keeps_a_model_exactly_at_it(self, tmp_path, threshold, gfs_horizons):
         # GFS scores exactly 0.45 at h0 and h1 and 0.40 at h2.
         out = tmp_path / "theory.dfl"
-        assert main(["tournament", *_seaside_inputs(), "--min-accuracy", threshold,
+        kb = _seaside_with(tmp_path, "kb.json", ("min_accuracy",), threshold)
+        assert main(["tournament", *_swap(_seaside_inputs(), "--kb", kb),
                      "--out", str(out)]) == 0
         assert set(re.findall(r"^r_\w+_gfs_(h\d)_", out.read_text(), re.M)) == gfs_horizons
 
@@ -434,13 +435,6 @@ class TestInputBoundary:
         _staged_error(capsys, "source", bad)
 
     @pytest.mark.parametrize("flag, value", [
-        ("--min-accuracy", "1e5000"),
-        ("--min-accuracy", "many"),
-        ("--min-accuracy", "0.5_0"),
-        ("--min-accuracy", " 0.5"),
-        ("--min-accuracy", "+0.5"),
-        ("--min-accuracy", "2"),
-        ("--min-accuracy", "-1"),
         ("--now", "bogus"),
         ("--now", "h367"),
         ("--now", "0001-01-01T00:00:00+05:00"),
@@ -525,6 +519,15 @@ class TestInputBoundary:
         assert f"{bad}: error: {where}: " in capsys.readouterr().out
         assert main(_swap(pipeline_args(tmp_path), "--kb", bad)) == 1
         assert f"({bad}): {where}: " in _staged_error(capsys, "kb", bad)
+
+    @pytest.mark.parametrize("raw", ["2", "-1", "1e5000", '"0.5"', "0.0000001", "null"])
+    def test_bad_min_accuracy_fails_validate_as_it_fails_pipeline(self, tmp_path, capsys, raw):
+        """The KB alone sets the reliability threshold, bounded as every number is."""
+        bad = _seaside_with(tmp_path, "kb.json", ("min_accuracy",), raw)
+        assert main(["validate", *_swap(_seaside_inputs(), "--kb", bad)]) == 1
+        assert f"{bad}: error: min_accuracy: " in capsys.readouterr().out
+        assert main(_swap(pipeline_args(tmp_path), "--kb", bad)) == 1
+        assert f"({bad}): min_accuracy: " in _staged_error(capsys, "kb", bad)
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         kb = tmp_path / "kb.json"

@@ -84,7 +84,7 @@ RECORDS = {
     "Prevalence": (lambda: Prevalence(Winner.FIRST, PrevalenceBasis.ACCURACY), True),
     "Diagnostic": (lambda: Diagnostic("error", "entries[0]", "bad"), True),
     "ScenarioEntry": (lambda: ScenarioEntry(Condition.WIND, "North", 1, _value(),
-                                            "WNorth_h1_NE12.5", "+d"), True),
+                                            "WNorth_h1_NE12.5"), True),
     "WeatherScenario": (lambda: WeatherScenario((), ("gfs",)), True),
     "BulletinEntry": (_entry, True),
     "LocationBlock": (lambda: LocationBlock("North", (_entry(),)), True),

@@ -370,11 +370,16 @@ class TestTheoryFormat:
         with pytest.raises(TheoryParseError):
             parse_theory("r1: A, B\n")
 
-    @pytest.mark.parametrize("rule", ["r1: a,,b => c", "r1: , => c", "r1: a, => c"])
-    def test_empty_body_item(self, rule):
+    @pytest.mark.parametrize("rule, column", [
+        pytest.param("r1: a,,b => c", 7, id="r1: a,,b => c"),
+        pytest.param("r1: , => c", 4, id="r1: , => c"),
+        pytest.param("r1: a, => c", 7, id="r1: a, => c"),
+    ])
+    def test_empty_body_item(self, rule, column):
+        """A blank item is reported where it starts, just after its comma or colon."""
         with pytest.raises(TheoryParseError) as err:
             parse_theory(f">> a\n{rule}\n")
-        assert err.value.line == 2
+        assert (err.value.line, err.value.column) == (2, column)
 
     @pytest.mark.parametrize("text, line, column", [
         ("r1: 1 => a", 1, 5),
@@ -382,6 +387,10 @@ class TestTheoryFormat:
         ("x: a9, 9 => c", 1, 8),
         ("r9 > 9", 1, 6),
         ("r1: => a\nr1 > 1", 2, 6),
+        ("r1: a =>", 1, 9),
+        (">>  ", 1, 3),
+        ("x >   ", 1, 4),
+        ("\xa0: => a", 1, 1),
     ])
     def test_error_column_is_the_offending_part_not_an_earlier_copy(self, text, line, column):
         with pytest.raises(TheoryParseError) as err:

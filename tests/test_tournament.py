@@ -20,7 +20,6 @@ from fusecast.model import (
 from fusecast.reasoner import conclusions
 from fusecast.theory import Literal, decode_atom, serialize_theory
 from fusecast.tournament import (
-    Bias,
     PrevalenceBasis,
     Winner,
     build_theory,
@@ -156,27 +155,26 @@ _MILLIONTHS = st.integers(0, 10**6).map(lambda n: Fraction(n, 10**6))
 class TestSupremacy:
     def test_idempotent_on_equal_values(self):
         v = Value(90 * M)
-        assert supremacy(v, v, 111_111, 900_000, Bias.FIRST) == v
+        assert supremacy(v, v, 111_111, 900_000) == v
 
     def test_spec_worked_example(self):
         # w = max(0.85, 1 - 0.45) = 0.85; round(0.85*50 + 0.15*100) = 58
-        got = supremacy(Value(100 * M), Value(50 * M),
-                        450_000, 850_000, Bias.SECOND)
+        got = supremacy(Value(50 * M), Value(100 * M), 850_000, 450_000)
         assert got.magnitude == 58
 
     def test_biased_result_leans_toward_the_bias(self):
         v90 = Value(90 * M)
         v75 = Value(75 * M)
-        first = supremacy(v90, v75, 450_000, 850_000, Bias.FIRST)
-        second = supremacy(v90, v75, 450_000, 850_000, Bias.SECOND)
+        first = supremacy(v90, v75, 450_000, 850_000)
+        second = supremacy(v75, v90, 850_000, 450_000)
         assert 75 <= second.magnitude <= first.magnitude <= 90
         assert abs(first.magnitude - 90) < abs(second.magnitude - 90)
 
     def test_wind_direction_copied_from_bias(self):
         g = Value(8 * M, Compass.N)
         e = Value(5 * M, Compass.NE)
-        first = supremacy(g, e, 450_000, 850_000, Bias.FIRST)
-        second = supremacy(g, e, 450_000, 850_000, Bias.SECOND)
+        first = supremacy(g, e, 450_000, 850_000)
+        second = supremacy(e, g, 850_000, 450_000)
         assert first.direction is Compass.N
         assert second.direction is Compass.NE
 
@@ -184,24 +182,23 @@ class TestSupremacy:
         with pytest.raises(ForecastError):
             supremacy(Value(8 * M, Compass.N),
                       Value(50 * M),
-                      500_000, 500_000, Bias.FIRST)
+                      500_000, 500_000)
 
     @given(st.integers(0, 100), st.integers(0, 100),
-           st.integers(0, 100), st.integers(0, 100),
-           st.sampled_from([Bias.FIRST, Bias.SECOND]))
-    def test_betweenness_and_idempotence(self, m1, m2, a1, a2, bias):
+           st.integers(0, 100), st.integers(0, 100), st.booleans())
+    def test_betweenness_and_idempotence(self, m1, m2, a1, a2, swap):
         v1 = Value(m1 * M // 2)
         v2 = Value(m2 * M // 2)
-        got = supremacy(v1, v2, a1 * 10_000, a2 * 10_000, bias)
+        got = supremacy(v2, v1, a2 * 10_000, a1 * 10_000) if swap else \
+            supremacy(v1, v2, a1 * 10_000, a2 * 10_000)
         assert min(v1.magnitude, v2.magnitude) <= got.magnitude <= max(
             v1.magnitude, v2.magnitude)
         if v1 == v2:
             assert got == v1
 
     @given(st.data(), st.sampled_from([Condition.SEA, Condition.WIND]),
-           _MILLIONTHS, _MILLIONTHS,
-           st.sampled_from([Bias.FIRST, Bias.SECOND]))
-    def test_matches_the_readme_formula(self, data, condition, a1, a2, bias):
+           _MILLIONTHS, _MILLIONTHS, st.booleans())
+    def test_matches_the_readme_formula(self, data, condition, a1, a2, swap):
         def draw_value():
             places = data.draw(st.integers(0, 6))
             magnitude = Fraction(data.draw(st.integers(0, 10**(9 + places) - 1)), 10**places)
@@ -211,15 +208,15 @@ class TestSupremacy:
 
         v1, v2 = draw_value(), draw_value()
         # round(w*v_bias + (1-w)*v_other) half up, w = clamp(max(a_bias,
-        # 1 - a_other), 1/2, 1), then clamped into [min(v1, v2), max(v1, v2)].
-        v_bias, v_other, a_bias, a_other = (
-            (v1, v2, a1, a2) if bias is Bias.FIRST else (v2, v1, a2, a1))
+        # 1 - a_other), 1/2, 1), then clamped into [min(v1, v2), max(v1, v2)];
+        # the first argument is the biased side.
+        v_bias, v_other, a_bias, a_other = (v2, v1, a2, a1) if swap else (v1, v2, a1, a2)
         w = min(max(a_bias, 1 - a_other, Fraction(1, 2)), Fraction(1))
         blend = w * v_bias.magnitude + (1 - w) * v_other.magnitude
         rounded = Fraction(math.floor(blend + Fraction(1, 2)))
         lo, hi = sorted((v1.magnitude, v2.magnitude))
         expected = Value(int(min(max(rounded, lo), hi) * M), v_bias.direction)
-        assert supremacy(v1, v2, a1 * 10**6, a2 * 10**6, bias) == expected
+        assert supremacy(v_bias, v_other, a_bias * 10**6, a_other * 10**6) == expected
 
 
 class TestBuildTheory:
