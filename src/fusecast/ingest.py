@@ -28,10 +28,9 @@ from .model import (
     TimeRef,
     Value,
     check_value,
-    hindcast_days,
     horizon_index,
-    is_future,
     parse_timeref,
+    place,
 )
 from .theory import atom_head, method_tag
 
@@ -76,23 +75,27 @@ def validate_source_map(data: bytes, now: TimeRef) -> tuple[list[LabeledAssertio
 
 def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[LabeledAssertionalMap]:
     """One document's parse_source_map result, returned unchanged once every
-    time reference can be placed against `now`, in entries sift would drop
-    too. Else a SchemaError at the first that cannot: an absolute time under
-    a symbolic `now`, a date past the last representable one, a validity
-    more than MAX_HORIZON days ahead, or a second entry on one slot (one
-    condition at one location on one day from `now` on)."""
+    time reference can be placed on `now`'s axis (model.place), in entries
+    sift would drop too. Else a SchemaError at the first that cannot: an
+    absolute time under a symbolic `now`, a date past the last representable
+    one, a validity more than MAX_HORIZON days ahead, or a second entry on
+    one slot (one condition at one location on one day from `now` on). The
+    generation is placed once and each distinct validity once."""
     if lams:
         try:
-            is_future(lams[0].label.generated_at, now)
+            place(lams[0].label.generated_at, now)
         except ForecastError as exc:
             raise SchemaError("generated_at", str(exc)) from None
     slots: dict[tuple, int] = {}
+    horizons: dict[TimeRef, int] = {}
     for i, lam in enumerate(lams):
         m = lam.map
-        try:
-            horizon = horizon_index(m.valid_at, now)
-        except ForecastError as exc:
-            raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
+        horizon = horizons.get(m.valid_at)
+        if horizon is None:
+            try:
+                horizon = horizons[m.valid_at] = horizon_index(m.valid_at, now)
+            except ForecastError as exc:
+                raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
         if horizon > MAX_HORIZON:
             raise SchemaError(f"entries[{i}].valid_at", f"lies {horizon} days after "
                               f"{now}; atoms encode horizons 0..{MAX_HORIZON}")
@@ -156,12 +159,14 @@ def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
                       f"{entry.location} @ {entry.valid_at}")
             continue
         seen.add(key)
-        days = hindcast_days(entry.valid_at, generated_at)
-        if days is not None and days < HINDCAST_WARN_DAYS:
-            diags.append(Diagnostic(
-                "warning", path,
-                f"hindcast entry: valid {-days} days before generation",
-            ))
+        # `now` is not known yet, so only a pair of one kind is compared.
+        if entry.valid_at.is_symbolic == generated_at.is_symbolic:
+            days = horizon_index(entry.valid_at, generated_at)
+            if days < HINDCAST_WARN_DAYS:
+                diags.append(Diagnostic(
+                    "warning", path,
+                    f"hindcast entry: valid {-days} days before generation",
+                ))
         lams.append(LabeledAssertionalMap(label, entry))
 
     return lams, diags

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import ForecastError
 from .inputs import MILLION, parse_horizon
@@ -165,44 +165,29 @@ def parse_timeref(text: str) -> TimeRef:
     raise ForecastError(f"unparseable time reference: {text!r}")
 
 
-def horizon_index(valid_at: TimeRef, now: TimeRef) -> int:
-    """Day offset of valid_at relative to now.
-
-    A symbolic valid_at h_k lies k - j days from a symbolic now h_j and k days
-    from an absolute now; absolute pairs use the calendar-day difference (so
-    now+36h at 14:05 lands on day 1). A symbolic `now` against an absolute
-    valid_at is unresolvable.
-    """
-    if valid_at.is_symbolic:
-        return valid_at.horizon - (now.horizon or 0)
+def place(t: TimeRef, now: TimeRef) -> TimeRef:
+    """t on `now`'s axis: a reference of now's kind unchanged, and h_k under
+    an absolute `now` the instant k days after it. An absolute t under a
+    symbolic `now` cannot be placed, nor a day past the last representable
+    date."""
+    if t.is_symbolic == now.is_symbolic:
+        return t
     if now.is_symbolic:
-        raise ForecastError(
-            "cannot compute a horizon for an absolute time against a symbolic 'now'"
-        )
-    return (valid_at.instant.date() - now.instant.date()).days
+        raise ForecastError("cannot place an absolute time reference against a symbolic 'now'")
+    try:
+        return TimeRef(instant=now.instant + timedelta(days=t.horizon))
+    except OverflowError:
+        raise ForecastError(f"{now} + {t} is past the last representable date") from None
 
 
-def resolve_instant(t: TimeRef, now: TimeRef) -> Union[datetime, int]:
-    """Comparable key for a TimeRef: a UTC datetime, or a day index when the
-    whole run is symbolic. Mixing absolute refs with a symbolic `now` fails."""
-    if now.is_symbolic:
-        if t.is_symbolic:
-            return t.horizon
-        raise ForecastError(
-            "cannot order an absolute time reference against a symbolic 'now'"
-        )
+def horizon_index(t: TimeRef, now: TimeRef) -> int:
+    """Day offset of t from `now`, once placed on now's axis: h_k lies k - j
+    days from a symbolic now h_j, and instants the calendar-day difference
+    apart (so now+36h at 14:05 lands on day 2, at 09:30 on day 1)."""
+    t = place(t, now)
     if t.is_symbolic:
-        try:
-            return now.instant + timedelta(days=t.horizon)
-        except OverflowError:
-            raise ForecastError(f"{now} + {t} is past the last representable date") from None
-    return t.instant
-
-
-def is_future(t: TimeRef, now: TimeRef) -> bool:
-    """True iff t lies strictly after now (symbolic now compares day indexes)."""
-    ref = now.horizon if now.is_symbolic else now.instant
-    return resolve_instant(t, now) > ref
+        return t.horizon - now.horizon
+    return (t.instant.date() - now.instant.date()).days
 
 
 class AssertionalMap(NamedTuple):
@@ -243,11 +228,3 @@ def conflicts_with(a: AssertionalMap, b: AssertionalMap) -> bool:
         and a.valid_at == b.valid_at
         and a.value != b.value
     )
-
-
-def hindcast_days(valid_at: TimeRef, generated_at: TimeRef) -> Optional[int]:
-    """How far valid_at sits from the generation instant, in days; None when
-    the pair is not comparable (absolute valid_at under a symbolic label)."""
-    if generated_at.is_symbolic and not valid_at.is_symbolic:
-        return None
-    return horizon_index(valid_at, generated_at)

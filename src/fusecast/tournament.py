@@ -35,10 +35,8 @@ from .model import (
     TimeRef,
     Value,
     conflicts_with,
-    hindcast_days,
     horizon_index,
-    is_future,
-    resolve_instant,
+    place,
 )
 from .theory import (
     DefeasibleTheory,
@@ -100,14 +98,10 @@ def supremacy(v_bias: Value, v_other: Value, a_bias: int, a_other: int) -> Value
 _CONDITION_ORDER = {cond: i for i, cond in enumerate(Condition)}
 
 
-def _lead_horizon(lam: LabeledAssertionalMap) -> int:
-    """Forecast lead time in days (validity vs generation), floored at 0."""
-    days = hindcast_days(lam.map.valid_at, lam.label.generated_at)
-    return max(days or 0, 0)
-
-
 def _lam_accuracy(lam: LabeledAssertionalMap, kb: KnowledgeBase) -> int:
-    return accuracy_of(kb, lam.label.method, _lead_horizon(lam))
+    """Accuracy at the lead: days from generation to validity, floored at 0."""
+    lead = horizon_index(lam.map.valid_at, lam.label.generated_at)
+    return accuracy_of(kb, lam.label.method, max(lead, 0))
 
 
 def slot_key(lam: LabeledAssertionalMap, now: TimeRef) -> tuple:
@@ -130,33 +124,50 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     Dropped: future-labeled maps (generated after `now`), maps whose validity
     already lies in the past, and maps below the KB reliability threshold
     (observations always survive). Survivors are grouped per slot and ordered
-    by accuracy desc, generation time desc, method id asc. Recency is computed
-    once per label, the horizon once per validity and the accuracy once per
-    (label, validity).
+    by accuracy desc, generation time desc, method id asc, and returned with
+    their references placed on `now`'s axis (model.place), so each is of
+    now's kind. Each label's generation is placed once and each validity
+    once; the accuracy at the lead, day(validity) - day(generation), is
+    computed once per (label, validity).
     """
-    recencies: dict[Label, Optional[float]] = {}
-    horizons: dict[TimeRef, int] = {}
+    now_key = now.horizon if now.is_symbolic else now.instant.timestamp()
+    # Per label its recency, day and, if placing changed it, the placed label;
+    # per validity its day and, likewise, the placed validity.
+    labels: dict[Label, tuple] = {}
+    validities: dict[TimeRef, tuple] = {}
     accuracies: dict[tuple[Label, TimeRef], int] = {}
     keyed = []
     for lam in lams:
         label, m = lam.label, lam.map
-        if label not in recencies:
-            recency = None if is_future(label.generated_at, now) else \
-                resolve_instant(label.generated_at, now)
-            recencies[label] = recency.timestamp() if hasattr(recency, "timestamp") else recency
-        recency = recencies[label]
-        if recency is None:
+        known = labels.get(label)
+        if known is None:
+            gen = place(label.generated_at, now)
+            known = labels[label] = (
+                gen.horizon if gen.is_symbolic else gen.instant.timestamp(),
+                horizon_index(gen, now),
+                Label(label.method, gen) if gen.is_symbolic != label.generated_at.is_symbolic
+                else None)
+        recency, gen_day, placed_label = known
+        if recency > now_key:
             continue
-        horizon = horizons.get(m.valid_at)
-        if horizon is None:
-            horizon = horizons[m.valid_at] = horizon_index(m.valid_at, now)
+        known = validities.get(m.valid_at)
+        if known is None:
+            valid_at = place(m.valid_at, now)
+            known = validities[m.valid_at] = (
+                horizon_index(valid_at, now),
+                valid_at if valid_at.is_symbolic != m.valid_at.is_symbolic else None)
+        horizon, placed_valid = known
         if horizon < 0:
             continue
         acc = accuracies.get((label, m.valid_at))
         if acc is None:
-            acc = accuracies[label, m.valid_at] = _lam_accuracy(lam, kb)
+            acc = accuracies[label, m.valid_at] = accuracy_of(
+                kb, label.method, max(horizon - gen_day, 0))
         if acc < kb.min_micros and not lam.is_observation:
             continue
+        if placed_label or placed_valid:
+            lam = LabeledAssertionalMap(placed_label or label,
+                                        m._replace(valid_at=placed_valid or m.valid_at))
         slot = (_CONDITION_ORDER[m.condition], m.location, horizon)
         keyed.append(((*slot, -acc, -recency, label.method, str(m.value)), slot, acc, lam))
     keyed.sort(key=itemgetter(0))
@@ -168,19 +179,6 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 # ---------------------------------------------------------------------------
 # Prevalence
 # ---------------------------------------------------------------------------
-
-def _label_order(a: Label, b: Label) -> int:
-    """-1/0/+1 comparing generation times (later is greater)."""
-    if not a.generated_at.is_symbolic:
-        ref = a.generated_at
-    elif not b.generated_at.is_symbolic:
-        ref = b.generated_at
-    else:
-        ref = TimeRef(horizon=0)
-    ta = resolve_instant(a.generated_at, ref)
-    tb = resolve_instant(b.generated_at, ref)
-    return (ta > tb) - (ta < tb)
-
 
 def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
              kb: KnowledgeBase) -> Prevalence:
@@ -201,9 +199,9 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
     if acc_a != acc_b:
         return Prevalence(Winner.FIRST if acc_a > acc_b else Winner.SECOND,
                           PrevalenceBasis.ACCURACY)
-    order = _label_order(a.label, b.label)
-    if order:
-        return Prevalence(Winner.FIRST if order > 0 else Winner.SECOND,
+    gen_a, gen_b = a.label.generated_at, b.label.generated_at
+    if gen_a != gen_b:
+        return Prevalence(Winner.FIRST if gen_a > gen_b else Winner.SECOND,
                           PrevalenceBasis.RECENCY)
     return Prevalence(Winner.TIE, None)
 

@@ -154,6 +154,34 @@ class TestPipeline:
             bulletins.append(capsys.readouterr().out)
         assert bulletins[0] == bulletins[1] == "Tomorrow\nNorth: Partly Cloudy.\n"
 
+    @pytest.mark.parametrize("spellings", [
+        [("2024-01-01T12:00:00Z", "2024-01-03T12:00:00Z"), ("h0", "2024-01-03T12:00:00Z"),
+         ("2024-01-01T12:00:00Z", "h2"), ("h0", "h2")],
+        [("2023-12-31T12:00:00Z", "2024-01-02T12:00:00Z"), ("2023-12-31T12:00:00Z", "h1")],
+    ], ids=["generated-now", "generated-yesterday"])
+    def test_one_forecast_spelled_two_ways_gives_one_theory(self, tmp_path, capsys, spellings):
+        """Under --now 2024-01-01T12:00:00Z, hK is the instant K days after it,
+        so every spelling of a pair names the same two instants, two days
+        apart. At that lead B is the more accurate model, and its 90 wins."""
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps({"accuracies": {"A": {"1": 0.9, "2": 0.5},
+                                                 "B": {"1": 0.5, "2": 0.9}}}))
+        theories = []
+        for generated, valid in spellings:
+            args = ["--kb", str(kb), "--now", "2024-01-01T12:00:00Z"]
+            for method, magnitude in (("A", 20), ("B", 90)):
+                source = tmp_path / f"{method}.json"
+                source.write_text(json.dumps({
+                    "method": method, "generated_at": generated, "entries": [
+                        {"condition": "cloudiness", "location": "North", "valid_at": valid,
+                         "magnitude": magnitude}]}))
+                args += ["--source", str(source)]
+            assert main(["tournament", *args]) == 0
+            theories.append(capsys.readouterr().out)
+            assert main(["pipeline", *args]) == 0
+            assert "\nNorth: Cloudy.\n" in capsys.readouterr().out
+        assert theories == theories[:1] * len(spellings)
+
 
 def _three_model_inputs(tmp_path):
     """The seaside inputs plus ICON: GFS's entries at other magnitudes, and
@@ -346,11 +374,15 @@ class TestInputBoundary:
          "2024-01-01T00:00:00Z", "entries[0].valid_at"),
         ("gfs.json", "--source", ("generated_at",), '"h1"', "9999-12-31T00:00:00Z",
          "generated_at"),
-    ], ids=["past-last-horizon", "obs-past-last-horizon", "past-last-date"])
+        ("gfs.json", "--source", ("entries", 0, "valid_at"), '"h3"', "9999-12-31T00:00:00Z",
+         "entries[0].valid_at"),
+    ], ids=["past-last-horizon", "obs-past-last-horizon", "past-last-date",
+            "valid-at-past-last-date"])
     def test_time_reference_out_of_reach_of_an_absolute_now(
             self, tmp_path, capsys, name, flag, pointer, raw, now, where):
         """517 days after --now is past the last horizon an atom encodes, and
-        h1 after 9999-12-31 is past the last date."""
+        h1 or h3 after 9999-12-31 is past the last date, as a generation or a
+        validity."""
         bad = _seaside_with(tmp_path, name, pointer, raw)
         validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
         assert main(validate) == 1

@@ -138,6 +138,13 @@ class TestValidateSourceMap:
             entries=[entry(valid_at="2026-08-07T12:00:00Z")]), NOON)
         assert diags == []
 
+    def test_symbolic_generation_is_not_compared_with_an_absolute_validity(self):
+        """`now` is not known while the document is scanned, so h0 cannot be
+        placed against the instant three days before it."""
+        _, diags = validate_source_map(doc_bytes(
+            generated_at="h0", entries=[entry(valid_at="2026-08-05T12:00:00Z")]), NOON)
+        assert diags == []
+
     def test_bad_method_id(self):
         _, diags = validate_source_map(doc_bytes(method="no spaces"), H0)
         assert any(d.path == "method" for d in diags)

@@ -19,10 +19,9 @@ from fusecast.model import (
     check_value,
     conflicts_with,
     decimal_str,
-    hindcast_days,
     horizon_index,
     parse_timeref,
-    resolve_instant,
+    place,
 )
 from fusecast.theory import encode_atom
 
@@ -93,7 +92,7 @@ class TestTimeRef:
         with pytest.raises(ForecastError):
             parse_timeref("0001-01-01T00:00:00+05:00")
         with pytest.raises(ForecastError):
-            resolve_instant(H(2), parse_timeref("9999-12-31T12:00:00Z"))
+            place(H(2), parse_timeref("9999-12-31T12:00:00Z"))
 
     def test_exactly_one_form(self):
         with pytest.raises(ForecastError):
@@ -135,6 +134,21 @@ class TestTimeRef:
             parse_timeref(text)
 
 
+class TestPlace:
+    def test_symbolic_day_under_an_absolute_now_is_an_instant(self):
+        assert place(H(3), parse_timeref("2026-08-10T00:00:00Z")) == \
+            parse_timeref("2026-08-13T00:00:00Z")
+
+    def test_absolute_time_under_a_symbolic_now_cannot_be_placed(self):
+        with pytest.raises(ForecastError, match="cannot place"):
+            place(parse_timeref("2026-08-10T00:00:00Z"), H(0))
+
+    def test_reference_of_now_s_kind_is_returned_unchanged(self):
+        t = parse_timeref("2026-08-11T06:30:00Z")
+        assert place(t, parse_timeref("2026-08-10T00:00:00Z")) is t
+        assert place(H(5), H(2)) == H(5)
+
+
 class TestHorizonIndex:
     def test_symbolic_passthrough(self):
         assert horizon_index(H(2), H(0)) == 2
@@ -148,10 +162,9 @@ class TestHorizonIndex:
 
     def test_hindcast_days(self):
         gen = parse_timeref("2026-08-10T00:00:00Z")
-        assert hindcast_days(H(3), H(2)) == 1
-        assert hindcast_days(H(3), gen) == 3
-        assert hindcast_days(parse_timeref("2026-08-11T12:00:00Z"), gen) == 1
-        assert hindcast_days(gen, H(2)) is None
+        assert horizon_index(H(3), H(2)) == 1
+        assert horizon_index(H(3), gen) == 3
+        assert horizon_index(parse_timeref("2026-08-11T12:00:00Z"), gen) == 1
 
     def test_same_instant_is_zero(self):
         t = parse_timeref("2026-08-08T14:05:00Z")
