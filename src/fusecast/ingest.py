@@ -80,22 +80,19 @@ def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[Labeled
     absolute time under a symbolic `now`, a date past the last representable
     one, a validity more than MAX_HORIZON days ahead, or a second entry on
     one slot (one condition at one location on one day from `now` on). The
-    generation is placed once and each distinct validity once."""
+    generation is placed once, and each entry's validity once."""
     if lams:
         try:
             place(lams[0].label.generated_at, now)
         except ForecastError as exc:
             raise SchemaError("generated_at", str(exc)) from None
     slots: dict[tuple, int] = {}
-    horizons: dict[TimeRef, int] = {}
     for i, lam in enumerate(lams):
         m = lam.map
-        horizon = horizons.get(m.valid_at)
-        if horizon is None:
-            try:
-                horizon = horizons[m.valid_at] = horizon_index(m.valid_at, now)
-            except ForecastError as exc:
-                raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
+        try:
+            horizon = horizon_index(m.valid_at, now)
+        except ForecastError as exc:
+            raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
         if horizon > MAX_HORIZON:
             raise SchemaError(f"entries[{i}].valid_at", f"lies {horizon} days after "
                               f"{now}; atoms encode horizons 0..{MAX_HORIZON}")

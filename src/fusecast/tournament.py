@@ -187,7 +187,8 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
     Expert override first, then higher accuracy at the lead horizon, then the
     more recent generation time; Tie only when all three are silent. This is
     the reference for the fold, which asks only the override: sift's order
-    already ranks each slot by accuracy and then recency.
+    already ranks each slot by accuracy and then recency. Recency compares
+    generation times of one kind, as sift returns them, else ForecastError.
     """
     if not conflicts_with(a.map, b.map):
         raise ForecastError("prevails requires two conflicting assertional maps")
@@ -200,6 +201,8 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
         return Prevalence(Winner.FIRST if acc_a > acc_b else Winner.SECOND,
                           PrevalenceBasis.ACCURACY)
     gen_a, gen_b = a.label.generated_at, b.label.generated_at
+    if gen_a.is_symbolic != gen_b.is_symbolic:
+        raise ForecastError(f"cannot place generation times {gen_a} and {gen_b} on one axis")
     if gen_a != gen_b:
         return Prevalence(Winner.FIRST if gen_a > gen_b else Winner.SECOND,
                           PrevalenceBasis.RECENCY)

@@ -138,6 +138,17 @@ class TestPrevails:
         assert verdict.winner is Winner.SECOND
         assert verdict.basis is PrevalenceBasis.RECENCY
 
+    def test_recency_between_kinds_is_an_error(self, flat_kb):
+        from datetime import datetime, timezone
+
+        instant = TimeRef(instant=datetime(2024, 1, 1, tzinfo=timezone.utc))
+        a = LabeledAssertionalMap(Label("Alpha", instant), AssertionalMap(
+            Condition.RAIN, "North", H(1), Value(5 * M)))
+        b = LabeledAssertionalMap(Label("Beta", H(0)), AssertionalMap(
+            Condition.RAIN, "North", H(1), Value(9 * M)))
+        with pytest.raises(ForecastError, match="cannot place"):
+            prevails(a, b, flat_kb)
+
     def test_override_beats_accuracy(self, seaside_kb):
         kb = KnowledgeBase(seaside_kb.accuracies,
                            (PriorityOverride("GFS", "ECMWF"),))
