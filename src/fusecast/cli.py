@@ -8,16 +8,16 @@ inspected on its own:
     fusecast reason      theory.dfl --out conclusions.json
     fusecast bulletin    conclusions.json --format text --out bulletin.txt
     fusecast pipeline    --source ... --obs ... --kb ... --now h0 --out bulletin.txt
-    fusecast validate    --kb kb.json --source gfs.json
+    fusecast validate    --source ... --obs ... --kb ... --now h0
 
 `pipeline` is byte-equivalent to the three stages composed through dump files.
+`validate` runs `pipeline`'s code on the same inputs and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -60,17 +60,45 @@ def _write(path: Optional[Path], data: bytes) -> None:
             Path(path).write_bytes(data)
 
 
-def _load_kb(path: Path) -> kb_mod.KnowledgeBase:
-    with _stage("kb", path):
-        return kb_mod.load_kb(_read(path))
+def _inputs(args) -> list[tuple[str, Path]]:
+    """(stage, path) of each input document, in the order they are read."""
+    return ([("kb", args.kb)] + [("source", path) for path in args.source]
+            + ([("obs", args.obs)] if args.obs else []))
 
 
-def _load_lams(sources: Sequence[Path], obs: Optional[Path], now: TimeRef):
-    lams = []
-    for stage, path in [("source", p) for p in sources] + ([("obs", obs)] if obs else []):
-        with _stage(stage, path):
-            lams.extend(ingest.check_times(ingest.parse_source_map(_read(path)), now))
-    return lams
+def _load(stage: str, path: Path, now: TimeRef):
+    """One input document as every command reads it: the knowledge base, or
+    a source or observation map's assertions placed on `now`'s axis."""
+    with _stage(stage, path):
+        data = _read(path)
+        if stage == "kb":
+            return kb_mod.load_kb(data)
+        return ingest.check_times(ingest.parse_source_map(data), now)
+
+
+def _load_all(args, now: TimeRef):
+    """The knowledge base and every map's assertions; stops at the first
+    document that fails."""
+    knowledge, *maps = [_load(stage, path, now) for stage, path in _inputs(args)]
+    return knowledge, [lam for lams in maps for lam in lams]
+
+
+def _forecast(lams, knowledge: kb_mod.KnowledgeBase, now: TimeRef,
+              lexicon_path: Optional[Path], templates_path: Optional[Path],
+              out_format: str = "text", emit_theory: Optional[Path] = None,
+              emit_conclusions: Optional[Path] = None) -> bytes:
+    """tournament -> reason -> bulletin on loaded inputs, composed as the
+    three stage commands are; `pipeline` writes the bytes, `validate` drops
+    them."""
+    with _stage("tournament"):
+        built = tournament.build_theory(lams, knowledge, now)
+    if emit_theory is not None:
+        _write(emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
+    with _stage("reason"):
+        concls = reasoner.conclusions(built)
+    if emit_conclusions is not None:
+        _write(emit_conclusions, reasoner.conclusions_to_json(concls))
+    return _render_bulletin(concls, None, now, lexicon_path, templates_path, out_format)
 
 
 def _render_bulletin(
@@ -117,12 +145,13 @@ def _add_source_args(p: argparse.ArgumentParser, need_sources: bool = True):
                    help="reference time (ISO-8601 or h0); default: current UTC")
 
 
-def _add_bulletin_args(p: argparse.ArgumentParser):
+def _add_bulletin_args(p: argparse.ArgumentParser, need_format: bool = True):
     p.add_argument("--lexicon", type=Path, metavar="PATH",
                    help="lexicon override document")
     p.add_argument("--templates", type=Path, metavar="PATH",
                    help="smooth-template override document")
-    p.add_argument("--format", choices=("text", "html", "json"), default="text")
+    if need_format:
+        p.add_argument("--format", choices=("text", "html", "json"), default="text")
 
 
 def _parse_now(text: Optional[str]) -> TimeRef:
@@ -164,19 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump the generated theory")
     p.add_argument("--emit-conclusions", type=Path, default=None, metavar="PATH",
                    help="also dump the reasoner conclusions")
-    p.add_argument("--timings", action="store_true",
-                   help="print a stage timing summary to stderr")
 
-    p = sub.add_parser("validate", help="lint source maps and the KB")
+    p = sub.add_parser("validate", help="run pipeline on the inputs, writing nothing")
     _add_source_args(p, need_sources=False)
+    _add_bulletin_args(p, need_format=False)
 
     return parser
 
 
 def _cmd_tournament(args) -> int:
     now = _parse_now(args.now)
-    knowledge = _load_kb(args.kb)
-    lams = _load_lams(args.source, args.obs, now)
+    knowledge, lams = _load_all(args, now)
     with _stage("tournament"):
         built = tournament.build_theory(lams, knowledge, now)
     _write(args.out, theory_mod.serialize_theory(built).encode("utf-8"))
@@ -195,7 +222,7 @@ def _cmd_bulletin(args) -> int:
     with _stage("bulletin", args.conclusions):
         concls = reasoner.conclusions_from_json(_read(args.conclusions))
     rendered = _render_bulletin(
-        concls, args.conclusions, _parse_now(args.now) if args.now else None,
+        concls, args.conclusions, None if args.now is None else _parse_now(args.now),
         args.lexicon, args.templates, args.format)
     _write(args.out, rendered)
     return 0
@@ -204,64 +231,30 @@ def _cmd_bulletin(args) -> int:
 def _cmd_pipeline(args) -> int:
     """All stages, composed as `tournament`, `reason` and `bulletin` are."""
     now = _parse_now(args.now)
-    timings: list[tuple[str, float]] = []
-
-    def timed(stage, fn):
-        start = time.perf_counter()
-        result = fn()
-        timings.append((stage, time.perf_counter() - start))
-        return result
-
-    knowledge = timed("kb", lambda: _load_kb(args.kb))
-    lams = timed("ingest", lambda: _load_lams(args.source, args.obs, now))
-    with _stage("tournament"):
-        built = timed("tournament", lambda: tournament.build_theory(lams, knowledge, now))
-    if args.emit_theory is not None:
-        _write(args.emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
-    with _stage("reason"):
-        concls = timed("reason", lambda: reasoner.conclusions(built))
-    if args.emit_conclusions is not None:
-        _write(args.emit_conclusions, reasoner.conclusions_to_json(concls))
-    rendered = timed("bulletin", lambda: _render_bulletin(
-        concls, None, now, args.lexicon, args.templates, args.format))
-    _write(args.out, rendered)
-    if args.timings:
-        for stage, seconds in timings:
-            print(f"{stage:>12}: {seconds * 1000:8.2f} ms", file=sys.stderr)
+    knowledge, lams = _load_all(args, now)
+    _write(args.out, _forecast(lams, knowledge, now, args.lexicon, args.templates,
+                               args.format, args.emit_theory, args.emit_conclusions))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    """Lint with the parsers `pipeline` uses, then, if every document passes,
-    build the theory as it does, so it accepts exactly what `pipeline` accepts."""
+    """`pipeline` without output: one line per input document, read as
+    `pipeline` reads it; once every one passes, the rest of `pipeline` on
+    them. So it fails exactly where `pipeline` would, for the same cause."""
     now = _parse_now(args.now)
-    status = 0
-    try:
-        knowledge = _load_kb(args.kb)
-        print(f"{args.kb}: ok")
-    except _StageError as exc:
-        print(f"{args.kb}: error: {exc.cause}")
-        status = 1
-    lams = []
-    for path in list(args.source) + ([args.obs] if args.obs else []):
+    inputs, loaded = _inputs(args), []
+    for stage, path in inputs:
         try:
-            data = _read(path)
-        except OSError as exc:
-            print(f"{path}: error: {exc}")
-            status = 1
-            continue
-        found, diags = ingest.validate_source_map(data, now)
-        lams += found
-        if not diags:
+            loaded.append(_load(stage, path, now))
             print(f"{path}: ok")
-        for diag in diags:
-            print(f"{path}: {diag}")
-            if diag.severity == "error":
-                status = 1
-    if status == 0:
-        with _stage("tournament"):
-            tournament.build_theory(lams, knowledge, now)
-    return status
+        except _StageError as exc:
+            print(f"{path}: error: {exc.cause}")
+    if len(loaded) < len(inputs):
+        return 1
+    knowledge, *maps = loaded
+    _forecast([lam for lams in maps for lam in lams], knowledge, now,
+              args.lexicon, args.templates)
+    return 0
 
 
 _COMMANDS = {

@@ -10,11 +10,13 @@ One document = one method + one generation time, mirroring the label granularity
                   "valid_at": "h1", "magnitude": 5, "direction": "NE"}, ...]}
 
 Every entry is checked here, where it enters; a location is its name.
+parse_source_map is the one reader, for every command, `validate` included:
+it stops at a document's first problem with a SchemaError at its path.
+check_times then places the document's time references once `--now` is
+known.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import ForecastError, SchemaError
 from .inputs import MAX_HORIZON, exact_number, read_json_object
@@ -36,41 +38,43 @@ from .theory import atom_head, method_tag
 
 _CONDITIONS = {c.value: c for c in Condition}
 
-#: A hindcast entry is tolerated but flagged once it trails the generation
-#: time by more than one horizon (day).
-HINDCAST_WARN_DAYS = -1
-
-
-class Diagnostic(NamedTuple):
-    severity: str  # "error" | "warning"
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity} at {self.path}: {self.message}"
-
 
 def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
-    """One labeled assertion per entry, in document order; raises on the first
-    error-grade problem."""
-    lams, diagnostics = _scan(data)
-    for diag in diagnostics:
-        if diag.severity == "error":
-            raise SchemaError(diag.path, diag.message)
+    """One labeled assertion per entry, in document order. Raises SchemaError
+    at the first problem: an unknown top-level key, then `method`,
+    `generated_at`, `entries`, then each entry in turn."""
+    doc = read_json_object(data)
+    for key in doc:
+        if key not in ("method", "generated_at", "entries"):
+            raise SchemaError(key, "unknown key")
+    method = doc.get("method")
+    if not isinstance(method, str) or not NAME_RE.match(method):
+        raise SchemaError("method", "must be an identifier matching [A-Za-z][A-Za-z0-9]*")
+    try:
+        method_tag(method)
+    except ForecastError as exc:
+        raise SchemaError("method", str(exc)) from None
+    try:
+        label = Label(method, parse_timeref(str(doc.get("generated_at", ""))))
+    except ForecastError as exc:
+        raise SchemaError("generated_at", str(exc)) from None
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list):
+        raise SchemaError("entries", "must be a list")
+
+    lams: list[LabeledAssertionalMap] = []
+    times: dict[str, TimeRef] = {}
+    seen: set[tuple] = set()
+    for i, raw in enumerate(raw_entries):
+        path = f"entries[{i}]"
+        entry = _parse_entry(raw, path, times)
+        key = (entry.condition, entry.location, entry.valid_at)
+        if key in seen:
+            raise SchemaError(path, f"duplicate entry for {entry.condition.value} @ "
+                                    f"{entry.location} @ {entry.valid_at}")
+        seen.add(key)
+        lams.append(LabeledAssertionalMap(label, entry))
     return lams
-
-
-def validate_source_map(data: bytes, now: TimeRef) -> tuple[list[LabeledAssertionalMap],
-                                                            list[Diagnostic]]:
-    """A document's assertions and all its diagnostics, from one scan; no error
-    among them iff check_times(parse_source_map(data), now) returns those."""
-    lams, diagnostics = _scan(data)
-    if not any(diag.severity == "error" for diag in diagnostics):
-        try:
-            check_times(lams, now)
-        except SchemaError as exc:
-            diagnostics.append(Diagnostic("error", exc.path, exc.message))
-    return lams, diagnostics
 
 
 def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[LabeledAssertionalMap]:
@@ -104,72 +108,7 @@ def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[Labeled
     return lams
 
 
-def _scan(data: bytes) -> tuple[list[LabeledAssertionalMap], list[Diagnostic]]:
-    diags: list[Diagnostic] = []
-
-    def err(path: str, message: str) -> None:
-        diags.append(Diagnostic("error", path, message))
-
-    try:
-        doc = read_json_object(data)
-    except SchemaError as exc:
-        err(exc.path, exc.message)
-        return [], diags
-    for key in doc:
-        if key not in ("method", "generated_at", "entries"):
-            err(key, "unknown key")
-
-    method = doc.get("method")
-    if not isinstance(method, str) or not NAME_RE.match(method):
-        err("method", "must be an identifier matching [A-Za-z][A-Za-z0-9]*")
-        method = "invalid"
-    else:
-        try:
-            method_tag(method)
-        except ForecastError as exc:
-            err("method", str(exc))
-
-    generated_at = TimeRef(horizon=0)
-    try:
-        generated_at = parse_timeref(str(doc.get("generated_at", "")))
-    except ForecastError as exc:
-        err("generated_at", str(exc))
-
-    label = Label(method, generated_at)
-    lams: list[LabeledAssertionalMap] = []
-    times: dict[str, TimeRef] = {}
-    seen: set[tuple] = set()
-    raw_entries = doc.get("entries", [])
-    if not isinstance(raw_entries, list):
-        err("entries", "must be a list")
-        raw_entries = []
-    for i, raw in enumerate(raw_entries):
-        path = f"entries[{i}]"
-        try:
-            entry = _scan_entry(raw, path, times)
-        except SchemaError as exc:
-            err(exc.path, exc.message)
-            continue
-        key = (entry.condition, entry.location, entry.valid_at)
-        if key in seen:
-            err(path, f"duplicate entry for {entry.condition.value} @ "
-                      f"{entry.location} @ {entry.valid_at}")
-            continue
-        seen.add(key)
-        # `now` is not known yet, so only a pair of one kind is compared.
-        if entry.valid_at.is_symbolic == generated_at.is_symbolic:
-            days = horizon_index(entry.valid_at, generated_at)
-            if days < HINDCAST_WARN_DAYS:
-                diags.append(Diagnostic(
-                    "warning", path,
-                    f"hindcast entry: valid {-days} days before generation",
-                ))
-        lams.append(LabeledAssertionalMap(label, entry))
-
-    return lams, diags
-
-
-def _scan_entry(raw, path: str, times: dict[str, TimeRef]) -> AssertionalMap:
+def _parse_entry(raw, path: str, times: dict[str, TimeRef]) -> AssertionalMap:
     """One entry; raises SchemaError at the first problem. `times` keeps one
     TimeRef per time string across the document's entries."""
     if not isinstance(raw, dict):

@@ -5,6 +5,7 @@ import re
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -114,10 +115,6 @@ class TestPipeline:
         assert main(["tournament", *_swap(_seaside_inputs(), "--kb", kb),
                      "--out", str(out)]) == 0
         assert set(re.findall(r"^r_\w+_gfs_(h\d)_", out.read_text(), re.M)) == gfs_horizons
-
-    def test_timings_flag(self, tmp_path, capsys):
-        assert main(pipeline_args(tmp_path, extra=["--timings"])) == 0
-        assert "tournament" in capsys.readouterr().err
 
     def test_stdout_when_no_out_path(self, capsys):
         assert main([
@@ -259,6 +256,36 @@ class TestValidate:
                      "--source", str(bad)]) == 1
         assert "percentage" in capsys.readouterr().out
 
+    def test_condition_without_bands_fails_at_the_bulletin_as_in_pipeline(
+            self, tmp_path, capsys):
+        """Every document passes, but the default lexicon cannot word a
+        temperature: validate runs the rest of pipeline and fails where it
+        does. A lexicon that bands temperature passes both, and validate
+        still writes only its lines."""
+        doc = json.loads((SEASIDE / "gfs.json").read_text())
+        doc["entries"] = [{"condition": "temperature", "location": "North",
+                           "valid_at": "h1", "magnitude": 25}]
+        gfs = tmp_path / "gfs.json"
+        gfs.write_text(json.dumps(doc))
+        inputs = _swap(_seaside_inputs(), "--source", gfs)
+        bulletin = tmp_path / "b.txt"
+        assert main(["validate", *inputs]) == 1
+        validated = capsys.readouterr()
+        assert validated.out.count(": ok\n") == 4
+        assert validated.err.startswith(
+            "fusecast: error [bulletin]: no bands configured for temperature; ")
+        assert main(["pipeline", *inputs, "--out", str(bulletin)]) == 1
+        assert capsys.readouterr().err == validated.err
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text('{"temperature": [[20, "Mild"], [null, "Hot"]]}')
+        inputs += ["--lexicon", str(lexicon)]
+        assert main(["validate", *inputs]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{path}: ok\n" for path in (SEASIDE / "kb.json", gfs, SEASIDE / "ecmwf.json",
+                                         SEASIDE / "obs.json"))
+        assert main(["pipeline", *inputs, "--out", str(bulletin)]) == 0
+        assert "North: Mostly Cloudy, Light Winds from North East, Hot.\n" in bulletin.read_text()
+
 
 class TestReason:
     def test_reference_theory_conclusions(self, tmp_path):
@@ -363,7 +390,7 @@ class TestInputBoundary:
     def test_out_of_bounds_source_value(self, tmp_path, capsys, pointer, raw, where):
         bad = _seaside_with(tmp_path, "gfs.json", pointer, raw)
         assert main(_swap(VALIDATE, "--source", bad)) == 1
-        assert f"error at {where}: " in capsys.readouterr().out
+        assert f"{bad}: error: {where}: " in capsys.readouterr().out
         assert main(_swap(pipeline_args(tmp_path), "--source", bad)) == 1
         assert f"({bad}): {where}: " in _staged_error(capsys, "source", bad)
 
@@ -386,7 +413,7 @@ class TestInputBoundary:
         bad = _seaside_with(tmp_path, name, pointer, raw)
         validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
         assert main(validate) == 1
-        assert f"error at {where}: " in capsys.readouterr().out
+        assert f"{bad}: error: {where}: " in capsys.readouterr().out
         assert main(_swap(_swap(pipeline_args(tmp_path), flag, bad), "--now", now)) == 1
         assert f"({bad}): {where}: " in _staged_error(capsys, flag[2:], bad)
 
@@ -403,8 +430,8 @@ class TestInputBoundary:
         now = "2024-01-01T12:00:00Z"
         validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
         assert main(validate) == 1
-        assert "error at entries[1].valid_at: second entry for cloudiness @ North on day h0" \
-            in capsys.readouterr().out
+        assert f"{bad}: error: entries[1].valid_at: second entry for cloudiness @ North " \
+            "on day h0" in capsys.readouterr().out
         assert main(_swap(_swap(pipeline_args(tmp_path), flag, bad), "--now", now)) == 1
         assert f"({bad}): entries[1].valid_at: " in _staged_error(capsys, flag[2:], bad)
 
@@ -447,10 +474,15 @@ class TestInputBoundary:
         ("--templates", '{"wind": "{term}", "wind": "{term} {direction}"}', "wind"),
     ], ids=["lexicon", "templates"])
     def test_duplicate_key_in_a_rendering_document(self, tmp_path, capsys, flag, doc, where):
+        """validate reads it where pipeline does, after the reasoner, with
+        the same line."""
         bad = tmp_path / "doc.json"
         bad.write_text(doc)
         assert main(pipeline_args(tmp_path, extra=[flag, str(bad)])) == 1
-        assert _staged_error(capsys, flag[2:], bad).endswith(f"{where}: duplicate key\n")
+        err = _staged_error(capsys, flag[2:], bad)
+        assert err.endswith(f"{where}: duplicate key\n")
+        assert main(["validate", *_seaside_inputs(), flag, str(bad)]) == 1
+        assert capsys.readouterr().err == err
 
     def test_duplicate_key_in_conclusions(self, tmp_path, capsys):
         conclusions = tmp_path / "conclusions.json"
@@ -470,12 +502,16 @@ class TestInputBoundary:
         ("--now", "bogus"),
         ("--now", "h367"),
         ("--now", "0001-01-01T00:00:00+05:00"),
+        ("--now", ""),
     ])
     def test_bad_flag_fails_validate_as_it_fails_pipeline(
             self, tmp_path, capsys, flag, value):
+        """And as it fails `bulletin`, which takes --now for its header."""
         assert main(pipeline_args(tmp_path, extra=[flag, value])) == 1
         _staged_error(capsys, "args", flag)
         assert main([*VALIDATE, flag, value]) == 1
+        _staged_error(capsys, "args", flag)
+        assert main(["bulletin", str(RAIN_CONCLUSIONS), flag, value]) == 1
         _staged_error(capsys, "args", flag)
 
     def test_out_of_bounds_atoms_are_opaque_to_the_bulletin(self, tmp_path):
@@ -582,12 +618,13 @@ class TestInputBoundary:
         bad = _seaside_with(tmp_path, "gfs.json", ("entries", 0, "magnitude"),
                             '90, "\\udc00": 1')
         assert main(_swap(VALIDATE, "--source", bad)) == 1
-        assert "error at entries[0]: key holds a lone surrogate" in capsys.readouterr().out
+        assert f"{bad}: error: entries[0]: key holds a lone surrogate" in capsys.readouterr().out
         assert main(_swap(pipeline_args(tmp_path), "--source", bad)) == 1
         _staged_error(capsys, "source", bad)
 
 
 _DOCS = ("kb.json", "gfs.json", "ecmwf.json", "obs.json")
+_STAGES = {"kb.json": "kb", "obs.json": "obs"}
 
 _RAW = st.one_of(
     st.sampled_from([
@@ -617,14 +654,15 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = main(argv)
-    return status, err.getvalue()
+    return status, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_fixtures_end_in_staged_errors(tmp_path_factory, data):
     """Any mutation of the seaside documents exits 0 or 1 without a traceback,
-    and documents that `validate` passes do not fail `pipeline`."""
+    `validate` fails exactly when `pipeline` does, and its first `error:`
+    line names the document and the cause at which `pipeline` stops."""
     docs = {name: json.loads((SEASIDE / name).read_text()) for name in _DOCS}
     raws = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -645,12 +683,17 @@ def test_mutated_fixtures_end_in_staged_errors(tmp_path_factory, data):
     inputs = ["--kb", str(tmp / "kb.json"), "--source", str(tmp / "gfs.json"),
               "--source", str(tmp / "ecmwf.json"), "--obs", str(tmp / "obs.json"),
               "--now", "h0"]
-    validated, _ = _run(["validate", *inputs])
-    status, err = _run(["pipeline", *inputs, "--out", str(tmp / "bulletin.txt")])
-    assert validated in (0, 1) and status in (0, 1)
+    validated, out, validate_err = _run(["validate", *inputs])
+    status, _, err = _run(["pipeline", *inputs, "--out", str(tmp / "bulletin.txt")])
+    assert status in (0, 1)
     assert "Traceback" not in err
-    if validated == 0:
-        assert status == 0, err
+    assert validated == status, (out, validate_err, err)
+    errors = [line.split(": error: ", 1) for line in out.splitlines() if ": error: " in line]
+    if errors:
+        (path, cause), stage = errors[0], _STAGES.get(Path(errors[0][0]).name, "source")
+        assert (validate_err, err) == ("", f"fusecast: error [{stage}] ({path}): {cause}\n")
+    else:
+        assert validate_err == err
 
 
 def _mutate(data, draw):
@@ -674,7 +717,7 @@ def test_mutated_stage_inputs_end_in_staged_errors(tmp_path_factory, data):
     concls.write_bytes(_mutate(RAIN_CONCLUSIONS.read_bytes(), data.draw))
     for argv in (["reason", str(theory), "--out", str(tmp / "out.json")],
                  ["bulletin", str(concls), "--out", str(tmp / "out.text")]):
-        status, err = _run(argv)
+        status, _, err = _run(argv)
         assert status in (0, 1)
         assert "Traceback" not in err
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fusecast.errors import SchemaError
-from fusecast.ingest import parse_source_map, validate_source_map
+from fusecast.ingest import check_times, parse_source_map
 from fusecast.model import Compass, Condition, TimeRef, parse_timeref
 
 from conftest import FIXTURES
@@ -104,8 +104,9 @@ class TestParseSourceMap:
     ])
     def test_magnitudes_outside_the_bounds(self, raw):
         data = doc_bytes(entries=[entry(magnitude="@")]).replace(b'"@"', raw.encode())
-        _, diags = validate_source_map(data, H0)
-        assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].magnitude")]
+        with pytest.raises(SchemaError) as err:
+            parse_source_map(data)
+        assert err.value.path == "entries[0].magnitude"
 
     def test_unregistered_coordinates_rejected(self):
         data = doc_bytes(entries=[entry(location={"lat": 1, "lon": 2})])
@@ -114,49 +115,52 @@ class TestParseSourceMap:
 
 
 class TestValidateSourceMap:
+    """A map is checked by parse_source_map, then by check_times once `now`
+    is known; each raises SchemaError at the first problem's path."""
+
     def test_clean_document_has_no_diagnostics(self):
         data = (FIXTURES / "seaside" / "ecmwf.json").read_bytes()
-        assert validate_source_map(data, H0) == (parse_source_map(data), [])
+        assert check_times(parse_source_map(data), H0) == parse_source_map(data)
 
     def test_percent_bound_diagnostic(self):
-        _, diags = validate_source_map(doc_bytes(entries=[entry(magnitude=120)]), H0)
-        assert len(diags) == 1
-        assert diags[0].severity == "error"
-        assert diags[0].path == "entries[0]"
-        assert "100" in diags[0].message
-
-    def test_hindcast_warning(self):
-        _, diags = validate_source_map(doc_bytes(
-            generated_at="2026-08-08T12:00:00Z",
-            entries=[entry(valid_at="2026-08-05T12:00:00Z")]), NOON)
-        assert [d.severity for d in diags] == ["warning"]
-        assert "hindcast" in diags[0].message
-
-    def test_one_day_hindcast_is_not_warned(self):
-        _, diags = validate_source_map(doc_bytes(
-            generated_at="2026-08-08T12:00:00Z",
-            entries=[entry(valid_at="2026-08-07T12:00:00Z")]), NOON)
-        assert diags == []
-
-    def test_symbolic_generation_is_not_compared_with_an_absolute_validity(self):
-        """`now` is not known while the document is scanned, so h0 cannot be
-        placed against the instant three days before it."""
-        _, diags = validate_source_map(doc_bytes(
-            generated_at="h0", entries=[entry(valid_at="2026-08-05T12:00:00Z")]), NOON)
-        assert diags == []
+        with pytest.raises(SchemaError) as err:
+            parse_source_map(doc_bytes(entries=[entry(magnitude=120)]))
+        assert err.value.path == "entries[0]"
+        assert err.value.message == "cloudiness is a percentage; magnitude 120 > 100"
 
     def test_bad_method_id(self):
-        _, diags = validate_source_map(doc_bytes(method="no spaces"), H0)
-        assert any(d.path == "method" for d in diags)
+        with pytest.raises(SchemaError) as err:
+            parse_source_map(doc_bytes(method="no spaces"))
+        assert err.value.path == "method"
 
     def test_not_json(self):
-        _, diags = validate_source_map(b"{", H0)
-        assert diags[0].severity == "error"
+        with pytest.raises(SchemaError) as err:
+            parse_source_map(b"{")
+        assert err.value.path == "" and err.value.message.startswith("not valid JSON")
 
     def test_time_errors_come_from_the_same_scan(self):
-        """check_times' error on a clean document is one more diagnostic:
-        an absolute validity cannot be placed against a symbolic now."""
-        data = doc_bytes(entries=[entry(valid_at="2026-08-07T12:00:00Z")])
-        _, diags = validate_source_map(data, H0)
-        assert [(d.severity, d.path) for d in diags] == [("error", "entries[0].valid_at")]
-        assert validate_source_map(data, NOON)[1] == []
+        """An absolute validity parses, and cannot be placed against a
+        symbolic now."""
+        lams = parse_source_map(doc_bytes(entries=[entry(valid_at="2026-08-07T12:00:00Z")]))
+        with pytest.raises(SchemaError) as err:
+            check_times(lams, H0)
+        assert err.value.path == "entries[0].valid_at"
+        assert check_times(lams, NOON) == lams
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"method": "no spaces", "generated_at": "bogus", "entries": 5, "extra": 1}, "extra"),
+        ({"method": "no spaces", "generated_at": "bogus", "entries": 5}, "method"),
+        ({"method": "GFS", "generated_at": "bogus", "entries": 5}, "generated_at"),
+        ({"method": "GFS", "entries": [entry()]}, "generated_at"),
+        ({"method": "GFS", "generated_at": "h0", "entries": 5}, "entries"),
+        ({"method": "GFS", "generated_at": "h0",
+          "entries": [entry(), entry(magnitude=120), {}]}, "entries[1]"),
+        ({"method": "GFS", "generated_at": "h0",
+          "entries": [entry(), entry(magnitude=60), {}]}, "entries[1]"),
+    ], ids=["unknown-key", "method", "generated-at", "no-generated-at", "entries",
+            "entry", "duplicate-entry"])
+    def test_first_problem_in_document_order(self, doc, path):
+        """Unknown keys, then method, generated_at, entries, then each entry."""
+        with pytest.raises(SchemaError) as err:
+            parse_source_map(json.dumps(doc).encode())
+        assert err.value.path == path

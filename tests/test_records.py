@@ -25,7 +25,6 @@ from fusecast.bulletin import (
     WeatherScenario,
 )
 from fusecast.errors import SchemaError
-from fusecast.ingest import Diagnostic
 from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride
 from fusecast.lexicon import DEFAULT_BANDS, LexiconTable
 from fusecast.model import (
@@ -82,7 +81,6 @@ RECORDS = {
     "DecodedAtom": (lambda: DecodedAtom(Condition.WIND, None, "North", 1, _value()), True),
     "ConclusionSet": (lambda: ConclusionSet(plus_defeasible=frozenset({Literal("a")})), True),
     "Prevalence": (lambda: Prevalence(Winner.FIRST, PrevalenceBasis.ACCURACY), True),
-    "Diagnostic": (lambda: Diagnostic("error", "entries[0]", "bad"), True),
     "ScenarioEntry": (lambda: ScenarioEntry(Condition.WIND, "North", 1, _value(),
                                             "WNorth_h1_NE12.5"), True),
     "WeatherScenario": (lambda: WeatherScenario((), ("gfs",)), True),
