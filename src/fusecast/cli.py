@@ -44,7 +44,7 @@ class _StageError(Exception):
 def _stage(stage: str, path: Union[Path, str, None] = None):
     try:
         yield
-    except (ForecastError, OSError, UnicodeDecodeError) as exc:  # a text file not UTF-8
+    except (ForecastError, OSError, UnicodeError) as exc:  # not UTF-8, or not encodable
         raise _StageError(stage, path, exc) from exc
 
 
@@ -133,10 +133,9 @@ def _render_bulletin(
 # argparse wiring
 # ---------------------------------------------------------------------------
 
-def _add_source_args(p: argparse.ArgumentParser, need_sources: bool = True):
+def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--source", action="append", default=[], type=Path,
-                   metavar="PATH", help="model source map (repeatable)",
-                   required=need_sources)
+                   metavar="PATH", help="model source map (repeatable)", required=True)
     p.add_argument("--obs", type=Path, metavar="PATH",
                    help="observation map (method O)")
     p.add_argument("--kb", type=Path, metavar="PATH", required=True,
@@ -145,13 +144,11 @@ def _add_source_args(p: argparse.ArgumentParser, need_sources: bool = True):
                    help="reference time (ISO-8601 or h0); default: current UTC")
 
 
-def _add_bulletin_args(p: argparse.ArgumentParser, need_format: bool = True):
+def _add_bulletin_args(p: argparse.ArgumentParser):
     p.add_argument("--lexicon", type=Path, metavar="PATH",
                    help="lexicon override document")
     p.add_argument("--templates", type=Path, metavar="PATH",
                    help="smooth-template override document")
-    if need_format:
-        p.add_argument("--format", choices=("text", "html", "json"), default="text")
 
 
 def _parse_now(text: Optional[str]) -> TimeRef:
@@ -181,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bulletin", help="conclusions -> rendered bulletin")
     p.add_argument("conclusions", type=Path, help="conclusions JSON file")
     _add_bulletin_args(p)
+    p.add_argument("--format", choices=("text", "html", "json"), default="text")
     p.add_argument("--now", type=str, default=None,
                    help="generated-at stamp for the bulletin header")
     p.add_argument("--out", type=Path, default=None)
@@ -188,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="all stages end to end")
     _add_source_args(p)
     _add_bulletin_args(p)
+    p.add_argument("--format", choices=("text", "html", "json"), default="text")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--emit-theory", type=Path, default=None, metavar="PATH",
                    help="also dump the generated theory")
@@ -195,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump the reasoner conclusions")
 
     p = sub.add_parser("validate", help="run pipeline on the inputs, writing nothing")
-    _add_source_args(p, need_sources=False)
-    _add_bulletin_args(p, need_format=False)
+    _add_source_args(p)
+    _add_bulletin_args(p)
 
     return parser
 
@@ -273,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _StageError as exc:
         print(f"fusecast: error {exc}", file=sys.stderr)
         return 1
-    except (ForecastError, OSError) as exc:
+    except (ForecastError, OSError, UnicodeError) as exc:  # a path stdout cannot encode
         print(f"fusecast: error: {exc}", file=sys.stderr)
         return 1
 

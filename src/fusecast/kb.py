@@ -50,20 +50,21 @@ class _KnowledgeBase(NamedTuple):
 
 class KnowledgeBase(_KnowledgeBase):
     """Records sorted by (method, horizon), overrides sorted, and the
-    reliability threshold in millionths; validated when built."""
+    reliability threshold in millionths; validated when built, in the
+    caller's order, so an error path indexes the caller's overrides."""
 
     __slots__ = ()
 
     def __new__(cls, accuracies=(), overrides=(), min_micros=0):
-        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
-        overrides = tuple(sorted(overrides, key=lambda o: (
+        given = _KnowledgeBase(tuple(accuracies), tuple(overrides), min_micros)
+        _validate(given)
+        accuracies = tuple(sorted(given.accuracies, key=lambda r: (r.method, r.horizon)))
+        overrides = tuple(sorted(given.overrides, key=lambda o: (
             o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
-        kb = super().__new__(cls, accuracies, overrides, min_micros)
-        _validate(kb)
-        return kb
+        return super().__new__(cls, accuracies, overrides, min_micros)
 
 
-def _validate(kb: KnowledgeBase) -> None:
+def _validate(kb: _KnowledgeBase) -> None:
     seen = set()
     for rec in kb.accuracies:
         if rec.method == OBSERVATION_METHOD:

@@ -126,54 +126,50 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     (observations always survive). Survivors are grouped per slot and ordered
     by accuracy desc, generation time desc, method id asc, and returned with
     their references placed on `now`'s axis (model.place), so each is of
-    now's kind. Each label's generation is placed once and each validity
-    once; the accuracy at the lead, day(validity) - day(generation), is
-    computed once per (label, validity).
+    now's kind. What sift needs of an assertion depends only on its label
+    and validity, so each (label, validity) pair is placed and judged once:
+    its recency, its day, the accuracy at the lead, day(validity) -
+    day(generation), and the placed label and validity when placing changed
+    their kind; or None when the pair is dropped as future or past.
     """
-    now_key = now.horizon if now.is_symbolic else now.instant.timestamp()
-    # Per label its recency, day and, if placing changed it, the placed label;
-    # per validity its day and, likewise, the placed validity.
-    labels: dict[Label, tuple] = {}
-    validities: dict[TimeRef, tuple] = {}
-    accuracies: dict[tuple[Label, TimeRef], int] = {}
+    pairs: dict[tuple[Label, TimeRef], Optional[tuple]] = {}
     keyed = []
     for lam in lams:
         label, m = lam.label, lam.map
-        known = labels.get(label)
-        if known is None:
-            gen = place(label.generated_at, now)
-            known = labels[label] = (
-                gen.horizon if gen.is_symbolic else gen.instant.timestamp(),
-                horizon_index(gen, now),
-                Label(label.method, gen) if gen.is_symbolic != label.generated_at.is_symbolic
-                else None)
-        recency, gen_day, placed_label = known
-        if recency > now_key:
+        facts = pairs.get((label, m.valid_at), pairs)
+        if facts is pairs:  # a pair not met before
+            facts = pairs[label, m.valid_at] = _pair_facts(label, m.valid_at, kb, now)
+        if facts is None:
             continue
-        known = validities.get(m.valid_at)
-        if known is None:
-            valid_at = place(m.valid_at, now)
-            known = validities[m.valid_at] = (
-                horizon_index(valid_at, now),
-                valid_at if valid_at.is_symbolic != m.valid_at.is_symbolic else None)
-        horizon, placed_valid = known
-        if horizon < 0:
-            continue
-        acc = accuracies.get((label, m.valid_at))
-        if acc is None:
-            acc = accuracies[label, m.valid_at] = accuracy_of(
-                kb, label.method, max(horizon - gen_day, 0))
+        recency, horizon, acc, placed = facts
         if acc < kb.min_micros and not lam.is_observation:
             continue
-        if placed_label or placed_valid:
-            lam = LabeledAssertionalMap(placed_label or label,
-                                        m._replace(valid_at=placed_valid or m.valid_at))
+        if placed:
+            lam = LabeledAssertionalMap(placed[0], m._replace(valid_at=placed[1]))
         slot = (_CONDITION_ORDER[m.condition], m.location, horizon)
         keyed.append(((*slot, -acc, -recency, label.method, str(m.value)), slot, acc, lam))
     keyed.sort(key=itemgetter(0))
     kept = _Kept(lam for *_, lam in keyed)
     kept.facts = [(slot, acc) for _, slot, acc, _ in keyed]
     return kept
+
+
+def _pair_facts(label: Label, valid_at: TimeRef, kb: KnowledgeBase,
+                now: TimeRef) -> Optional[tuple]:
+    """sift's facts of one (label, validity) pair. A future label is dropped
+    before its validity is placed, so an absolute validity of a future map
+    under a symbolic `now` is dropped, not an error."""
+    gen = place(label.generated_at, now)
+    recency = gen.horizon if gen.is_symbolic else gen.instant.timestamp()
+    if recency > (now.horizon if now.is_symbolic else now.instant.timestamp()):
+        return None
+    valid = place(valid_at, now)
+    horizon = horizon_index(valid, now)
+    if horizon < 0:
+        return None
+    acc = accuracy_of(kb, label.method, max(horizon - horizon_index(gen, now), 0))
+    changed = gen is not label.generated_at or valid is not valid_at
+    return recency, horizon, acc, (Label(label.method, gen), valid) if changed else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -411,7 +414,7 @@ class TestInputBoundary:
         h1 or h3 after 9999-12-31 is past the last date, as a generation or a
         validity."""
         bad = _seaside_with(tmp_path, name, pointer, raw)
-        validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
+        validate = _swap(_swap(["validate", *_seaside_inputs()], flag, bad), "--now", now)
         assert main(validate) == 1
         assert f"{bad}: error: {where}: " in capsys.readouterr().out
         assert main(_swap(_swap(pipeline_args(tmp_path), flag, bad), "--now", now)) == 1
@@ -428,7 +431,7 @@ class TestInputBoundary:
         bad = tmp_path / name
         bad.write_text(json.dumps(doc))
         now = "2024-01-01T12:00:00Z"
-        validate = ["validate", "--kb", str(SEASIDE / "kb.json"), flag, str(bad), "--now", now]
+        validate = _swap(_swap(["validate", *_seaside_inputs()], flag, bad), "--now", now)
         assert main(validate) == 1
         assert f"{bad}: error: entries[1].valid_at: second entry for cloudiness @ North " \
             "on day h0" in capsys.readouterr().out
@@ -513,6 +516,15 @@ class TestInputBoundary:
         _staged_error(capsys, "args", flag)
         assert main(["bulletin", str(RAIN_CONCLUSIONS), flag, value]) == 1
         _staged_error(capsys, "args", flag)
+
+    @pytest.mark.parametrize("command", ["validate", "pipeline", "tournament"])
+    def test_source_is_required(self, capsys, command):
+        """`validate` accepts the command lines `pipeline` accepts, so neither
+        runs without a model source map."""
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--kb", str(SEASIDE / "kb.json"), "--now", "h0"])
+        assert exited.value.code == 2
+        assert "the following arguments are required: --source" in capsys.readouterr().err
 
     def test_out_of_bounds_atoms_are_opaque_to_the_bulletin(self, tmp_path):
         conclusions = tmp_path / "conclusions.json"
@@ -720,6 +732,41 @@ def test_mutated_stage_inputs_end_in_staged_errors(tmp_path_factory, data):
         status, _, err = _run(argv)
         assert status in (0, 1)
         assert "Traceback" not in err
+
+
+def _fusecast_under_ascii(argv):
+    """`python -m fusecast` with stdout and stderr encoded as ASCII."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fusecast", *argv], env=env,
+                          capture_output=True, text=True, encoding="ascii")
+
+
+class TestOutputEncoding:
+    """Text that stdout cannot encode ends in one line on stderr, not a traceback."""
+
+    def test_pipeline_term_on_stdout(self, tmp_path):
+        doc = json.loads((SEASIDE / "gfs.json").read_text())
+        doc["entries"] = [{"condition": "temperature", "location": "North",
+                           "valid_at": "h1", "magnitude": 25}]
+        gfs = tmp_path / "gfs.json"
+        gfs.write_text(json.dumps(doc))
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(r'{"temperature": [[null, "Tr\u00e8s chaud"]]}')
+        done = _fusecast_under_ascii(["pipeline", *_swap(_seaside_inputs(), "--source", gfs),
+                                      "--lexicon", str(lexicon)])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("fusecast: error [output]: 'ascii' codec can't encode")
+        assert done.stderr.count("\n") == 1
+
+    def test_validate_path_on_stdout(self, tmp_path):
+        kb = tmp_path / "kb-\u00e9t\u00e9.json"
+        kb.write_bytes((SEASIDE / "kb.json").read_bytes())
+        done = _fusecast_under_ascii(["validate", *_swap(_seaside_inputs(), "--kb", kb)])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("fusecast: error: 'ascii' codec can't encode")
+        assert done.stderr.count("\n") == 1
 
 
 def test_main_leaves_the_gc_policy_alone(tmp_path):

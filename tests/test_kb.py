@@ -164,6 +164,9 @@ class TestDocumentFormat:
         ('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}},'
          ' "overrides": [{"winner": "GFS", "loser": "ECMWF"}, {"winner": "ECMWF", "loser": "O"}]}',
          "overrides[1].loser"),
+        pytest.param('{"accuracies": {"A": {"1": 0.5}, "B": {"1": 0.5}, "C": {"1": 0.5}},'
+                     ' "overrides": [{"winner": "B", "loser": "C"}, {"winner": "A", "loser": "A"}]}',
+                     "overrides[1]", id="path-in-document-order"),
     ])
     def test_out_of_bounds_or_mistyped_value_rejected(self, doc, path):
         with pytest.raises(SchemaError) as err:

@@ -65,6 +65,18 @@ class TestSift:
         future = lam("Alpha", 1, Condition.RAIN, "North", 1, 5)
         assert sift([future], flat_kb, H(0)) == []
 
+    def test_future_label_is_dropped_before_its_validity_is_placed(self, flat_kb):
+        from datetime import datetime, timezone
+
+        # An absolute validity cannot be placed under a symbolic now, but a
+        # future map is dropped before its validity is placed.
+        valid = TimeRef(instant=datetime(2026, 8, 9, tzinfo=timezone.utc))
+        future = LabeledAssertionalMap(Label("Alpha", H(1)), AssertionalMap(
+            Condition.RAIN, "North", valid, Value(5 * M)))
+        assert sift([future], flat_kb, H(0)) == []
+        with pytest.raises(ForecastError, match="cannot place"):
+            sift([future], flat_kb, H(1))
+
     def test_below_threshold_removed_but_observations_survive(self, flat_kb):
         kb = KnowledgeBase(flat_kb.accuracies, (), 750_000)
         model = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
@@ -481,6 +493,23 @@ def test_sift_order_leaves_only_overrides_to_reverse_a_round():
                     (Winner.FIRST, PrevalenceBasis.ACCURACY),
                     (Winner.FIRST, PrevalenceBasis.RECENCY),
                     (Winner.TIE, None)}
+
+
+@pytest.mark.parametrize("alpha, beta, fused", [(20, 90, 41), (90, 20, 69)])
+def test_full_tie_goes_to_the_method_id_that_sorts_first(alpha, beta, fused):
+    """Equal accuracy at the lead, equal generation time and no override:
+    sift's last key, the method id, makes Alpha the champion, so the fold
+    leans toward Alpha's value whichever model says what."""
+    from fusecast.bulletin import extract_scenario
+
+    kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, 700_000),
+                                   AccuracyRecord("Beta", 1, 700_000)), min_micros=350_000)
+    a = lam("Alpha", 0, Condition.CLOUDINESS, "North", 1, alpha)
+    b = lam("Beta", 0, Condition.CLOUDINESS, "North", 1, beta)
+    assert prevails(a, b, kb) == (Winner.TIE, None)
+    for lams in ([a, b], [b, a]):
+        (entry,) = extract_scenario(conclusions(build_theory(lams, kb, H(0)))).entries
+        assert entry.value == Value(fused * M)
 
 
 def decode_of(literal):
