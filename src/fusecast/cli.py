@@ -25,16 +25,14 @@ from typing import Optional, Sequence, Union
 from . import bulletin as bulletin_mod
 from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
 from . import tournament
-from .errors import ForecastError
-from .model import TimeRef, parse_timeref
+from .errors import ForecastError, SchemaError
+from .model import OBSERVATION_METHOD, TimeRef, parse_timeref
 
 
 class _StageError(Exception):
-    """A failure in one stage; `path` names its input file or command-line flag."""
+    """A failure in one stage, at an input file or command-line flag `path`."""
 
     def __init__(self, stage: str, path: Union[Path, str, None], cause: Exception):
-        self.stage = stage
-        self.path = path
         self.cause = cause
         where = f" ({path})" if path else ""
         super().__init__(f"[{stage}]{where}: {cause}")
@@ -73,7 +71,11 @@ def _load(stage: str, path: Path, now: TimeRef):
         data = _read(path)
         if stage == "kb":
             return kb_mod.load_kb(data)
-        return ingest.check_times(ingest.parse_source_map(data), now)
+        lams = ingest.parse_source_map(data)
+        if stage == "obs" and lams and not lams[0].is_observation:  # one label per map
+            raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
+                                        f"map, not {lams[0].label.method!r}")
+        return ingest.check_times(lams, now)
 
 
 def _load_all(args, now: TimeRef):
@@ -137,7 +139,7 @@ def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--source", action="append", default=[], type=Path,
                    metavar="PATH", help="model source map (repeatable)", required=True)
     p.add_argument("--obs", type=Path, metavar="PATH",
-                   help="observation map (method O)")
+                   help="observation map; its method must be O")
     p.add_argument("--kb", type=Path, metavar="PATH", required=True,
                    help="knowledge base document")
     p.add_argument("--now", type=str, default=None,
@@ -245,9 +247,11 @@ def _cmd_validate(args) -> int:
     for stage, path in inputs:
         try:
             loaded.append(_load(stage, path, now))
-            print(f"{path}: ok")
+            line = f"{path}: ok"
         except _StageError as exc:
-            print(f"{path}: error: {exc.cause}")
+            line = f"{path}: error: {exc.cause}"
+        with _stage("output", path):
+            print(line)
     if len(loaded) < len(inputs):
         return 1
     knowledge, *maps = loaded
@@ -271,9 +275,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except _StageError as exc:
         print(f"fusecast: error {exc}", file=sys.stderr)
-        return 1
-    except (ForecastError, OSError, UnicodeError) as exc:  # a path stdout cannot encode
-        print(f"fusecast: error: {exc}", file=sys.stderr)
         return 1
 
 

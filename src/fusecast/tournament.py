@@ -16,6 +16,9 @@ Per slot (condition, location, day horizon):
 More than two conflicting sources fold pairwise in sift order; intermediate
 rounds conclude source-tagged literals so only the final round's heads are
 scenario-visible (with two sources this is the plain pairwise construction).
+One function, _fold_slot, decides a slot's rounds and writes their rules and
+priorities. One helper, _lead_accuracy, gives a model's accuracy at the lead
+(days from generation to validity) to both sift and prevails.
 """
 
 from __future__ import annotations
@@ -98,10 +101,9 @@ def supremacy(v_bias: Value, v_other: Value, a_bias: int, a_other: int) -> Value
 _CONDITION_ORDER = {cond: i for i, cond in enumerate(Condition)}
 
 
-def _lam_accuracy(lam: LabeledAssertionalMap, kb: KnowledgeBase) -> int:
+def _lead_accuracy(kb: KnowledgeBase, method: str, gen: TimeRef, valid: TimeRef) -> int:
     """Accuracy at the lead: days from generation to validity, floored at 0."""
-    lead = horizon_index(lam.map.valid_at, lam.label.generated_at)
-    return accuracy_of(kb, lam.label.method, max(lead, 0))
+    return accuracy_of(kb, method, max(horizon_index(valid, gen), 0))
 
 
 def slot_key(lam: LabeledAssertionalMap, now: TimeRef) -> tuple:
@@ -123,14 +125,14 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 
     Dropped: future-labeled maps (generated after `now`), maps whose validity
     already lies in the past, and maps below the KB reliability threshold
-    (observations always survive). Survivors are grouped per slot and ordered
-    by accuracy desc, generation time desc, method id asc, and returned with
-    their references placed on `now`'s axis (model.place), so each is of
-    now's kind. What sift needs of an assertion depends only on its label
-    and validity, so each (label, validity) pair is placed and judged once:
-    its recency, its day, the accuracy at the lead, day(validity) -
-    day(generation), and the placed label and validity when placing changed
-    their kind; or None when the pair is dropped as future or past.
+    (observations, at accuracy 1, always survive). Survivors are grouped per
+    slot and ordered by accuracy desc, generation time desc, method id asc,
+    and returned with their references placed on `now`'s axis (model.place),
+    so each is of now's kind. What sift needs of an assertion depends only on
+    its label and validity, so each (label, validity) pair is placed and
+    judged once: its recency, its day, the accuracy at the lead, and the
+    placed label and validity when placing changed their kind; or None when
+    the pair is dropped as future or past.
     """
     pairs: dict[tuple[Label, TimeRef], Optional[tuple]] = {}
     keyed = []
@@ -142,7 +144,7 @@ def sift(lams: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
         if facts is None:
             continue
         recency, horizon, acc, placed = facts
-        if acc < kb.min_micros and not lam.is_observation:
+        if acc < kb.min_micros:
             continue
         if placed:
             lam = LabeledAssertionalMap(placed[0], m._replace(valid_at=placed[1]))
@@ -167,7 +169,7 @@ def _pair_facts(label: Label, valid_at: TimeRef, kb: KnowledgeBase,
     horizon = horizon_index(valid, now)
     if horizon < 0:
         return None
-    acc = accuracy_of(kb, label.method, max(horizon - horizon_index(gen, now), 0))
+    acc = _lead_accuracy(kb, label.method, gen, valid)
     changed = gen is not label.generated_at or valid is not valid_at
     return recency, horizon, acc, (Label(label.method, gen), valid) if changed else None
 
@@ -192,7 +194,8 @@ def prevails(a: LabeledAssertionalMap, b: LabeledAssertionalMap,
     if ov is not None:
         return Prevalence(Winner.FIRST if ov == a.label.method else Winner.SECOND,
                           PrevalenceBasis.SPECIFIC)
-    acc_a, acc_b = _lam_accuracy(a, kb), _lam_accuracy(b, kb)
+    acc_a = _lead_accuracy(kb, a.label.method, a.label.generated_at, a.map.valid_at)
+    acc_b = _lead_accuracy(kb, b.label.method, b.label.generated_at, b.map.valid_at)
     if acc_a != acc_b:
         return Prevalence(Winner.FIRST if acc_a > acc_b else Winner.SECOND,
                           PrevalenceBasis.ACCURACY)
@@ -218,7 +221,9 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     identically. Atom segments are checked once per slot and method tags once;
     each assertion's tagged literal is shared by its r_ rule, the fold and the
     pass-through rule. A rule id (kind prefix, then head) fixes the rule, so a
-    repeated id is kept once. Observations that disagree on a slot are an error.
+    repeated id is kept once, and a repeated assertion (one label, one value
+    on one slot) plays the fold once. Observations that disagree on a slot are
+    an error.
     """
     lams = sift(metarules, kb, now)
     tags = _method_tags(lams)
@@ -226,9 +231,6 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     facts: dict[Literal, None] = {}
     rules: dict[str, Rule] = {}
     sups: list[tuple[str, str]] = []
-
-    def add_rule(rule: Rule) -> None:
-        rules.setdefault(rule.id, rule)
 
     for (_, _, horizon), group in groupby(zip(lams, lams.facts), key=lambda p: p[1][0]):
         group = list(group)
@@ -241,7 +243,10 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
             if not lam.is_observation:
                 tagged = Literal(f"{stem}_{tags[lam.label.method]}{when}"
                                  + value_code(cond, lam.map.value))
-                add_rule(Rule("r_" + tagged, RuleKind.DEFEASIBLE, (), tagged))
+                if models and tagged == models[-1][1] and lam.label == models[-1][0].label:
+                    continue  # a repeated assertion, which sift puts next to its copy
+                rule = Rule("r_" + tagged, RuleKind.DEFEASIBLE, (), tagged)
+                rules.setdefault(rule.id, rule)
                 models.append((lam, tagged, acc))
 
         if obs:
@@ -251,16 +256,12 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
                     raise ForecastError(f"observations disagree on {cond.value} @ "
                                         f"{location} @ h{horizon}: {obs[0]} and {value}")
             facts.setdefault(Literal(stem + when + value_code(cond, obs[0])))
-            continue
-
-        rounds = _fold_slot(models, cond, location, kb)
-        if rounds:
-            _emit_rounds(rounds, models[0][1], cond, stem, when, add_rule, sups)
-            continue
-        # Uncontested: every model asserts the first one's value.
-        untagged = Literal(stem + when + value_code(cond, models[0][0].map.value))
-        for _, tagged, _ in models:
-            add_rule(Rule("pt_" + tagged, RuleKind.DEFEASIBLE, (tagged,), untagged))
+        elif not _fold_slot(models, cond, location, stem, when, kb, rules, sups):
+            # Uncontested: every model asserts the first one's value.
+            untagged = Literal(stem + when + value_code(cond, models[0][0].map.value))
+            for _, tagged, _ in models:
+                rule = Rule("pt_" + tagged, RuleKind.DEFEASIBLE, (tagged,), untagged)
+                rules.setdefault(rule.id, rule)
 
     theory = DefeasibleTheory(tuple(facts), tuple(rules.values()), tuple(sups))
     validate_theory(theory)
@@ -268,18 +269,21 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
 
 
 def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
-               cond: Condition, location: str,
-               kb: KnowledgeBase) -> list[tuple[Literal, Value, Value, bool]]:
-    """Simulate the pairwise fold over (assertion, tagged literal, accuracy)
-    triples.
+               cond: Condition, location: str, stem: str, when: str,
+               kb: KnowledgeBase, rules: dict[str, Rule],
+               sups: list[tuple[str, str]]) -> bool:
+    """Fold a slot's (assertion, tagged literal, accuracy) triples pairwise
+    into `rules` and `sups`; False when no round is contested.
 
-    Per contested round: the challenger's literal, the blends biased toward
-    the champion and toward the challenger, and whether the champion wins.
-    The champion precedes the challenger in sift order, which ranks accuracy
-    and then recency, so only an override makes the champion lose; its
-    running value is the winner's blend, its label the winner's.
+    The first loop decides the rounds. The champion precedes the challenger
+    in sift order, which ranks accuracy and then recency, so only an override
+    makes it lose; its running value is the winner's blend, its label and
+    accuracy the winner's. The second loop emits them: each round's body
+    holds the previous winner's head, starting from the first model's, and
+    each non-final round concludes atoms in its own reserved namespace (tag
+    "xr<i>"), so rounds never share literals however the blends evolve.
     """
-    champ_lam, _, champ_acc = models[0]
+    champ_lam, champ_lit, champ_acc = models[0]
     champ_value = champ_lam.map.value
     rounds = []
     for nxt, tagged_next, nxt_acc in models[1:]:
@@ -293,27 +297,16 @@ def _fold_slot(models: Sequence[tuple[LabeledAssertionalMap, Literal, int]],
         if not first_wins:
             champ_lam, champ_acc = nxt, nxt_acc
         champ_value = blend_first if first_wins else blend_second
-    return rounds
 
-
-def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit: Literal,
-                 cond: Condition, stem: str, when: str, add_rule, sups: list) -> None:
-    """A slot's fold rules and priorities, from the first model's literal.
-
-    Each non-final round concludes atoms in its own reserved namespace (tag
-    "xr<i>"), so rounds never share literals, however the blended values
-    evolve; only the last round's heads are untagged and scenario-visible.
-    Each round's body holds the previous winner's head.
-    """
     for index, (tagged_next, blend_first, blend_second, first_wins) in enumerate(rounds):
         prefix = stem + when if index == len(rounds) - 1 else f"{stem}_xr{index}{when}"
         body = (champ_lit, tagged_next)
         head_first = Literal(prefix + value_code(cond, blend_first))
         champ_lit = head_first
         sr_first = Rule("sr_" + head_first, RuleKind.DEFEASIBLE, body, head_first)
+        rules.setdefault(sr_first.id, sr_first)
         if blend_first == blend_second:
             # Both biased outcomes agree: the contest is vacuous.
-            add_rule(sr_first)
             continue
         head_second = Literal(prefix + value_code(cond, blend_second))
         sr_second = Rule("sr_" + head_second, RuleKind.DEFEASIBLE, body, head_second)
@@ -321,8 +314,8 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
                         (head_first,), head_second.complement())
         vc_second = Rule("vc_" + head_second, RuleKind.DEFEASIBLE,
                          (head_second,), head_first.complement())
-        for rule in (sr_first, sr_second, vc_first, vc_second):
-            add_rule(rule)
+        for rule in (sr_second, vc_first, vc_second):
+            rules.setdefault(rule.id, rule)
         if first_wins:
             sups.append((vc_first.id, sr_second.id))
             sups.append((sr_first.id, vc_second.id))
@@ -330,6 +323,7 @@ def _emit_rounds(rounds: Sequence[tuple[Literal, Value, Value, bool]], champ_lit
             champ_lit = head_second
             sups.append((vc_second.id, sr_first.id))
             sups.append((sr_second.id, vc_first.id))
+    return bool(rounds)
 
 
 def _method_tags(lams: Sequence[LabeledAssertionalMap]) -> dict[str, str]:

@@ -455,6 +455,23 @@ class TestInputBoundary:
             "fusecast: error [tournament]: observations disagree on wind @ Center @ h0: "
             "N18 and NE15\n")
 
+    def test_observation_map_with_a_model_method(self, tmp_path, capsys):
+        """An --obs map is ground truth, so its method must be O; a GFS map
+        there would otherwise be fused as one more forecast."""
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"method": "GFS", "generated_at": "h0", "entries": [
+            {"condition": "cloudiness", "location": "North", "valid_at": "h0",
+             "magnitude": 5}]}))
+        inputs = ["--kb", str(SEASIDE / "kb.json"), "--source", str(SEASIDE / "ecmwf.json"),
+                  "--obs", str(obs), "--now", "h0"]
+        assert main(["validate", *inputs]) == 1
+        assert capsys.readouterr().out.endswith(
+            f"{obs}: error: method: must be 'O' in an observation map, not 'GFS'\n")
+        assert main(["pipeline", *inputs, "--out", str(tmp_path / "bulletin.txt")]) == 1
+        assert _staged_error(capsys, "obs", obs).endswith("): method: must be 'O' in an "
+                                                          "observation map, not 'GFS'\n")
+        assert not (tmp_path / "bulletin.txt").exists()
+
     @pytest.mark.parametrize("name, flag, pointer, raw, where", [
         ("kb.json", "--kb", ("accuracies", "GFS", "1"), '0.45, "1": 0.99',
          "accuracies.GFS.1"),
@@ -765,7 +782,7 @@ class TestOutputEncoding:
         kb.write_bytes((SEASIDE / "kb.json").read_bytes())
         done = _fusecast_under_ascii(["validate", *_swap(_seaside_inputs(), "--kb", kb)])
         assert (done.returncode, done.stdout) == (1, "")
-        assert done.stderr.startswith("fusecast: error: 'ascii' codec can't encode")
+        assert done.stderr.startswith("fusecast: error [output] (")
         assert done.stderr.count("\n") == 1
 
 

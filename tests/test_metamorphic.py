@@ -1,0 +1,105 @@
+"""Metamorphic relations of the fusion: changes to the inputs that must leave
+the forecast as it is, or keep it inside bounds the inputs set.
+
+Every relation runs over seeded draws of `genutil.random_two_model_inputs`,
+with two methods and with four. Each magnitude is moved down by nothing, a
+quarter or a half unit, so that blends have fractions to round.
+"""
+
+import random
+
+import pytest
+
+from fusecast.bulletin import BulletinHeader, extract_scenario, render_document, render_sharp
+from fusecast.kb import AccuracyRecord, KnowledgeBase
+from fusecast.model import Label, LabeledAssertionalMap, TimeRef, Value
+from fusecast.reasoner import conclusions
+from fusecast.theory import serialize_theory
+from fusecast.tournament import build_theory
+
+from genutil import random_two_model_inputs
+
+NOW = TimeRef(horizon=0)
+METHODS = {"two": ("Alpha", "Beta"), "four": ("Alpha", "Beta", "Gamma", "Delta")}
+by_methods = pytest.mark.parametrize("methods", METHODS.values(), ids=METHODS)
+
+
+def _draws(methods, seeds=range(60)):
+    for seed in seeds:
+        rng = random.Random(seed)
+        lams, kb = random_two_model_inputs(rng, methods)
+        yield [lam._replace(map=lam.map._replace(value=Value(
+            max(lam.map.value.micros - rng.choice((0, 250_000, 500_000)), 0),
+            lam.map.value.direction))) for lam in lams], kb
+
+
+def _theory_text(lams, kb):
+    return serialize_theory(build_theory(lams, kb, NOW))
+
+
+def _bulletin(lams, kb):
+    scenario = extract_scenario(conclusions(build_theory(lams, kb, NOW)))
+    return render_document(render_sharp(scenario, header=BulletinHeader(
+        str(NOW), scenario.sources)), "json")
+
+
+def _slot(entry):
+    return entry.condition, entry.location, entry.horizon
+
+
+def _values_by_slot(lams):
+    """Model values and observed values per slot (condition, location, day)."""
+    models, observed = {}, {}
+    for lam in lams:
+        m = lam.map
+        slot = (m.condition, m.location, m.valid_at.horizon - NOW.horizon)
+        (observed if lam.is_observation else models).setdefault(slot, []).append(m.value)
+    return models, observed
+
+
+@by_methods
+def test_a_duplicated_document_gives_the_same_theory(methods):
+    for lams, kb in _draws(methods):
+        text = _theory_text(lams, kb)
+        for method in (*methods, "O"):
+            copy = [lam for lam in lams if lam.label.method == method]
+            assert _theory_text(lams + copy, kb) == text, method
+
+
+@by_methods
+def test_a_model_below_min_accuracy_leaves_the_bulletin_as_it_is(methods):
+    for lams, kb in _draws(methods):
+        floor = min(rec.micros for rec in kb.accuracies)
+        kept = KnowledgeBase(kb.accuracies, kb.overrides, floor)
+        with_low = KnowledgeBase(kb.accuracies + tuple(
+            AccuracyRecord("Low", horizon, floor - 1) for horizon in (0, 1, 2)),
+            kb.overrides, floor)
+        low = [LabeledAssertionalMap(Label("Low", NOW), lam.map._replace(
+            value=Value(lam.map.value.micros // 2, lam.map.value.direction)))
+            for lam in lams if lam.label.method == methods[0]]
+        assert _bulletin(lams + low, with_low) == _bulletin(lams, kept)
+
+
+@by_methods
+def test_each_unobserved_slot_lies_between_its_model_values(methods):
+    for lams, kb in _draws(methods):
+        models, observed = _values_by_slot(lams)
+        scenario = extract_scenario(conclusions(build_theory(lams, kb, NOW)))
+        unobserved = [entry for entry in scenario.entries if _slot(entry) not in observed]
+        assert {_slot(entry) for entry in unobserved} == models.keys() - observed.keys()
+        for entry in unobserved:
+            micros = [value.micros for value in models[_slot(entry)]]
+            assert min(micros) <= entry.value.micros <= max(micros), entry
+
+
+@by_methods
+def test_each_observed_slot_says_the_observation(methods):
+    seen = 0
+    for lams, kb in _draws(methods):
+        _, observed = _values_by_slot(lams)
+        scenario = extract_scenario(conclusions(build_theory(lams, kb, NOW)))
+        said = {_slot(entry): entry.value for entry in scenario.entries}
+        for slot, (value,) in observed.items():
+            assert said[slot] == value, slot
+            seen += 1
+    assert seen

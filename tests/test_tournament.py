@@ -338,6 +338,30 @@ class TestBuildTheory:
         assert ("sr_CNorth_h1_61", "vc_CNorth_h1_43") in t.superiority
         assert Literal("CNorth_h1_61") in conclusions(t).plus_defeasible
 
+    def test_challenger_that_wins_a_vacuous_round_carries_its_accuracy(self):
+        from fusecast.bulletin import extract_scenario
+
+        kb = KnowledgeBase((
+            AccuracyRecord("A", 1, 600_000),
+            AccuracyRecord("B", 1, 400_000),
+            AccuracyRecord("C", 1, 400_000),
+        ), (PriorityOverride("B", "A"), PriorityOverride("C", "B")))
+        lams = [lam("A", 0, Condition.CLOUDINESS, "North", 1, 10),
+                lam("B", 0, Condition.CLOUDINESS, "North", 1, 12),
+                lam("C", 0, Condition.CLOUDINESS, "North", 1, 30)]
+        t = build_theory(lams, kb, H(0))
+        # Round 1 blends to 11 either way, and the override hands it to B.
+        # Round 2 weighs B's 11 at 0.4 against C's 30 at 0.4: 0.6 toward
+        # each side, so 18.6 and 22.4, and C wins. With A's 0.6 kept, the
+        # blend toward C would be 20.5 and A would win with 19.
+        assert [r.id for r in t.rules if r.id.startswith(("sr_", "vc_"))] == [
+            "sr_CNorth_xr0_h1_11", "sr_CNorth_h1_19", "sr_CNorth_h1_22",
+            "vc_CNorth_h1_19", "vc_CNorth_h1_22"]
+        assert set(t.superiority) == {("vc_CNorth_h1_22", "sr_CNorth_h1_19"),
+                                      ("sr_CNorth_h1_22", "vc_CNorth_h1_19")}
+        (entry,) = extract_scenario(conclusions(t)).entries
+        assert entry.value == Value(22 * M)
+
     def test_equal_accuracy_midpoint_blends_collapse_to_one_rule(self, flat_kb):
         # At accuracy exactly 1/2 both biased blends are the midpoint, so the
         # contest is vacuous: one combined rule, no conflict machinery.
@@ -397,6 +421,13 @@ class TestBuildTheory:
         t = build_theory(lams, seaside_kb, H(1))
         assert [r.id for r in t.rules] == ["r_CNorth_gfs_h1_75", "pt_CNorth_gfs_h1_75"]
         assert (t.facts, t.superiority) == ((), ())
+
+    def test_a_repeated_document_is_fused_once(self, seaside_lams, seaside_kb, now_h0,
+                                               seaside_theory):
+        # GFS is ECMWF's challenger on every contested slot: a second copy
+        # would play a second round against the blend.
+        gfs = [l for l in seaside_lams if l.label.method == "GFS"]
+        assert build_theory(seaside_lams + gfs, seaside_kb, now_h0) == seaside_theory
 
     def test_reserved_tag_methods_rejected(self, flat_kb):
         kb = KnowledgeBase(flat_kb.accuracies + (
