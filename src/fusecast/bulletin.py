@@ -118,9 +118,11 @@ class BulletinDocument(NamedTuple):
 
 def render_sharp(scenario: WeatherScenario,
                  lexicon: LexiconTable = DEFAULT_LEXICON,
-                 header: BulletinHeader = BulletinHeader()) -> BulletinDocument:
+                 generated_at: Optional[str] = None) -> BulletinDocument:
     """Classify every scenario entry, in one pass over the scenario's
-    display order: a section per horizon, a block per location."""
+    display order: a section per horizon, a block per location. The header
+    names the scenario's sources, so a bulletin rendered from conclusions
+    alone names the same sources as one rendered inside the pipeline."""
     sections = []
     for horizon, at_horizon in groupby(scenario.entries, attrgetter("horizon")):
         blocks = []
@@ -133,7 +135,7 @@ def render_sharp(scenario: WeatherScenario,
                     e.value)
                 for e in at_location)))
         sections.append(BulletinSection(horizon, tuple(blocks)))
-    return BulletinDocument(header, tuple(sections))
+    return BulletinDocument(BulletinHeader(generated_at, scenario.sources), tuple(sections))
 
 
 # ---------------------------------------------------------------------------

@@ -59,18 +59,26 @@ def _write(path: Optional[Path], data: bytes) -> None:
 
 
 def _inputs(args) -> list[tuple[str, Path]]:
-    """(stage, path) of each input document, in the order they are read."""
-    return ([("kb", args.kb)] + [("source", path) for path in args.source]
-            + ([("obs", args.obs)] if args.obs else []))
+    """(stage, path) of each document flag given, in the order every command
+    reads them; only --source repeats."""
+    flags = vars(args)
+    return [(stage, path) for stage in ("kb", "source", "obs", "lexicon", "templates")
+            for path in (flags.get(stage, []) if stage == "source" else [flags.get(stage)])
+            if path is not None]
 
 
-def _load(stage: str, path: Path, now: TimeRef):
-    """One input document as every command reads it: the knowledge base, or
-    a source or observation map's assertions placed on `now`'s axis."""
+def _load(stage: str, path: Path, now: Optional[TimeRef]):
+    """One input document as every command reads it: the knowledge base, a
+    lexicon or template override, or a source or observation map's
+    assertions placed on `now`'s axis."""
     with _stage(stage, path):
         data = _read(path)
         if stage == "kb":
             return kb_mod.load_kb(data)
+        if stage == "lexicon":
+            return lexicon_mod.load_lexicon(data)
+        if stage == "templates":
+            return bulletin_mod.load_templates(data)
         lams = ingest.parse_source_map(data)
         if stage == "obs" and lams and not lams[0].is_observation:  # one label per map
             raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
@@ -78,57 +86,47 @@ def _load(stage: str, path: Path, now: TimeRef):
         return ingest.check_times(lams, now)
 
 
-def _load_all(args, now: TimeRef):
-    """The knowledge base and every map's assertions; stops at the first
-    document that fails."""
-    knowledge, *maps = [_load(stage, path, now) for stage, path in _inputs(args)]
-    return knowledge, [lam for lams in maps for lam in lams]
+class _Documents:
+    """Every document a command was given, from loaded (stage, table) pairs:
+    the maps' assertions in reading order, the knowledge base, and each
+    override, its default when not given."""
+
+    def __init__(self, loaded: list[tuple[str, object]]):
+        self.lams = [lam for stage, lams in loaded if stage in ("source", "obs") for lam in lams]
+        tables = dict(loaded)
+        self.kb = tables.get("kb")
+        self.lexicon = tables.get("lexicon", lexicon_mod.DEFAULT_LEXICON)
+        self.templates = tables.get("templates", bulletin_mod.DEFAULT_TEMPLATES)
 
 
-def _forecast(lams, knowledge: kb_mod.KnowledgeBase, now: TimeRef,
-              lexicon_path: Optional[Path], templates_path: Optional[Path],
-              out_format: str = "text", emit_theory: Optional[Path] = None,
+def _load_all(args, now: Optional[TimeRef]) -> _Documents:
+    """Every document the command was given; stops at the first that fails."""
+    return _Documents([(stage, _load(stage, path, now)) for stage, path in _inputs(args)])
+
+
+def _forecast(docs: _Documents, now: TimeRef, out_format: str = "text",
+              emit_theory: Optional[Path] = None,
               emit_conclusions: Optional[Path] = None) -> bytes:
     """tournament -> reason -> bulletin on loaded inputs, composed as the
     three stage commands are; `pipeline` writes the bytes, `validate` drops
     them."""
     with _stage("tournament"):
-        built = tournament.build_theory(lams, knowledge, now)
+        built = tournament.build_theory(docs.lams, docs.kb, now)
     if emit_theory is not None:
         _write(emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
     with _stage("reason"):
         concls = reasoner.conclusions(built)
     if emit_conclusions is not None:
         _write(emit_conclusions, reasoner.conclusions_to_json(concls))
-    return _render_bulletin(concls, None, now, lexicon_path, templates_path, out_format)
+    return _render_bulletin(concls, None, now, docs, out_format)
 
 
-def _render_bulletin(
-    conclusions: reasoner.ConclusionSet,
-    conclusions_path: Optional[Path],
-    now: Optional[TimeRef],
-    lexicon_path: Optional[Path],
-    templates_path: Optional[Path],
-    out_format: str,
-) -> bytes:
-    lex = lexicon_mod.DEFAULT_LEXICON
-    if lexicon_path is not None:
-        with _stage("lexicon", lexicon_path):
-            lex = lexicon_mod.load_lexicon(_read(lexicon_path))
-    templates = bulletin_mod.DEFAULT_TEMPLATES
-    if templates_path is not None:
-        with _stage("templates", templates_path):
-            templates = bulletin_mod.load_templates(_read(templates_path))
+def _render_bulletin(conclusions: reasoner.ConclusionSet, conclusions_path: Optional[Path],
+                     now: Optional[TimeRef], docs: _Documents, out_format: str) -> bytes:
     with _stage("bulletin", conclusions_path):
-        scenario = bulletin_mod.extract_scenario(conclusions)
-        # The header is read from the conclusions alone, so the bulletin stage
-        # names the same sources standalone as inside the pipeline.
-        header = bulletin_mod.BulletinHeader(
-            generated_at=None if now is None else str(now),
-            sources=scenario.sources,
-        )
-        doc = bulletin_mod.render_sharp(scenario, lex, header)
-        return bulletin_mod.render_document(doc, out_format, templates)
+        doc = bulletin_mod.render_sharp(bulletin_mod.extract_scenario(conclusions),
+                                        docs.lexicon, None if now is None else str(now))
+        return bulletin_mod.render_document(doc, out_format, docs.templates)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_tournament(args) -> int:
     now = _parse_now(args.now)
-    knowledge, lams = _load_all(args, now)
+    docs = _load_all(args, now)
     with _stage("tournament"):
-        built = tournament.build_theory(lams, knowledge, now)
+        built = tournament.build_theory(docs.lams, docs.kb, now)
     _write(args.out, theory_mod.serialize_theory(built).encode("utf-8"))
     return 0
 
@@ -220,21 +218,19 @@ def _cmd_reason(args) -> int:
 
 
 def _cmd_bulletin(args) -> int:
+    now = None if args.now is None else _parse_now(args.now)
+    docs = _load_all(args, now)
     with _stage("bulletin", args.conclusions):
         concls = reasoner.conclusions_from_json(_read(args.conclusions))
-    rendered = _render_bulletin(
-        concls, args.conclusions, None if args.now is None else _parse_now(args.now),
-        args.lexicon, args.templates, args.format)
-    _write(args.out, rendered)
+    _write(args.out, _render_bulletin(concls, args.conclusions, now, docs, args.format))
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     """All stages, composed as `tournament`, `reason` and `bulletin` are."""
     now = _parse_now(args.now)
-    knowledge, lams = _load_all(args, now)
-    _write(args.out, _forecast(lams, knowledge, now, args.lexicon, args.templates,
-                               args.format, args.emit_theory, args.emit_conclusions))
+    _write(args.out, _forecast(_load_all(args, now), now, args.format,
+                               args.emit_theory, args.emit_conclusions))
     return 0
 
 
@@ -246,7 +242,7 @@ def _cmd_validate(args) -> int:
     inputs, loaded = _inputs(args), []
     for stage, path in inputs:
         try:
-            loaded.append(_load(stage, path, now))
+            loaded.append((stage, _load(stage, path, now)))
             line = f"{path}: ok"
         except _StageError as exc:
             line = f"{path}: error: {exc.cause}"
@@ -254,9 +250,7 @@ def _cmd_validate(args) -> int:
             print(line)
     if len(loaded) < len(inputs):
         return 1
-    knowledge, *maps = loaded
-    _forecast([lam for lams in maps for lam in lams], knowledge, now,
-              args.lexicon, args.templates)
+    _forecast(_Documents(loaded), now)
     return 0
 
 

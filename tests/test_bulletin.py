@@ -175,7 +175,8 @@ class TestRenderSharp:
 
 
 def _reference_sharp(scenario, lexicon):
-    """render_sharp as it was when it grouped and sorted the entries itself."""
+    """render_sharp as it was when it grouped and sorted the entries itself,
+    with the header it now builds from the scenario's sources."""
     sections = []
     for horizon in sorted({e.horizon for e in scenario.entries}):
         blocks: dict[str, list[BulletinEntry]] = {}
@@ -190,7 +191,7 @@ def _reference_sharp(scenario, lexicon):
             LocationBlock(loc, tuple(sorted(
                 blocks[loc], key=lambda e: _DISPLAY_RANK[e.condition])))
             for loc in sorted(blocks))))
-    return BulletinDocument(BulletinHeader(), tuple(sections))
+    return BulletinDocument(BulletinHeader(None, scenario.sources), tuple(sections))
 
 
 #: Values per condition code; temperature has no default bands.
@@ -265,7 +266,7 @@ def _section(horizon, heading, sea, **land):
 
 #: The JSON bulletin of the seaside fixture, spelled out entry by entry.
 SEASIDE_BULLETIN_JSON = {
-    "header": {"generated_at": "h0", "sources": ["e", "g"]},
+    "header": {"generated_at": "h0", "sources": ["ecmwf", "gfs"]},
     "sections": [
         _section(0, "Current conditions", ("Moderate", "190"),
                  Center=_land("Cloudy", "90", "Moderate Winds", "15", "NE", "North East"),
@@ -295,12 +296,12 @@ class TestRenderDocument:
         assert "Tomorrow" in text and "Day after tomorrow" in text
 
     def test_deterministic(self, seaside_scenario):
-        doc = render_sharp(seaside_scenario, header=BulletinHeader("h0", ("e", "g")))
+        doc = render_sharp(seaside_scenario, generated_at="h0")
         for fmt in ("text", "json", "html"):
             assert render_document(doc, fmt) == render_document(doc, fmt)
 
     def test_json_round_trip(self, seaside_scenario):
-        doc = render_sharp(seaside_scenario, header=BulletinHeader("h0", ("e", "g")))
+        doc = render_sharp(seaside_scenario, generated_at="h0")
         assert json.loads(render_document(doc, "json")) == SEASIDE_BULLETIN_JSON
 
     def test_empty_document_json(self):

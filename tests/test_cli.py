@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import time
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -37,6 +36,13 @@ def _seaside_inputs():
 def pipeline_args(tmp_path, out_name="bulletin.txt", fmt="text", extra=()):
     return ["pipeline", *_seaside_inputs(), "--format", fmt,
             "--out", str(tmp_path / out_name), *extra]
+
+
+#: An override document whose key repeats, with its flag and the key.
+by_repeated_override_key = pytest.mark.parametrize("flag, doc, where", [
+    ("--lexicon", '{"sea": [[null, "Calm"]], "sea": [[null, "Rough"]]}', "sea"),
+    ("--templates", '{"wind": "{term}", "wind": "{term} {direction}"}', "wind"),
+], ids=["lexicon", "templates"])
 
 
 class TestPipeline:
@@ -235,18 +241,43 @@ class TestValidate:
         assert main(["pipeline", *inputs, "--out", str(tmp_path / "b.txt")]) == 1
         assert capsys.readouterr().err == validated.err
 
-    def test_reads_each_document_once(self, monkeypatch, capsys):
-        reads = Counter()
+    def test_reads_each_document_once(self, tmp_path, monkeypatch, capsys):
+        """validate and pipeline read every document flag, the overrides too,
+        once and in one order; validate prints one line per document in that
+        order."""
+        overrides = _overrides(tmp_path)
+        order = [str(SEASIDE / name) for name in _DOCS] + overrides[1::2]
+        reads = []
         read = cli._read
 
         def counting_read(path):
-            reads[str(path)] += 1
+            reads.append(str(path))
             return read(path)
 
         monkeypatch.setattr(cli, "_read", counting_read)
-        assert main(["validate", *_seaside_inputs()]) == 0
-        assert reads == Counter({str(SEASIDE / name): 1 for name in (
-            "gfs.json", "ecmwf.json", "obs.json", "kb.json")})
+        assert main(["validate", *_seaside_inputs(), *overrides]) == 0
+        assert capsys.readouterr().out == "".join(f"{path}: ok\n" for path in order)
+        assert main(["pipeline", *_seaside_inputs(), *overrides]) == 0
+        assert reads == order * 2
+
+    @by_repeated_override_key
+    def test_bad_override_fails_before_the_stages(self, tmp_path, capsys, flag, doc, where):
+        """The maps name a method the knowledge base lacks, which fails at
+        [tournament]; the override is read before any stage runs, so both
+        commands report it instead."""
+        icon = json.loads((SEASIDE / "gfs.json").read_text())
+        icon["method"] = "ICON"
+        (tmp_path / "icon.json").write_text(json.dumps(icon))
+        bad = tmp_path / "doc.json"
+        bad.write_text(doc)
+        inputs = ["--source", str(tmp_path / "icon.json"), *_seaside_inputs(), flag, str(bad)]
+        assert main(["validate", *inputs]) == 1
+        validated = capsys.readouterr()
+        assert validated.out.endswith(f"{bad}: error: {where}: duplicate key\n")
+        assert validated.err == ""
+        assert main(["pipeline", *inputs]) == 1
+        assert _staged_error(capsys, flag[2:], bad) == (
+            f"fusecast: error [{flag[2:]}] ({bad}): {where}: duplicate key\n")
 
     def test_bad_magnitude_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -285,7 +316,7 @@ class TestValidate:
         assert main(["validate", *inputs]) == 0
         assert capsys.readouterr().out == "".join(
             f"{path}: ok\n" for path in (SEASIDE / "kb.json", gfs, SEASIDE / "ecmwf.json",
-                                         SEASIDE / "obs.json"))
+                                         SEASIDE / "obs.json", lexicon))
         assert main(["pipeline", *inputs, "--out", str(bulletin)]) == 0
         assert "North: Mostly Cloudy, Light Winds from North East, Hot.\n" in bulletin.read_text()
 
@@ -359,6 +390,14 @@ def _staged_error(capsys, stage, where):
     assert "Traceback" not in err
     assert err.startswith(f"fusecast: error [{stage}] ({where}): "), err
     return err
+
+
+def _overrides(tmp_path):
+    """--lexicon and --templates, each with a document pipeline accepts."""
+    lexicon, templates = tmp_path / "lexicon.json", tmp_path / "templates.json"
+    lexicon.write_text('{"temperature": [[20, "Mild"], [null, "Hot"]]}')
+    templates.write_text('{"sea": "sea {term}"}')
+    return ["--lexicon", str(lexicon), "--templates", str(templates)]
 
 
 VALIDATE = ["validate", "--kb", str(SEASIDE / "kb.json"),
@@ -489,20 +528,18 @@ class TestInputBoundary:
         assert main(_swap(pipeline_args(tmp_path), flag, bad)) == 1
         assert f"({bad}): {where}: duplicate key\n" in _staged_error(capsys, flag[2:], bad)
 
-    @pytest.mark.parametrize("flag, doc, where", [
-        ("--lexicon", '{"sea": [[null, "Calm"]], "sea": [[null, "Rough"]]}', "sea"),
-        ("--templates", '{"wind": "{term}", "wind": "{term} {direction}"}', "wind"),
-    ], ids=["lexicon", "templates"])
+    @by_repeated_override_key
     def test_duplicate_key_in_a_rendering_document(self, tmp_path, capsys, flag, doc, where):
-        """validate reads it where pipeline does, after the reasoner, with
-        the same line."""
+        """validate reads it as pipeline does, before any stage, and reports
+        it on its own line."""
         bad = tmp_path / "doc.json"
         bad.write_text(doc)
         assert main(pipeline_args(tmp_path, extra=[flag, str(bad)])) == 1
-        err = _staged_error(capsys, flag[2:], bad)
-        assert err.endswith(f"{where}: duplicate key\n")
+        assert _staged_error(capsys, flag[2:], bad).endswith(f"{where}: duplicate key\n")
         assert main(["validate", *_seaside_inputs(), flag, str(bad)]) == 1
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr() == (
+            "".join(f"{SEASIDE / name}: ok\n" for name in _DOCS)
+            + f"{bad}: error: {where}: duplicate key\n", "")
 
     def test_duplicate_key_in_conclusions(self, tmp_path, capsys):
         conclusions = tmp_path / "conclusions.json"
@@ -533,6 +570,19 @@ class TestInputBoundary:
         _staged_error(capsys, "args", flag)
         assert main(["bulletin", str(RAIN_CONCLUSIONS), flag, value]) == 1
         _staged_error(capsys, "args", flag)
+
+    def test_bulletin_reads_its_flags_before_its_conclusions(self, tmp_path, capsys):
+        """As pipeline does: --now first, then the overrides, then the stage."""
+        missing = tmp_path / "missing.json"
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text('{"sea": [[null, "Calm"]], "sea": [[null, "Rough"]]}')
+        argv = ["bulletin", str(missing), "--lexicon", str(lexicon)]
+        assert main([*argv, "--now", "garbage"]) == 1
+        _staged_error(capsys, "args", "--now")
+        assert main([*argv, "--now", "h0"]) == 1
+        _staged_error(capsys, "lexicon", lexicon)
+        assert main(argv[:2]) == 1
+        _staged_error(capsys, "bulletin", missing)
 
     @pytest.mark.parametrize("command", ["validate", "pipeline", "tournament"])
     def test_source_is_required(self, capsys, command):
