@@ -5,7 +5,9 @@ from .cli import main
 
 
 def run() -> int:
-    gc.freeze()  # nothing the imports built is garbage
+    # Nothing the start-up imports (cli, errors, inputs, model) built is
+    # garbage; the stage modules a command imports later are not frozen.
+    gc.freeze()
     gc.set_threshold(20_000)  # generation 0 every 20,000 allocations, not 700
     return main()
 

@@ -12,6 +12,11 @@ inspected on its own:
 
 `pipeline` is byte-equivalent to the three stages composed through dump files.
 `validate` runs `pipeline`'s code on the same inputs and writes nothing.
+
+Each command imports the stage modules it runs where it runs them, so
+`reason` loads neither the tournament nor the bulletin layer. Every stage
+call goes through its module (`reasoner.conclusions(...)`), never a name
+bound here.
 """
 
 from __future__ import annotations
@@ -22,11 +27,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from . import bulletin as bulletin_mod
-from . import ingest, kb as kb_mod, lexicon as lexicon_mod, reasoner, theory as theory_mod
-from . import tournament
-from .errors import ForecastError, SchemaError
-from .model import OBSERVATION_METHOD, TimeRef, parse_timeref
+from .errors import ForecastError
+from .model import TimeRef, parse_timeref
 
 
 class _StageError(Exception):
@@ -74,29 +76,29 @@ def _load(stage: str, path: Path, now: Optional[TimeRef]):
     with _stage(stage, path):
         data = _read(path)
         if stage == "kb":
-            return kb_mod.load_kb(data)
+            from . import kb
+            return kb.load_kb(data)
         if stage == "lexicon":
-            return lexicon_mod.load_lexicon(data)
+            from . import lexicon
+            return lexicon.load_lexicon(data)
         if stage == "templates":
-            return bulletin_mod.load_templates(data)
-        lams = ingest.parse_source_map(data)
-        if stage == "obs" and lams and not lams[0].is_observation:  # one label per map
-            raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
-                                        f"map, not {lams[0].label.method!r}")
-        return ingest.check_times(lams, now)
+            from . import bulletin
+            return bulletin.load_templates(data)
+        from . import ingest
+        return ingest.check_times(ingest.parse_source_map(data, stage == "obs"), now)
 
 
 class _Documents:
     """Every document a command was given, from loaded (stage, table) pairs:
     the maps' assertions in reading order, the knowledge base, and each
-    override, its default when not given."""
+    override, None when not given."""
 
     def __init__(self, loaded: list[tuple[str, object]]):
         self.lams = [lam for stage, lams in loaded if stage in ("source", "obs") for lam in lams]
         tables = dict(loaded)
         self.kb = tables.get("kb")
-        self.lexicon = tables.get("lexicon", lexicon_mod.DEFAULT_LEXICON)
-        self.templates = tables.get("templates", bulletin_mod.DEFAULT_TEMPLATES)
+        self.lexicon = tables.get("lexicon")
+        self.templates = tables.get("templates")
 
 
 def _load_all(args, now: Optional[TimeRef]) -> _Documents:
@@ -110,10 +112,12 @@ def _forecast(docs: _Documents, now: TimeRef, out_format: str = "text",
     """tournament -> reason -> bulletin on loaded inputs, composed as the
     three stage commands are; `pipeline` writes the bytes, `validate` drops
     them."""
+    from . import reasoner, theory, tournament
+
     with _stage("tournament"):
         built = tournament.build_theory(docs.lams, docs.kb, now)
     if emit_theory is not None:
-        _write(emit_theory, theory_mod.serialize_theory(built).encode("utf-8"))
+        _write(emit_theory, theory.serialize_theory(built).encode("utf-8"))
     with _stage("reason"):
         concls = reasoner.conclusions(built)
     if emit_conclusions is not None:
@@ -123,10 +127,14 @@ def _forecast(docs: _Documents, now: TimeRef, out_format: str = "text",
 
 def _render_bulletin(conclusions: reasoner.ConclusionSet, conclusions_path: Optional[Path],
                      now: Optional[TimeRef], docs: _Documents, out_format: str) -> bytes:
+    from . import bulletin
+
+    lexicon = bulletin.DEFAULT_LEXICON if docs.lexicon is None else docs.lexicon
+    templates = bulletin.DEFAULT_TEMPLATES if docs.templates is None else docs.templates
     with _stage("bulletin", conclusions_path):
-        doc = bulletin_mod.render_sharp(bulletin_mod.extract_scenario(conclusions),
-                                        docs.lexicon, None if now is None else str(now))
-        return bulletin_mod.render_document(doc, out_format, docs.templates)
+        doc = bulletin.render_sharp(bulletin.extract_scenario(conclusions), lexicon,
+                                    None if now is None else str(now))
+        return bulletin.render_document(doc, out_format, templates)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tournament(args) -> int:
+    from . import theory, tournament
+
     now = _parse_now(args.now)
     docs = _load_all(args, now)
     with _stage("tournament"):
         built = tournament.build_theory(docs.lams, docs.kb, now)
-    _write(args.out, theory_mod.serialize_theory(built).encode("utf-8"))
+    _write(args.out, theory.serialize_theory(built).encode("utf-8"))
     return 0
 
 
 def _cmd_reason(args) -> int:
+    from . import reasoner, theory
+
     with _stage("reason", args.theory):
-        parsed = theory_mod.parse_theory(_read(args.theory).decode("utf-8"))
+        parsed = theory.parse_theory(_read(args.theory).decode("utf-8"))
         concls = reasoner.conclusions(parsed)
     _write(args.out, reasoner.conclusions_to_json(concls))
     return 0
 
 
 def _cmd_bulletin(args) -> int:
+    from . import reasoner
+
     now = None if args.now is None else _parse_now(args.now)
     docs = _load_all(args, now)
     with _stage("bulletin", args.conclusions):

@@ -27,6 +27,7 @@ from .model import (
     Label,
     LabeledAssertionalMap,
     NAME_RE,
+    OBSERVATION_METHOD,
     TimeRef,
     Value,
     check_value,
@@ -39,9 +40,10 @@ from .theory import atom_head, method_tag
 _CONDITIONS = {c.value: c for c in Condition}
 
 
-def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
+def parse_source_map(data: bytes, observation: bool = False) -> list[LabeledAssertionalMap]:
     """One labeled assertion per entry, in document order. Raises SchemaError
-    at the first problem: an unknown top-level key, then `method`,
+    at the first problem: an unknown top-level key, then `method` (which an
+    `observation` map must spell OBSERVATION_METHOD, entries or none),
     `generated_at`, `entries`, then each entry in turn."""
     doc = read_json_object(data)
     for key in doc:
@@ -54,6 +56,9 @@ def parse_source_map(data: bytes) -> list[LabeledAssertionalMap]:
         method_tag(method)
     except ForecastError as exc:
         raise SchemaError("method", str(exc)) from None
+    if observation and method != OBSERVATION_METHOD:
+        raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
+                                    f"map, not {method!r}")
     try:
         label = Label(method, parse_timeref(str(doc.get("generated_at", ""))))
     except ForecastError as exc:

@@ -1,10 +1,7 @@
 import gc
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,7 +13,7 @@ from hypothesis import strategies as st
 from fusecast import cli
 from fusecast.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_python
 
 SEASIDE = FIXTURES / "seaside"
 RAIN_THEORY = FIXTURES / "rain" / "reference_theory.dfl"
@@ -511,6 +508,20 @@ class TestInputBoundary:
                                                           "observation map, not 'GFS'\n")
         assert not (tmp_path / "bulletin.txt").exists()
 
+    def test_empty_observation_map_with_a_model_method(self, tmp_path, capsys):
+        """The map's own method decides, so a GFS map with no entries fails as
+        one with an entry does."""
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"method": "GFS", "generated_at": "h0", "entries": []}))
+        inputs = _swap(_seaside_inputs(), "--obs", obs)
+        assert main(["validate", *inputs]) == 1
+        assert capsys.readouterr().out.endswith(
+            f"{obs}: error: method: must be 'O' in an observation map, not 'GFS'\n")
+        assert main(["pipeline", *inputs, "--out", str(tmp_path / "bulletin.txt")]) == 1
+        assert _staged_error(capsys, "obs", obs).endswith("): method: must be 'O' in an "
+                                                          "observation map, not 'GFS'\n")
+        assert not (tmp_path / "bulletin.txt").exists()
+
     @pytest.mark.parametrize("name, flag, pointer, raw, where", [
         ("kb.json", "--kb", ("accuracies", "GFS", "1"), '0.45, "1": 0.99',
          "accuracies.GFS.1"),
@@ -803,11 +814,7 @@ def test_mutated_stage_inputs_end_in_staged_errors(tmp_path_factory, data):
 
 def _fusecast_under_ascii(argv):
     """`python -m fusecast` with stdout and stderr encoded as ASCII."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONIOENCODING": "ascii",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "fusecast", *argv], env=env,
-                          capture_output=True, text=True, encoding="ascii")
+    return run_python(["-m", "fusecast", *argv], "ascii", PYTHONIOENCODING="ascii")
 
 
 class TestOutputEncoding:

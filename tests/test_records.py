@@ -1,18 +1,14 @@
 """Every record type is an immutable typing.NamedTuple with value equality,
-a literal is its own text, and importing the CLI loads neither `dataclasses`
-nor `inspect` (nor `html`, which only the HTML format uses)."""
+a literal is its own text, and each command loads only the fusecast modules
+it runs, and neither `dataclasses` nor `inspect` (nor `html`, which only the
+HTML format uses)."""
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import pytest
 
-import fusecast
 from fusecast.bulletin import (
     DEFAULT_FRAGMENTS,
     BulletinDocument,
@@ -39,6 +35,11 @@ from fusecast.model import (
 from fusecast.reasoner import ConclusionSet
 from fusecast.theory import DecodedAtom, DefeasibleTheory, Literal, Rule, RuleKind
 from fusecast.tournament import Prevalence, PrevalenceBasis, Winner
+
+from conftest import FIXTURES, run_python
+
+SEASIDE = FIXTURES / "seaside"
+GOLDEN = FIXTURES / "golden"
 
 
 def _value():
@@ -174,18 +175,43 @@ def test_smooth_templates_hold_their_fragments():
     assert SmoothTemplates().fragments == DEFAULT_FRAGMENTS
 
 
+#: The fusecast modules `import fusecast.cli` loads, and those each command
+#: loads besides: only the stage modules it runs.
+CLI_MODULES = {"fusecast", "fusecast.cli", "fusecast.errors", "fusecast.inputs", "fusecast.model"}
+REASON_MODULES = CLI_MODULES | {"fusecast.theory", "fusecast.reasoner"}
+BULLETIN_MODULES = REASON_MODULES | {"fusecast.lexicon", "fusecast.bulletin"}
+TOURNAMENT_MODULES = CLI_MODULES | {"fusecast.theory", "fusecast.ingest", "fusecast.kb",
+                                    "fusecast.tournament"}
+
+#: Modules no command needs: `dataclasses` and `inspect` cost about 10 ms of
+#: start-up, `html` (with its entity table) 1.5 ms and `fractions` 1.3-1.7 ms.
+UNUSED = {"dataclasses", "inspect", "html", "fractions"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Start-up is paid by every command; these two modules cost about 10 ms,
-    `html` (with its entity table) 1.5 ms and `fractions` 1.3-1.7 ms."""
-    code = ("import sys; before = set(sys.modules); import fusecast.cli; "
-            "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(fusecast.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True).stdout.split()
-    assert "fusecast.cli" in added
-    assert "dataclasses" not in added
-    assert "inspect" not in added
-    assert "html" not in added
-    assert "fractions" not in added
+    """Start-up is paid by every command, so importing the CLI loads no stage
+    module and none of UNUSED."""
+    done = run_python(["-c", "import sys; before = set(sys.modules); import fusecast.cli; "
+                             "print(*sorted(set(sys.modules) - before))"])
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert {name for name in added if name.startswith("fusecast")} == CLI_MODULES
+    assert not added & UNUSED
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["reason", GOLDEN / "seaside_theory.dfl"], REASON_MODULES),
+    (["bulletin", GOLDEN / "seaside_conclusions.json", "--now", "h0"], BULLETIN_MODULES),
+    (["tournament", "--kb", SEASIDE / "kb.json", "--source", SEASIDE / "gfs.json",
+      "--source", SEASIDE / "ecmwf.json", "--obs", SEASIDE / "obs.json", "--now", "h0"],
+     TOURNAMENT_MODULES),
+], ids=["reason", "bulletin", "tournament"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    """Read from `python -X importtime -m fusecast ...` on the seaside fixtures."""
+    done = run_python(["-X", "importtime", "-m", "fusecast", *map(str, argv),
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name for name in imported if name.startswith("fusecast")} == loaded
+    assert not imported & UNUSED
