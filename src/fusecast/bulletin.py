@@ -51,13 +51,14 @@ def extract_scenario(conclusions: ConclusionSet) -> WeatherScenario:
 
     Opaque atoms and the fold rounds' reserved tags are skipped; two distinct
     winners on one slot mean the theory was malformed and raise ScenarioError.
-    A tagged atom (four "_"-separated segments) whose tag was read is skipped.
+    Skipped undecoded: a tagged atom (four "_"-separated segments) whose tag
+    was read, and a negative untagged one (three), which cannot be an entry.
     """
     by_slot: dict[tuple, ScenarioEntry] = {}
     tags: set[str] = set()   # source tags read so far, reserved ones included
     for lit in sorted(conclusions.plus_defeasible):
         segments = lit.split("_")
-        if len(segments) == 4 and segments[1] in tags:
+        if len(segments) == 4 and segments[1] in tags or len(segments) == 3 and lit[0] == "-":
             continue
         try:
             decoded = decode_atom(lit.atom)

@@ -34,11 +34,13 @@ structurally different algorithm used for differential testing.
 from __future__ import annotations
 
 import json
+import re
 from typing import NamedTuple
 
 from .errors import SchemaError, TheoryError
 from .inputs import read_json_object
-from .theory import DefeasibleTheory, Literal, Rule, RuleKind, parse_literal, validate_theory
+from .theory import (_LIT, DefeasibleTheory, Literal, Rule, RuleKind, _literal,
+                     parse_literal, validate_theory)
 
 
 class ConclusionSet(NamedTuple):
@@ -277,14 +279,18 @@ def conclusions_to_json(cs: ConclusionSet) -> bytes:
 def conclusions_from_json(data: bytes) -> ConclusionSet:
     """Tag sets from `conclusions_to_json` output; only "+d" is required."""
     doc = read_json_object(data)
+    canonical = re.compile(f"(?:{_LIT}\n)*{_LIT}").fullmatch  # as conclusions_to_json writes it
     sets = {}
     for key, items in doc.items():
         if key not in _JSON_KEYS:
             raise SchemaError(key, "unknown key")
         if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise SchemaError(key, "must be a list of literal strings")
+        joined = "\n".join(items)
+        read = (_literal if joined.count("\n") == len(items) - 1 and canonical(joined)
+                else parse_literal)
         try:
-            sets[_JSON_KEYS[key]] = frozenset(parse_literal(s) for s in items)
+            sets[_JSON_KEYS[key]] = frozenset(map(read, items))
         except TheoryError as exc:
             raise SchemaError(key, f"bad literal: {exc}") from exc
     if "+d" not in doc:

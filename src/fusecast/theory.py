@@ -12,7 +12,8 @@ Theory text grammar (UTF-8, line oriented, "%" starts a comment):
 Whitespace is free around every token, "-" included. A parse error's column
 is the first character of the offending part. A blank part is reported where
 it starts, just after the ":", ",", ">", ">>" or arrow before it, or at 1 when
-it starts the line.
+it starts the line. A line spelled as serialize_theory writes it is read by
+one match, any other by the per-token reader, to the same theory or error.
 
 Canonical atoms encode one weather slot and value:
 
@@ -38,13 +39,16 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
 from .inputs import HORIZON_RE, MAX_HORIZON, MAX_PLACES, MILLION, has_cycle
 from .model import NAME_RE, Compass, Condition, Value, decimal_str
 
-_LITERAL_RE = re.compile(r"\s*(?:-\s*)?[A-Za-z][A-Za-z0-9_]*\s*\Z")
+_ID = r"[A-Za-z][A-Za-z0-9_]*"
+_LIT = "-?" + _ID  # a literal as fusecast writes it
+_LITERAL_RE = re.compile(r"\s*(?:-\s*)?" + _ID + r"\s*\Z")
 _SRC_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 CONDITION_CODES = {
@@ -75,6 +79,9 @@ class Literal(str):
 
     def complement(self) -> "Literal":
         return str.__new__(Literal, self[1:] if self.startswith("-") else "-" + self)
+
+
+_literal = partial(str.__new__, Literal)  # for text already spelled canonically
 
 
 def parse_literal(text: str) -> Literal:
@@ -236,8 +243,12 @@ def decode_atom(atom: str) -> DecodedAtom:
 # Text format
 # ---------------------------------------------------------------------------
 
-_ID_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\Z")
+_ID_RE = re.compile(r"\s*(" + _ID + r")\s*\Z")
 _ARROW_RE = re.compile(r"->|=>|~>")
+_KINDS = {kind.value: kind for kind in RuleKind}
+#: ">> L", "id: L, L => L" (or "id: => L") and "a > b", as serialize_theory writes them.
+_CANONICAL_LINE = (f">> ({_LIT})|({_ID}): (?:({_LIT}(?:, {_LIT})*) )?({_ARROW_RE.pattern}) "
+                   f"({_LIT})|({_ID}) > ({_ID})")
 
 
 def parse_theory(text: str) -> DefeasibleTheory:
@@ -245,7 +256,19 @@ def parse_theory(text: str) -> DefeasibleTheory:
     facts: list[Literal] = []
     rules: list[Rule] = []
     sups: list[tuple[str, str]] = []
+    canonical = re.compile(_CANONICAL_LINE).fullmatch  # compiled on first use, then cached by re
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = canonical(raw)
+        if m is not None:
+            fact, rid, body, arrow, head, winner, loser = m.groups()
+            if fact is not None:
+                facts.append(_literal(fact))
+            elif rid is not None:
+                body = tuple(map(_literal, body.split(", "))) if body else ()
+                rules.append(Rule(rid, _KINDS[arrow], body, _literal(head)))
+            else:
+                sups.append((winner, loser))
+            continue
         line = raw.split("%", 1)[0]
         stripped = line.strip()
         if not stripped:
@@ -264,7 +287,7 @@ def parse_theory(text: str) -> DefeasibleTheory:
                     body.append(_read_literal(line, start, start + len(part), lineno))
                     start += len(part) + 1
             head = _read_literal(line, arrow.end(), len(line), lineno)
-            rules.append(Rule(rid, RuleKind(arrow[0]), tuple(body), head))
+            rules.append(Rule(rid, _KINDS[arrow[0]], tuple(body), head))
         elif ">" in stripped:
             gt = line.index(">")
             sups.append((_read_id(line, 0, gt, lineno),

@@ -16,6 +16,8 @@ from fusecast.errors import (
 )
 from fusecast.inputs import exact_number, parse_horizon
 from fusecast.model import Compass, Condition, Value, check_value
+from fusecast import reasoner
+from fusecast import theory as theory_module
 from fusecast.reasoner import conclusions_from_json
 from fusecast.theory import (
     CONDITION_CODES,
@@ -397,6 +399,14 @@ class TestTheoryFormat:
             parse_theory(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_error_line_counts_canonical_and_comment_lines(self):
+        """Lines read by the canonical pattern and "%" lines still count."""
+        text = ">> a\nr1: a => b\n% note\n\nr2: a, -b -> -c\nr1 > r2\nr3: a,,b => c\n"
+        with pytest.raises(TheoryParseError) as err:
+            parse_theory(text)
+        assert (err.value.line, err.value.column) == (7, 7)
+        assert _outcome(parse_theory, text) == _outcome(reference_reader.parse_theory, text)
+
     def test_free_spacing_reads_as_the_canonical_theory(self, rain_reference_theory):
         spaced = (FIXTURES / "rain" / "spaced_theory.dfl").read_text()
         assert "\t" in spaced and "- " in spaced
@@ -442,9 +452,9 @@ def test_parse_serialize_round_trip(seed):
 # ---------------------------------------------------------------------------
 
 _IDS = st.sampled_from(["r1", "r2", "a", "B_2", "x9", "CNorth_h1_78"])
-_BLANK = st.text(alphabet=" \t\xa0", max_size=2)
+_BLANK = st.text(alphabet=" \t\xa0\n", max_size=2)
 _TOKENS = st.one_of(_IDS, _BLANK, st.sampled_from(
-    ["-", ",", ":", ">", ">>", "->", "=>", "~>", "%", "9", "\u00e9", "=", "~"]))
+    ["-", ",", ":", ">", ">>", "->", "=>", "~>", "%", "9", "\u00e9", "=", "~", "\n"]))
 _SOUP = st.lists(_TOKENS, max_size=8).map("".join)
 
 
@@ -456,12 +466,27 @@ def _literal_text(draw):
     return draw(_BLANK) + sign + draw(_BLANK) + atom + draw(_BLANK)
 
 
+_CANONICAL_LITERAL = st.builds(Literal, _IDS, st.booleans())
+#: A line exactly as serialize_theory writes it.
+_CANONICAL_LINE = st.one_of(
+    _CANONICAL_LITERAL.map(">> {}".format),
+    st.builds(Rule, _IDS, st.sampled_from(RuleKind),
+              st.lists(_CANONICAL_LITERAL, max_size=3).map(tuple), _CANONICAL_LITERAL).map(str),
+    st.lists(_IDS, min_size=2, max_size=2).map(" > ".join),
+)
+
+
 @st.composite
 def _theory_line(draw):
-    """A fact, rule or superiority line with random spacing, or a token soup;
-    either may carry one stray token and a trailing comment."""
-    shape = draw(st.sampled_from(["fact", "rule", "sup", "soup"]))
-    if shape == "fact":
+    """A fact, rule or superiority line in the canonical spelling or with
+    random spacing, or a token soup; all but half the canonical lines may
+    carry one stray token and a trailing comment."""
+    shape = draw(st.sampled_from(["canonical", "fact", "rule", "sup", "soup"]))
+    if shape == "canonical":
+        line = draw(_CANONICAL_LINE)
+        if draw(st.booleans()):
+            return line
+    elif shape == "fact":
         line = draw(_BLANK) + ">>" + draw(_literal_text())
     elif shape == "rule":
         body = ",".join(draw(st.lists(_literal_text(), max_size=3)))
@@ -491,17 +516,18 @@ def _outcome(read, text):
 @settings(max_examples=400)
 @given(st.lists(_theory_line(), min_size=1, max_size=4))
 def test_parse_theory_matches_the_reference_reader(lines):
-    text = "\n".join(lines)
-    got = _outcome(parse_theory, text)
-    assert got == _outcome(reference_reader.parse_theory, text)
-    if isinstance(got, DefeasibleTheory):
-        literals = [*got.facts, *(lit for r in got.rules for lit in (*r.body, r.head))]
-        assert all(type(lit) is Literal for lit in literals)
+    """The whole text, then each line alone: a line alone cannot clash with
+    another line's rule id, so far more of them read as a theory."""
+    for text in ["\n".join(lines), *lines]:
+        got = _outcome(parse_theory, text)
+        assert got == _outcome(reference_reader.parse_theory, text)
+        if isinstance(got, DefeasibleTheory):
+            literals = [*got.facts, *(lit for r in got.rules for lit in (*r.body, r.head))]
+            assert all(type(lit) is Literal for lit in literals)
 
 
-@settings(max_examples=300)
-@given(st.lists(st.one_of(_literal_text(), _SOUP), max_size=4))
-def test_conclusions_from_json_matches_per_item_reference_literals(items):
+def _check_against_per_item_reference(items):
+    """conclusions_from_json reads a list as the reference reads each item."""
     for item in items:
         assert _outcome(parse_literal, item) == _outcome(reference_reader.parse_literal, item)
     try:
@@ -514,3 +540,47 @@ def test_conclusions_from_json_matches_per_item_reference_literals(items):
     except SchemaError as exc:
         got = str(exc)
     assert got == expected
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_literal_text(), _SOUP), max_size=4))
+def test_conclusions_from_json_matches_per_item_reference_literals(items):
+    _check_against_per_item_reference(items)
+
+
+@pytest.mark.parametrize("items", [
+    ["a", ""], ["", "a"], ["a\nb"], ["a", "a"], [" -a"], [],
+], ids=repr)
+def test_list_check_neither_merges_nor_hides_items(items):
+    """An empty item, or one that holds the separator, is not read as part
+    of a canonical list."""
+    _check_against_per_item_reference(items)
+
+
+# ---------------------------------------------------------------------------
+# The canonical spelling is read without the per-token reader
+# ---------------------------------------------------------------------------
+
+def _refuse(*args):
+    raise AssertionError("the per-token reader ran on a canonical line")
+
+
+@pytest.mark.parametrize("source", ["seaside", *range(8)],
+                         ids=lambda s: s if s == "seaside" else f"random-{s}")
+def test_canonical_theory_text_takes_one_match_per_line(source, monkeypatch):
+    if source == "seaside":
+        theory = parse_theory((FIXTURES / "golden" / "seaside_theory.dfl").read_text())
+    else:
+        theory = random_theory(random.Random(source))
+    monkeypatch.setattr(theory_module, "_read_literal", _refuse)
+    monkeypatch.setattr(theory_module, "_read_id", _refuse)
+    assert parse_theory(serialize_theory(theory)) == theory
+
+
+def test_canonical_conclusions_take_one_match_per_list(monkeypatch):
+    data = (FIXTURES / "golden" / "seaside_conclusions.json").read_bytes()
+    expected = conclusions_from_json(data)
+    monkeypatch.setattr(reasoner, "parse_literal", _refuse)
+    got = conclusions_from_json(data)
+    assert got == expected and got.plus_defeasible
+    assert all(type(lit) is Literal for lit in got.plus_defeasible)
