@@ -43,7 +43,7 @@ class ScenarioError(ForecastError):
 
 
 class LexiconError(ForecastError):
-    """A value cannot be classified, or a lexicon table is malformed."""
+    """A value cannot be classified: no bands are configured for its condition."""
 
 
 class TemplateError(ForecastError):

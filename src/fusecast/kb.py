@@ -7,6 +7,10 @@ File format (UTF-8 JSON, exact decimals preserved):
      "overrides": [{"winner": "...", "loser": "...",
                     "condition": "wind"?, "location": "Sea"?}, ...],
      "min_accuracy": 0}
+
+`load_kb` checks each part where it reads it, so an error names the
+document's own path (`accuracies.GFS.01`, `overrides[2]`); the records it
+builds check nothing.
 """
 
 from __future__ import annotations
@@ -50,51 +54,16 @@ class _KnowledgeBase(NamedTuple):
 
 class KnowledgeBase(_KnowledgeBase):
     """Records sorted by (method, horizon), overrides sorted, and the
-    reliability threshold in millionths; validated when built, in the
-    caller's order, so an error path indexes the caller's overrides."""
+    reliability threshold in millionths. Built without checks: `load_kb`
+    checks a document where it reads each part, at that part's path."""
 
     __slots__ = ()
 
     def __new__(cls, accuracies=(), overrides=(), min_micros=0):
-        given = _KnowledgeBase(tuple(accuracies), tuple(overrides), min_micros)
-        _validate(given)
-        accuracies = tuple(sorted(given.accuracies, key=lambda r: (r.method, r.horizon)))
-        overrides = tuple(sorted(given.overrides, key=lambda o: (
+        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
+        overrides = tuple(sorted(overrides, key=lambda o: (
             o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
         return super().__new__(cls, accuracies, overrides, min_micros)
-
-
-def _validate(kb: _KnowledgeBase) -> None:
-    seen = set()
-    for rec in kb.accuracies:
-        if rec.method == OBSERVATION_METHOD:
-            raise SchemaError(
-                f"accuracies.{rec.method}",
-                "the observation method has implicit accuracy 1.0 and may not be overridden",
-            )
-        if not 0 <= rec.micros <= MILLION:
-            raise SchemaError(
-                f"accuracies.{rec.method}.{rec.horizon}",
-                f"accuracy {decimal_str(rec.micros)} outside [0, 1]",
-            )
-        key = (rec.method, rec.horizon)
-        if key in seen:
-            raise SchemaError(f"accuracies.{rec.method}.{rec.horizon}",
-                              "duplicate (method, horizon) record")
-        seen.add(key)
-    if not 0 <= kb.min_micros <= MILLION:
-        raise SchemaError("min_accuracy", f"{decimal_str(kb.min_micros)} outside [0, 1]")
-    by_scope: dict[tuple, list[PriorityOverride]] = {}
-    for i, ov in enumerate(kb.overrides):
-        if ov.winner == ov.loser:
-            raise SchemaError(f"overrides[{i}]", "winner equals loser")
-        by_scope.setdefault((ov.condition, ov.location), []).append(ov)
-    for scope, ovs in by_scope.items():
-        if has_cycle((ov.winner, ov.loser) for ov in ovs):
-            raise SchemaError(
-                "overrides",
-                f"priority overrides form a cycle within scope {scope}",
-            )
 
 
 def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
@@ -139,7 +108,7 @@ def override_winner(
 
 
 def load_kb(data: bytes) -> KnowledgeBase:
-    """Parse and validate a KB document."""
+    """Parse and check a KB document; an error names its path in the document."""
     doc = read_json_object(data)
     for key in doc:
         if key not in ("accuracies", "overrides", "min_accuracy"):
@@ -150,21 +119,34 @@ def load_kb(data: bytes) -> KnowledgeBase:
     if not isinstance(accs, dict):
         raise SchemaError("accuracies", "must be an object keyed by method id")
     for method, horizons in accs.items():
+        if method == OBSERVATION_METHOD:
+            raise SchemaError(
+                f"accuracies.{method}",
+                "the observation method has implicit accuracy 1.0 and may not be overridden",
+            )
         if not isinstance(horizons, dict) or not horizons:
             raise SchemaError(f"accuracies.{method}",
                               "must be a non-empty object keyed by horizon")
+        seen = set()  # "1" and "01" name one horizon
         for h, acc in horizons.items():
             path = f"accuracies.{method}.{h}"
             try:
                 horizon = parse_horizon(f"h{h}")
             except ForecastError:
                 raise SchemaError(path, f"horizon keys are integers 0..{MAX_HORIZON}") from None
-            records.append(AccuracyRecord(method, horizon, exact_number(acc, path)))
+            micros = exact_number(acc, path)
+            if not 0 <= micros <= MILLION:
+                raise SchemaError(path, f"accuracy {decimal_str(micros)} outside [0, 1]")
+            if horizon in seen:
+                raise SchemaError(path, "duplicate (method, horizon) record")
+            seen.add(horizon)
+            records.append(AccuracyRecord(method, horizon, micros))
 
     raw_overrides = doc.get("overrides", [])
     if not isinstance(raw_overrides, list):
         raise SchemaError("overrides", "must be a list")
     overrides = []
+    by_scope: dict[tuple, list[tuple[str, str]]] = {}
     for i, item in enumerate(raw_overrides):
         if not isinstance(item, dict):
             raise SchemaError(f"overrides[{i}]", "must be an object")
@@ -187,8 +169,17 @@ def load_kb(data: bytes) -> KnowledgeBase:
             if method not in accs:  # the tournament refuses such a method
                 raise SchemaError(f"overrides[{i}].{role}",
                                   f"no accuracy record for method {method!r}")
+        if winner == loser:
+            raise SchemaError(f"overrides[{i}]", "winner equals loser")
         overrides.append(PriorityOverride(winner, loser, condition, location))
+        by_scope.setdefault((condition, location), []).append((winner, loser))
+    for (condition, location), edges in by_scope.items():
+        if has_cycle(edges):
+            raise SchemaError("overrides", "priority overrides form a cycle within scope "
+                              f"condition {condition.value if condition else 'any'}, "
+                              f"location {location or 'any'}")
 
-    min_acc = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
-    return KnowledgeBase(records, overrides, min_acc)
-
+    min_micros = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
+    if not 0 <= min_micros <= MILLION:
+        raise SchemaError("min_accuracy", f"{decimal_str(min_micros)} outside [0, 1]")
+    return KnowledgeBase(records, overrides, min_micros)

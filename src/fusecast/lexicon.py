@@ -8,6 +8,9 @@ Douglas scale; sky cover and rain rates use customary synoptic breakpoints.
 
 Conditions without default bands (snow, visibility, and the non-worded
 temperature/pressure/humidity) must be configured explicitly before use.
+`load_lexicon` checks each condition's bands as it reads them, so an error
+names the document's own path (`sea[1]`, or `sea` for the whole list); a
+`LexiconTable` checks nothing.
 """
 
 from __future__ import annotations
@@ -44,42 +47,17 @@ VOCABULARY: dict[Condition, tuple[str, ...]] = {
     Condition.VISIBILITY: ("Clean", "Misty", "Foggy", "Hazy"),
 }
 
-_F = MILLION.__mul__  # whole units to millionths
+#: Exclusive upper bounds in whole units, one per VOCABULARY term; None = ∞.
+_BOUNDS: dict[Condition, tuple[Optional[int], ...]] = {
+    Condition.CLOUDINESS: (10, 40, 80, 100, None),  # "Overcast" is exactly 100 %
+    Condition.WIND: (11, 17, 22, 28, 34, 41, 48, None),  # knots
+    Condition.SEA: (50, 125, 250, 400, 600, 900, 1400, None),  # cm wave height
+    Condition.RAIN: (0, 2, 10, 20, None),  # mm/day
+}
 DEFAULT_BANDS: dict[Condition, tuple[Band, ...]] = {
-    Condition.CLOUDINESS: (
-        (_F(10), "Clear or Sunny Skies"),
-        (_F(40), "Partly Cloudy"),
-        (_F(80), "Mostly Cloudy"),
-        (_F(100), "Cloudy"),
-        (None, "Overcast"),  # only 100 % exactly, given the percent bound
-    ),
-    Condition.WIND: (  # knots
-        (_F(11), "Light Winds"),
-        (_F(17), "Moderate Winds"),
-        (_F(22), "Fresh Winds"),
-        (_F(28), "Near Gale"),
-        (_F(34), "Gale"),
-        (_F(41), "Strong Gale"),
-        (_F(48), "Storm"),
-        (None, "Violent Storm"),
-    ),
-    Condition.SEA: (  # cm wave height
-        (_F(50), "Calm"),
-        (_F(125), "Slight"),
-        (_F(250), "Moderate"),
-        (_F(400), "Rough"),
-        (_F(600), "Very Rough"),
-        (_F(900), "High"),
-        (_F(1400), "Very High"),
-        (None, "Phenomenal"),
-    ),
-    Condition.RAIN: (  # mm/day
-        (_F(0), "No precipitation"),
-        (_F(2), "Very Light Rains"),
-        (_F(10), "Light Rains"),
-        (_F(20), "Moderate Rains"),
-        (None, "Heavy Rains"),
-    ),
+    condition: tuple((None if upper is None else upper * MILLION, term)
+                     for upper, term in zip(bounds, VOCABULARY[condition]))
+    for condition, bounds in _BOUNDS.items()
 }
 
 DIRECTION_PHRASES: dict[Compass, str] = {
@@ -94,46 +72,38 @@ DIRECTION_PHRASES: dict[Compass, str] = {
 }
 
 
-class _LexiconTable(NamedTuple):
-    bands: Mapping[Condition, tuple[Band, ...]]
+class LexiconTable(NamedTuple):
+    """Bands per condition; `load_lexicon` checks a document's bands."""
 
-
-class LexiconTable(_LexiconTable):
-    """Bands per condition, checked when built."""
-
-    __slots__ = ()
-
-    def __new__(cls, bands: Mapping[Condition, tuple[Band, ...]] = DEFAULT_BANDS):
-        for condition, condition_bands in bands.items():
-            _check_bands(condition, condition_bands)
-        return super().__new__(cls, bands)
+    bands: Mapping[Condition, tuple[Band, ...]] = DEFAULT_BANDS
 
 
 def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
+    """Refuse a band list at `<condition>[i]` for a band's own fault, or at
+    `<condition>` for a fault of the whole list."""
+    key = condition.value
     if not bands:
-        raise LexiconError(f"{condition.value}: empty band list")
+        raise SchemaError(key, "empty band list")
     vocabulary = VOCABULARY.get(condition)
     prev = None
     for i, (upper, term) in enumerate(bands):
+        path = f"{key}[{i}]"
         if vocabulary is not None and term not in vocabulary:
-            raise LexiconError(
-                f"{condition.value}: term {term!r} is not in the vocabulary")
+            raise SchemaError(path, f"term {term!r} is not in the vocabulary")
         if upper is None:
             if i != len(bands) - 1:
-                raise LexiconError(
-                    f"{condition.value}: unbounded band must come last")
+                raise SchemaError(path, "unbounded band must come last")
             continue
         degenerate_zero = i == 0 and upper == 0
         if prev is not None and upper <= prev:
-            raise LexiconError(f"{condition.value}: band bounds must increase")
+            raise SchemaError(path, "band bounds must increase")
         if upper < 0 or (upper == 0 and not degenerate_zero):
-            raise LexiconError(f"{condition.value}: bad band bound {decimal_str(upper)}")
+            raise SchemaError(path, f"bad band bound {decimal_str(upper)}")
         prev = upper
     last_upper = bands[-1][0]
     if last_upper is not None and not (condition.is_percent and last_upper >= 100 * MILLION):
-        raise LexiconError(
-            f"{condition.value}: bands must cover the whole range "
-            "(end with null, or reach 100 for percent conditions)")
+        raise SchemaError(key, "bands must cover the whole range "
+                               "(end with null, or reach 100 for percent conditions)")
 
 
 DEFAULT_LEXICON = LexiconTable()
@@ -157,7 +127,8 @@ def classify(condition: Condition, value: Value,
 
 
 def load_lexicon(data: bytes) -> LexiconTable:
-    """Defaults overridden per condition from a JSON document:
+    """Defaults overridden per condition from a JSON document, each
+    condition's bands checked where they are read:
     {"cloudiness": [[10, "Clear or Sunny Skies"], ..., [null, "Overcast"]]}"""
     doc = read_json_object(data)
     bands = dict(DEFAULT_BANDS)
@@ -177,9 +148,7 @@ def load_lexicon(data: bytes) -> LexiconTable:
             if bound is not None:
                 bound = exact_number(bound, f"{key}[{i}]")
             parsed.append((bound, term))
+        _check_bands(condition, parsed)
         bands[condition] = tuple(parsed)
-    try:
-        return LexiconTable(bands=bands)
-    except LexiconError as exc:
-        raise SchemaError("", str(exc)) from exc
+    return LexiconTable(bands)
 

@@ -687,6 +687,42 @@ class TestInputBoundary:
         assert main(_swap(pipeline_args(tmp_path), "--kb", bad)) == 1
         assert f"({bad}): min_accuracy: " in _staged_error(capsys, "kb", bad)
 
+    @pytest.mark.parametrize("flag, doc, error", [
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45, "01": 0.4}}}',
+         "accuracies.GFS.01: duplicate (method, horizon) record"),
+        ("--kb", '{"accuracies": {"GFS": {"01": 1.5}}}',
+         "accuracies.GFS.01: accuracy 1.5 outside [0, 1]"),
+        ("--kb", '{"accuracies": {"O": {"1": 0.5}}}', "accuracies.O: the observation "
+         "method has implicit accuracy 1.0 and may not be overridden"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}}, "min_accuracy": 2}',
+         "min_accuracy: 2 outside [0, 1]"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}}, '
+                 '"overrides": [{"winner": "GFS", "loser": "GFS"}]}',
+         "overrides[0]: winner equals loser"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}, "ECMWF": {"1": 0.85}}, "overrides": ['
+                 '{"winner": "GFS", "loser": "ECMWF", "condition": "wind", "location": "Sea"},'
+                 '{"winner": "ECMWF", "loser": "GFS", "condition": "wind", "location": "Sea"}]}',
+         "overrides: priority overrides form a cycle within scope condition wind, location Sea"),
+        ("--lexicon", '{"sea": [[100, "Calm"], [50, "Slight"], [null, "Rough"]]}',
+         "sea[1]: band bounds must increase"),
+        ("--lexicon", '{"sea": [[null, "Choppy"]]}',
+         "sea[0]: term 'Choppy' is not in the vocabulary"),
+        ("--lexicon", '{"sea": [[100, "Calm"]]}', "sea: bands must cover the whole range "
+         "(end with null, or reach 100 for percent conditions)"),
+    ], ids=["kb-duplicate-horizon", "kb-accuracy", "kb-observation", "kb-min-accuracy",
+            "kb-winner-is-loser", "kb-scoped-cycle", "lexicon-falling-bounds",
+            "lexicon-term", "lexicon-uncovered"])
+    def test_kb_or_lexicon_fault_named_at_its_path(self, tmp_path, capsys, flag, doc, error):
+        """validate and pipeline stop at the same stage, file and path."""
+        bad = tmp_path / "doc.json"
+        bad.write_text(doc)
+        inputs = _swap(_seaside_inputs(), flag, bad) if flag == "--kb" else \
+            [*_seaside_inputs(), flag, str(bad)]
+        assert main(["validate", *inputs]) == 1
+        assert f"{bad}: error: {error}" in capsys.readouterr().out.splitlines()
+        assert main(["pipeline", *inputs, "--out", str(tmp_path / "bulletin.txt")]) == 1
+        assert capsys.readouterr().err == f"fusecast: error [{flag[2:]}] ({bad}): {error}\n"
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         kb = tmp_path / "kb.json"
         kb.write_text('{"overrides": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -13,6 +13,7 @@ from fusecast.kb import (
     load_kb,
     override_winner,
 )
+from fusecast.inputs import has_cycle
 from fusecast.model import Condition
 
 
@@ -86,45 +87,63 @@ class TestOverrideWinner:
         assert override_winner(kb, "A", "B", Condition.WIND, "Sea") == "B"
 
 
+def _error(doc: dict) -> SchemaError:
+    """The error load_kb raises on the document."""
+    with pytest.raises(SchemaError) as err:
+        load_kb(json.dumps(doc).encode())
+    return err.value
+
+
+_ABC = {"A": {"1": 0.5}, "B": {"1": 0.5}, "C": {"1": 0.5}}
+
+
 class TestValidation:
+    """load_kb checks each part where it reads it, at the document's own path."""
+
     def test_winner_equals_loser(self):
-        with pytest.raises(SchemaError):
-            KnowledgeBase(overrides=(PriorityOverride("GFS", "GFS"),))
+        err = _error({"accuracies": {"GFS": {"1": 0.5}},
+                      "overrides": [{"winner": "GFS", "loser": "GFS"}]})
+        assert (err.path, err.message) == ("overrides[0]", "winner equals loser")
 
     def test_cycle_within_scope(self):
-        with pytest.raises(SchemaError):
-            KnowledgeBase(overrides=(
-                PriorityOverride("A", "B"),
-                PriorityOverride("B", "C"),
-                PriorityOverride("C", "A"),
-            ))
+        cycle = [{"winner": "A", "loser": "B"}, {"winner": "B", "loser": "C"},
+                 {"winner": "C", "loser": "A"}]
+        err = _error({"accuracies": _ABC, "overrides": cycle})
+        assert str(err) == ("overrides: priority overrides form a cycle within scope "
+                            "condition any, location any")
+        scoped = [{**ov, "condition": "wind", "location": "Sea"} for ov in cycle]
+        err = _error({"accuracies": _ABC, "overrides": [cycle[0], *scoped]})
+        assert str(err) == ("overrides: priority overrides form a cycle within scope "
+                            "condition wind, location Sea")
 
     def test_same_pair_in_different_scopes_is_fine(self):
-        KnowledgeBase(overrides=(
-            PriorityOverride("A", "B"),
-            PriorityOverride("B", "A", Condition.WIND, None),
-        ))
+        kb = load_kb(json.dumps({"accuracies": _ABC, "overrides": [
+            {"winner": "A", "loser": "B"},
+            {"winner": "B", "loser": "A", "condition": "wind"},
+        ]}).encode())
+        assert kb.overrides == (PriorityOverride("A", "B"),
+                                PriorityOverride("B", "A", Condition.WIND))
 
     def test_accuracy_bounds(self):
-        with pytest.raises(SchemaError):
-            KnowledgeBase(accuracies=(AccuracyRecord("GFS", 1, 1_300_000),))
+        err = _error({"accuracies": {"GFS": {"1": 1.3}}})
+        assert str(err) == "accuracies.GFS.1: accuracy 1.3 outside [0, 1]"
 
     def test_duplicate_record(self):
-        with pytest.raises(SchemaError):
-            KnowledgeBase(accuracies=(
-                AccuracyRecord("GFS", 1, 500_000),
-                AccuracyRecord("GFS", 1, 250_000),
-            ))
+        err = _error({"accuracies": {"GFS": {"1": 0.5, "01": 0.25}}})
+        assert str(err) == "accuracies.GFS.01: duplicate (method, horizon) record"
 
     def test_override_chain_of_1500_methods(self):
-        chain = tuple(PriorityOverride(f"M{i}", f"M{i + 1}") for i in range(1499))
-        assert len(KnowledgeBase(overrides=chain).overrides) == 1499
-        with pytest.raises(SchemaError, match="cycle"):
-            KnowledgeBase(overrides=chain + (PriorityOverride("M1499", "M0"),))
+        accuracies = {f"M{i}": {"1": 0.5} for i in range(1500)}
+        chain = [{"winner": f"M{i}", "loser": f"M{i + 1}"} for i in range(1499)]
+        doc = {"accuracies": accuracies, "overrides": chain}
+        assert len(load_kb(json.dumps(doc).encode()).overrides) == 1499
+        doc["overrides"] = chain + [{"winner": "M1499", "loser": "M0"}]
+        err = _error(doc)
+        assert err.path == "overrides" and "cycle" in err.message
 
     def test_observation_not_overridable(self):
-        with pytest.raises(SchemaError):
-            KnowledgeBase(accuracies=(AccuracyRecord("O", 1, 500_000),))
+        err = _error({"accuracies": {"O": {"1": 0.5}}})
+        assert err.path == "accuracies.O" and "observation method" in err.message
 
 
 class TestDocumentFormat:
@@ -167,6 +186,14 @@ class TestDocumentFormat:
         pytest.param('{"accuracies": {"A": {"1": 0.5}, "B": {"1": 0.5}, "C": {"1": 0.5}},'
                      ' "overrides": [{"winner": "B", "loser": "C"}, {"winner": "A", "loser": "A"}]}',
                      "overrides[1]", id="path-in-document-order"),
+        pytest.param('{"accuracies": {"GFS": {"1": 0.5, "01": 0.6}}}', "accuracies.GFS.01",
+                     id="duplicate-horizon-at-its-own-key"),
+        pytest.param('{"accuracies": {"GFS": {"01": 1.5}}}', "accuracies.GFS.01",
+                     id="accuracy-bound-at-its-own-key"),
+        pytest.param('{"accuracies": {"O": {"1": 0.5}},'
+                     ' "overrides": [{"winner": "O", "loser": "GFS"}]}', "accuracies.O",
+                     id="observation-method-before-the-overrides"),
+        ('{"min_accuracy": 2}', "min_accuracy"),
     ])
     def test_out_of_bounds_or_mistyped_value_rejected(self, doc, path):
         with pytest.raises(SchemaError) as err:
@@ -200,10 +227,12 @@ def knowledge_bases(draw):
         scope_cond = draw(st.sampled_from([None, Condition.WIND, Condition.SEA]))
         scope_loc = draw(st.sampled_from([None, "Sea", "North"]))
         overrides.append(PriorityOverride(winner, loser, scope_cond, scope_loc))
-    try:
-        return KnowledgeBase(records, tuple(overrides), draw(_accuracy))
-    except SchemaError:  # override set happened to form a cycle
-        return KnowledgeBase(records, (), draw(_accuracy))
+    scopes: dict[tuple, list] = {}
+    for ov in overrides:
+        scopes.setdefault((ov.condition, ov.location), []).append((ov.winner, ov.loser))
+    if any(has_cycle(edges) for edges in scopes.values()):  # load_kb refuses a cycle
+        overrides = []
+    return KnowledgeBase(records, tuple(overrides), draw(_accuracy))
 
 
 def _document(kb: KnowledgeBase) -> bytes:

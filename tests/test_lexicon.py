@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from fusecast.errors import LexiconError, SchemaError
 from fusecast.lexicon import (
+    DEFAULT_BANDS,
     DEFAULT_LEXICON,
     DIRECTION_PHRASES,
     VOCABULARY,
+    _check_bands,
     classify,
     load_lexicon,
 )
@@ -75,6 +77,14 @@ class TestBoundaries:
             term(Condition.TEMPERATURE, 20)
         with pytest.raises(LexiconError):
             term(Condition.SNOW, 5)
+
+
+def test_default_bands_pass_the_document_check():
+    """Importing the module checks no table, so the defaults are checked here
+    as a document's bands are, and each spells its vocabulary in order."""
+    for condition, bands in DEFAULT_BANDS.items():
+        _check_bands(condition, bands)
+        assert tuple(term for _, term in bands) == VOCABULARY[condition]
 
 
 class TestDirections:
@@ -166,12 +176,14 @@ class TestOverrides:
         assert classify(Condition.SNOW, Value(3 * M), table) == "Snow flurry"
 
     def test_terms_outside_vocabulary_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load_lexicon(b'{"sea": [[null, "Choppy"]]}')
+        assert err.value.path == "sea[0]"
 
     def test_non_increasing_bounds_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load_lexicon(b'{"sea": [[100, "Calm"], [50, "Slight"], [null, "Rough"]]}')
+        assert str(err.value) == "sea[1]: band bounds must increase"
 
     @pytest.mark.parametrize("bound", ["1e5000", "1e-5000", "0.1234567", '"50"', "true"])
     def test_bound_outside_the_number_bounds_rejected(self, bound):
@@ -180,8 +192,24 @@ class TestOverrides:
         assert err.value.path == "sea[0]"
 
     def test_uncovered_range_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load_lexicon(b'{"sea": [[100, "Calm"]]}')
+        assert err.value.path == "sea"
+
+    @pytest.mark.parametrize("bands, path, message", [
+        ("[]", "sea", "empty band list"),
+        ('[[null, "Calm"], [null, "Rough"]]', "sea[0]", "unbounded band must come last"),
+        ('[[-5, "Calm"], [null, "Rough"]]', "sea[0]", "bad band bound -5"),
+        ('[[50, "Calm"], [0, "Slight"], [null, "Rough"]]', "sea[1]", "band bounds must increase"),
+        ('[[0, "Calm"], [0, "Slight"], [null, "Rough"]]', "sea[1]", "band bounds must increase"),
+        ('[[0, "Calm"], [null, "Choppy"]]', "sea[1]", "term 'Choppy' is not in the vocabulary"),
+    ], ids=["empty", "unbounded-not-last", "negative", "falls-to-zero", "zero-twice",
+            "second-term"])
+    def test_band_fault_named_at_its_path(self, bands, path, message):
+        """A band's own fault at `<key>[i]`, a fault of the whole list at `<key>`."""
+        with pytest.raises(SchemaError) as err:
+            load_lexicon(f'{{"sea": {bands}}}'.encode())
+        assert (err.value.path, err.value.message) == (path, message)
 
     def test_percent_tables_may_stop_at_100(self):
         table = load_lexicon(json.dumps({

@@ -21,7 +21,7 @@ from fusecast.bulletin import (
     WeatherScenario,
 )
 from fusecast.errors import SchemaError
-from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride
+from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride, load_kb
 from fusecast.lexicon import DEFAULT_BANDS, LexiconTable
 from fusecast.model import (
     AssertionalMap,
@@ -154,10 +154,13 @@ def test_knowledge_base_sorts_and_validates():
     assert [(r.method, r.horizon) for r in kb.accuracies] == [
         ("ECMWF", 1), ("GFS", 1), ("GFS", 2)]
     assert [o.winner for o in kb.overrides] == ["ECMWF", "GFS"]
-    with pytest.raises(SchemaError, match="duplicate"):
-        KnowledgeBase((AccuracyRecord("GFS", 1, 1), AccuracyRecord("GFS", 1, 2)))
-    with pytest.raises(SchemaError, match="min_accuracy"):
-        KnowledgeBase(min_micros=2_000_000)
+    # The constructor checks nothing; load_kb checks the document it reads.
+    with pytest.raises(SchemaError) as err:
+        load_kb(b'{"accuracies": {"GFS": {"1": 0.000001, "01": 0.000002}}}')
+    assert str(err.value) == "accuracies.GFS.01: duplicate (method, horizon) record"
+    with pytest.raises(SchemaError) as err:
+        load_kb(b'{"min_accuracy": 2}')
+    assert str(err.value) == "min_accuracy: 2 outside [0, 1]"
 
 
 def test_lexicon_table_holds_its_bands():
