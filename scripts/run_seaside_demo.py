@@ -6,6 +6,8 @@ intermediate artifacts alongside the final bulletin. Run with:
     python scripts/run_seaside_demo.py
 """
 
+import sys
+
 from fusecast import (
     Compass,
     Condition,
@@ -70,7 +72,8 @@ def main() -> None:
 
     tags = conclusions(theory)
     print("=== reasoner conclusions ===")
-    print(conclusions_to_json(tags).decode())
+    conclusions_to_json(tags, sys.stdout)
+    print()
 
     doc = render_sharp(extract_scenario(tags))
     print("=== bulletin ===")

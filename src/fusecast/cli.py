@@ -52,12 +52,21 @@ def _read(path: Path) -> bytes:
     return Path(path).read_bytes()
 
 
-def _write(path: Optional[Path], data: bytes) -> None:
+@contextmanager
+def _output(path: Optional[Path]):
+    """The text stream a command writes to: the file at `path`, UTF-8 with
+    newlines as given, or stdout when there is none."""
     with _stage("output", path):
         if path is None:
-            sys.stdout.write(data.decode("utf-8"))
+            yield sys.stdout
         else:
-            Path(path).write_bytes(data)
+            with open(path, "w", encoding="utf-8", newline="") as out:
+                yield out
+
+
+def _write(path: Optional[Path], text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _inputs(args) -> list[tuple[str, Path]]:
@@ -108,25 +117,29 @@ def _load_all(args, now: Optional[TimeRef]) -> _Documents:
 
 def _forecast(docs: _Documents, now: TimeRef, out_format: str = "text",
               emit_theory: Optional[Path] = None,
-              emit_conclusions: Optional[Path] = None) -> bytes:
+              emit_conclusions: Optional[Path] = None) -> str:
     """tournament -> reason -> bulletin on loaded inputs, composed as the
-    three stage commands are; `pipeline` writes the bytes, `validate` drops
-    them."""
+    three stage commands are; `pipeline` writes the bulletin, `validate`
+    drops it. Each stage's input is let go once the next stage has it, so
+    the peak is the largest stage, not their sum."""
     from . import reasoner, theory, tournament
 
     with _stage("tournament"):
         built = tournament.build_theory(docs.lams, docs.kb, now)
+    docs.lams = None
     if emit_theory is not None:
-        _write(emit_theory, theory.serialize_theory(built).encode("utf-8"))
+        _write(emit_theory, theory.serialize_theory(built))
     with _stage("reason"):
         concls = reasoner.conclusions(built)
+    del built
     if emit_conclusions is not None:
-        _write(emit_conclusions, reasoner.conclusions_to_json(concls))
+        with _output(emit_conclusions) as out:
+            reasoner.conclusions_to_json(concls, out)
     return _render_bulletin(concls, None, now, docs, out_format)
 
 
 def _render_bulletin(conclusions: reasoner.ConclusionSet, conclusions_path: Optional[Path],
-                     now: Optional[TimeRef], docs: _Documents, out_format: str) -> bytes:
+                     now: Optional[TimeRef], docs: _Documents, out_format: str) -> str:
     from . import bulletin
 
     lexicon = bulletin.DEFAULT_LEXICON if docs.lexicon is None else docs.lexicon
@@ -134,7 +147,7 @@ def _render_bulletin(conclusions: reasoner.ConclusionSet, conclusions_path: Opti
     with _stage("bulletin", conclusions_path):
         doc = bulletin.render_sharp(bulletin.extract_scenario(conclusions), lexicon,
                                     None if now is None else str(now))
-        return bulletin.render_document(doc, out_format, templates)
+        return bulletin.render_document(doc, out_format, templates).decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +228,8 @@ def _cmd_tournament(args) -> int:
     docs = _load_all(args, now)
     with _stage("tournament"):
         built = tournament.build_theory(docs.lams, docs.kb, now)
-    _write(args.out, theory.serialize_theory(built).encode("utf-8"))
+    del docs
+    _write(args.out, theory.serialize_theory(built))
     return 0
 
 
@@ -223,9 +237,9 @@ def _cmd_reason(args) -> int:
     from . import reasoner, theory
 
     with _stage("reason", args.theory):
-        parsed = theory.parse_theory(_read(args.theory).decode("utf-8"))
-        concls = reasoner.conclusions(parsed)
-    _write(args.out, reasoner.conclusions_to_json(concls))
+        concls = reasoner.conclusions(theory.parse_theory(_read(args.theory).decode("utf-8")))
+    with _output(args.out) as out:
+        reasoner.conclusions_to_json(concls, out)
     return 0
 
 
@@ -264,7 +278,9 @@ def _cmd_validate(args) -> int:
             print(line)
     if len(loaded) < len(inputs):
         return 1
-    _forecast(_Documents(loaded), now)
+    docs = _Documents(loaded)
+    del loaded  # so the tournament's input goes once the tournament returns
+    _forecast(docs, now)
     return 0
 
 

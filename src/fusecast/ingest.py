@@ -35,7 +35,7 @@ from .model import (
     parse_timeref,
     place,
 )
-from .theory import atom_head, method_tag
+from .theory import atom_head, check_method_id
 
 _CONDITIONS = {c.value: c for c in Condition}
 
@@ -50,10 +50,8 @@ def parse_source_map(data: bytes, observation: bool = False) -> list[LabeledAsse
         if key not in ("method", "generated_at", "entries"):
             raise SchemaError(key, "unknown key")
     method = doc.get("method")
-    if not isinstance(method, str) or not NAME_RE.match(method):
-        raise SchemaError("method", "must be an identifier matching [A-Za-z][A-Za-z0-9]*")
     try:
-        method_tag(method)
+        check_method_id(method)
     except ForecastError as exc:
         raise SchemaError("method", str(exc)) from None
     if observation and method != OBSERVATION_METHOD:

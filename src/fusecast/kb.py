@@ -22,6 +22,7 @@ from .errors import ForecastError, SchemaError, UnknownMethodError
 from .inputs import (
     MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
 from .model import NAME_RE, Condition, OBSERVATION_METHOD, decimal_str
+from .theory import check_method_id
 
 
 class AccuracyRecord(NamedTuple):
@@ -124,6 +125,10 @@ def load_kb(data: bytes) -> KnowledgeBase:
                 f"accuracies.{method}",
                 "the observation method has implicit accuracy 1.0 and may not be overridden",
             )
+        try:
+            check_method_id(method)  # as ingest checks a source map's method
+        except ForecastError as exc:
+            raise SchemaError(f"accuracies.{method}", str(exc)) from None
         if not isinstance(horizons, dict) or not horizons:
             raise SchemaError(f"accuracies.{method}",
                               "must be a non-empty object keyed by horizon")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .errors import SchemaError, TheoryError
 from .inputs import read_json_object
@@ -267,13 +267,22 @@ _JSON_KEYS = {"+D": "plus_definite", "-D": "minus_definite", "+d": "plus_defeasi
               "-d": "minus_defeasible", "undetermined": "undetermined"}
 
 
-def conclusions_to_json(cs: ConclusionSet) -> bytes:
-    """json.dumps(doc, indent=2)'s bytes, each sorted list through json's C encoder."""
-    parts = []
+_DUMP = json.JSONEncoder(separators=(",\n    ", "")).encode  # json's C encoder
+_CHUNK = 1024  # literals per dump: the encoder holds about 5 times a dump's text
+
+
+def conclusions_to_json(cs: ConclusionSet, out: TextIO) -> None:
+    """Write json.dumps(doc, indent=2) and a newline to the text stream `out`:
+    one sorted list at a time, dumped _CHUNK literals at a time."""
+    sep = "{\n"
     for key, attr in _JSON_KEYS.items():
-        items = json.dumps(sorted(getattr(cs, attr)), separators=(",\n    ", ""))
-        parts.append(f'  "{key}": ' + (items if items == "[]" else f"[\n    {items[1:-1]}\n  ]"))
-    return ("{\n" + ",\n".join(parts) + "\n}\n").encode("utf-8")
+        lits = sorted(getattr(cs, attr))
+        out.write(f'{sep}  "{key}": [')
+        for i in range(0, len(lits), _CHUNK):
+            out.write((",\n    " if i else "\n    ") + _DUMP(lits[i:i + _CHUNK])[1:-1])
+        out.write("\n  ]" if lits else "]")
+        sep = ",\n"
+    out.write("\n}\n")
 
 
 def conclusions_from_json(data: bytes) -> ConclusionSet:

@@ -174,6 +174,15 @@ def method_tag(method: str) -> str:
     return tag
 
 
+def check_method_id(method: object) -> None:
+    """Refuse a method id no source map can carry: one that is not an
+    identifier, or whose tag `method_tag` refuses. Each message reads after
+    the id's path in its document."""
+    if not isinstance(method, str) or not NAME_RE.match(method):
+        raise ForecastError("must be an identifier matching [A-Za-z][A-Za-z0-9]*")
+    method_tag(method)
+
+
 def atom_head(condition: Condition, location: str) -> str:
     """The <COND><LOC> head of an atom; a sea atom implies its location."""
     if condition is Condition.SEA:

@@ -132,13 +132,24 @@ class TestPipeline:
         assert "Tomorrow" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("flag", ["--out", "--emit-theory"])
+    @pytest.mark.parametrize("flag", ["--out", "--emit-theory", "--emit-conclusions"])
     def test_unwritable_output_names_the_stage(self, tmp_path, capsys, flag):
         target = tmp_path / "missing" / "out.txt"
         args = pipeline_args(tmp_path)
         assert main(_swap(args, "--out", target) if flag == "--out"
                     else [*args, flag, str(target)]) == 1
-        assert "No such file or directory" in _staged_error(capsys, "output", target)
+        err = _staged_error(capsys, "output", target)
+        assert "No such file or directory" in err and err.count("\n") == 1
+
+    def test_every_conclusions_path_writes_the_same_bytes(self, tmp_path):
+        """reason --out, reason to stdout and pipeline --emit-conclusions."""
+        golden = FIXTURES / "golden"
+        theory, out, emitted = golden / "seaside_theory.dfl", tmp_path / "o", tmp_path / "e"
+        assert main(["reason", str(theory), "--out", str(out)]) == 0
+        stdout = run_python(["-m", "fusecast", "reason", str(theory)], encoding=None).stdout
+        assert main(pipeline_args(tmp_path, extra=["--emit-conclusions", str(emitted)])) == 0
+        expected = (golden / "seaside_conclusions.json").read_bytes()
+        assert out.read_bytes() == stdout == emitted.read_bytes() == expected
 
     def test_symbolic_now_places_validities_as_the_calendar_does(self, tmp_path, capsys):
         """h0 and h3 under a label generated at h2 and --now h2 are the day
@@ -703,6 +714,13 @@ class TestInputBoundary:
                  '{"winner": "GFS", "loser": "ECMWF", "condition": "wind", "location": "Sea"},'
                  '{"winner": "ECMWF", "loser": "GFS", "condition": "wind", "location": "Sea"}]}',
          "overrides: priority overrides form a cycle within scope condition wind, location Sea"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}, "ECMWF": {"1": 0.85}, "x y": {"1": 0.5}}}',
+         "accuracies.x y: must be an identifier matching [A-Za-z][A-Za-z0-9]*"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}, "ECMWF": {"1": 0.85}, "XR0": {"1": 0.5}}}',
+         "accuracies.XR0: method id 'XR0' lowers onto the reserved tag 'xr0'"),
+        ("--kb", '{"accuracies": {"GFS": {"1": 0.45}, "ECMWF": {"1": 0.85}, "H1": {"1": 0.5}}}',
+         "accuracies.H1: method id 'H1' cannot be embedded in atoms "
+         "(must be alphanumeric and not look like a horizon segment)"),
         ("--lexicon", '{"sea": [[100, "Calm"], [50, "Slight"], [null, "Rough"]]}',
          "sea[1]: band bounds must increase"),
         ("--lexicon", '{"sea": [[null, "Choppy"]]}',
@@ -710,7 +728,8 @@ class TestInputBoundary:
         ("--lexicon", '{"sea": [[100, "Calm"]]}', "sea: bands must cover the whole range "
          "(end with null, or reach 100 for percent conditions)"),
     ], ids=["kb-duplicate-horizon", "kb-accuracy", "kb-observation", "kb-min-accuracy",
-            "kb-winner-is-loser", "kb-scoped-cycle", "lexicon-falling-bounds",
+            "kb-winner-is-loser", "kb-scoped-cycle", "kb-method-not-an-identifier",
+            "kb-method-on-a-fold-tag", "kb-method-on-a-horizon", "lexicon-falling-bounds",
             "lexicon-term", "lexicon-uncovered"])
     def test_kb_or_lexicon_fault_named_at_its_path(self, tmp_path, capsys, flag, doc, error):
         """validate and pipeline stop at the same stage, file and path."""

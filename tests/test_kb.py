@@ -13,6 +13,7 @@ from fusecast.kb import (
     load_kb,
     override_winner,
 )
+from fusecast.ingest import parse_source_map
 from fusecast.inputs import has_cycle
 from fusecast.model import Condition
 
@@ -199,6 +200,16 @@ class TestDocumentFormat:
         with pytest.raises(SchemaError) as err:
             load_kb(doc.encode())
         assert err.value.path.startswith(path)
+
+    @pytest.mark.parametrize("method", ["x y", "XR0", "H1"])
+    def test_method_id_no_source_map_can_carry(self, method):
+        """Refused at its own key, with the message ingest gives a map's method."""
+        with pytest.raises(SchemaError) as ingested:
+            parse_source_map(json.dumps({"method": method, "generated_at": "h0"}).encode())
+        with pytest.raises(SchemaError) as loaded:
+            load_kb(json.dumps({"accuracies": {"GFS": {"1": 0.5}, method: {"1": 0.5}}}).encode())
+        assert (loaded.value.path, loaded.value.message) == (
+            f"accuracies.{method}", ingested.value.message)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(SchemaError) as err:

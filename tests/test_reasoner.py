@@ -1,6 +1,8 @@
+import io
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,13 @@ def lit(s):
 
 def lits(*ss):
     return frozenset(lit(s) for s in ss)
+
+
+def to_json(cs: ConclusionSet) -> bytes:
+    """What conclusions_to_json writes, as the file's bytes."""
+    out = io.StringIO(newline="")
+    conclusions_to_json(cs, out)
+    return out.getvalue().encode("utf-8")
 
 
 class TestDefiniteClosure:
@@ -123,7 +132,7 @@ class TestConclusionSetLaws:
 
     def test_json_round_trip(self, seaside_reference_theory):
         cs = conclusions(seaside_reference_theory)
-        data = conclusions_to_json(cs)
+        data = to_json(cs)
         assert conclusions_from_json(data) == cs
 
     @pytest.mark.parametrize("doc", [b'{"+d": [5]}', b'{"+d": "A"}', b'{"-d": ["A B"]}',
@@ -134,7 +143,7 @@ class TestConclusionSetLaws:
 
     def test_json_sorted(self):
         cs = conclusions(parse_theory("r1: => B\nr2: => A\n"))
-        data = conclusions_to_json(cs).decode()
+        data = to_json(cs).decode()
         assert data.index('"A"') < data.index('"B"')
 
 
@@ -159,8 +168,35 @@ def _reference_to_json(cs: ConclusionSet) -> bytes:
 def test_json_writer_equals_the_indenting_writer(sets):
     """Byte for byte, for empty, one-item and larger tag sets."""
     cs = ConclusionSet(*(frozenset(map(lit, s)) for s in sets))
-    assert conclusions_to_json(cs) == _reference_to_json(cs)
-    assert conclusions_from_json(conclusions_to_json(cs)) == cs
+    assert to_json(cs) == _reference_to_json(cs)
+    assert conclusions_from_json(to_json(cs)) == cs
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_json_writer_holds_one_list_not_the_document():
+    """On 5,000 atoms (20,000 listed literals), the writer's peak stays under
+    the text of the two largest lists; a writer that holds the whole
+    document, or dumps a whole list at once, exceeds it."""
+    atoms = [f"CNorth_h{i % 4}_{i:05d}" for i in range(5_000)]
+    pos, neg = [lit(a) for a in atoms], [lit("-" + a) for a in atoms]
+    cs = ConclusionSet(plus_definite=frozenset(pos[:100]),
+                       minus_definite=frozenset(pos[100:] + neg),
+                       plus_defeasible=frozenset(pos[:2_500] + neg[2_500:]),
+                       minus_defeasible=frozenset(neg[:2_450] + pos[2_550:]),
+                       undetermined=frozenset(pos[2_500:2_550] + neg[2_450:2_500]))
+    sizes = sorted(len(json.dumps(sorted(s), indent=4)) for s in cs)
+    assert sum(map(len, cs)) == 20_000
+    tracemalloc.start()
+    try:
+        conclusions_to_json(cs, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sizes[-1] + sizes[-2]
 
 
 class TestOracle:
