@@ -59,7 +59,7 @@ def main() -> None:
               f"{str(entry.value.magnitude):>4} mm  -> {term}")
     print()
     print("=== bulletin ===")
-    print(render_document(render_sharp(scenario), "text").decode())
+    print(render_document(render_sharp(scenario), "text"))
 
 
 if __name__ == "__main__":

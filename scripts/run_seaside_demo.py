@@ -77,7 +77,7 @@ def main() -> None:
 
     doc = render_sharp(extract_scenario(tags))
     print("=== bulletin ===")
-    print(render_document(doc, "text").decode())
+    print(render_document(doc, "text"))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
 from .inputs import read_json_object
-from .lexicon import DEFAULT_LEXICON, DIRECTION_PHRASES, LexiconTable, classify
+from .lexicon import DEFAULT_LEXICON, DIRECTION_PHRASES, Lexicon, classify
 from .model import Condition, Value, decimal_str
 from .reasoner import ConclusionSet
 from .theory import RESERVED_TAG_RE, OpaqueAtomError, decode_atom
@@ -118,7 +118,7 @@ class BulletinDocument(NamedTuple):
 
 
 def render_sharp(scenario: WeatherScenario,
-                 lexicon: LexiconTable = DEFAULT_LEXICON,
+                 lexicon: Lexicon = DEFAULT_LEXICON,
                  generated_at: Optional[str] = None) -> BulletinDocument:
     """Classify every scenario entry, in one pass over the scenario's
     display order: a section per horizon, a block per location. The header
@@ -144,16 +144,7 @@ def render_sharp(scenario: WeatherScenario,
 # ---------------------------------------------------------------------------
 
 DEFAULT_FRAGMENTS: dict[Condition, str] = {
-    Condition.CLOUDINESS: "{term}",
-    Condition.WIND: "{term} {direction}",
-    Condition.SEA: "{term}",
-    Condition.RAIN: "{term}",
-    Condition.TEMPERATURE: "{term}",
-    Condition.PRESSURE: "{term}",
-    Condition.HUMIDITY: "{term}",
-    Condition.SNOW: "{term}",
-    Condition.VISIBILITY: "{term}",
-}
+    c: "{term} {direction}" if c is Condition.WIND else "{term}" for c in Condition}
 
 
 class SmoothTemplates(NamedTuple):
@@ -251,9 +242,9 @@ def _plain_fragment(fragment: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def render_document(doc: BulletinDocument, format: str = "text",
-                    templates: SmoothTemplates = DEFAULT_TEMPLATES) -> bytes:
+                    templates: SmoothTemplates = DEFAULT_TEMPLATES) -> str:
     if format == "text":
-        return render_smooth(doc, templates).encode("utf-8")
+        return render_smooth(doc, templates)
     if format == "json":
         return _to_json(doc)
     if format == "html":
@@ -271,7 +262,7 @@ def _entry_dict(entry: BulletinEntry) -> dict:
     }
 
 
-def _to_json(doc: BulletinDocument) -> bytes:
+def _to_json(doc: BulletinDocument) -> str:
     payload = {
         "header": {
             "generated_at": doc.header.generated_at,
@@ -289,10 +280,10 @@ def _to_json(doc: BulletinDocument) -> bytes:
             for section in doc.sections
         ],
     }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> bytes:
+def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> str:
     import html as _html  # only this format escapes; every other command skips the import
     parts = [
         "<!DOCTYPE html>",
@@ -313,4 +304,4 @@ def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> bytes:
                 f"{_html.escape(body)}.</li>")
         parts.append("</ul>")
     parts.append("</body></html>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return "\n".join(parts) + "\n"

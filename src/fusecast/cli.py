@@ -147,28 +147,38 @@ def _render_bulletin(conclusions: reasoner.ConclusionSet, conclusions_path: Opti
     with _stage("bulletin", conclusions_path):
         doc = bulletin.render_sharp(bulletin.extract_scenario(conclusions), lexicon,
                                     None if now is None else str(now))
-        return bulletin.render_document(doc, out_format, templates).decode("utf-8")
+        return bulletin.render_document(doc, out_format, templates)
 
 
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
 
+class _Once(argparse.Action):
+    """Store a document flag's path, refusing a second copy of the flag:
+    argparse would keep the last and never read the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--source", action="append", default=[], type=Path,
                    metavar="PATH", help="model source map (repeatable)", required=True)
-    p.add_argument("--obs", type=Path, metavar="PATH",
+    p.add_argument("--obs", action=_Once, type=Path, metavar="PATH",
                    help="observation map; its method must be O")
-    p.add_argument("--kb", type=Path, metavar="PATH", required=True,
+    p.add_argument("--kb", action=_Once, type=Path, metavar="PATH", required=True,
                    help="knowledge base document")
     p.add_argument("--now", type=str, default=None,
                    help="reference time (ISO-8601 or h0); default: current UTC")
 
 
 def _add_bulletin_args(p: argparse.ArgumentParser):
-    p.add_argument("--lexicon", type=Path, metavar="PATH",
+    p.add_argument("--lexicon", action=_Once, type=Path, metavar="PATH",
                    help="lexicon override document")
-    p.add_argument("--templates", type=Path, metavar="PATH",
+    p.add_argument("--templates", action=_Once, type=Path, metavar="PATH",
                    help="smooth-template override document")
 
 

@@ -8,14 +8,15 @@ Douglas scale; sky cover and rain rates use customary synoptic breakpoints.
 
 Conditions without default bands (snow, visibility, and the non-worded
 temperature/pressure/humidity) must be configured explicitly before use.
-`load_lexicon` checks each condition's bands as it reads them, so an error
-names the document's own path (`sea[1]`, or `sea` for the whole list); a
-`LexiconTable` checks nothing.
+A lexicon is a mapping from each condition to its bands. `load_lexicon`
+checks each condition's bands as it reads them, so an error names the
+document's own path (`sea[1]`, or `sea` for the whole list); a mapping built
+in code is not checked.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
 from .inputs import MILLION, exact_number, read_json_object
@@ -23,6 +24,8 @@ from .model import Compass, Condition, Value, decimal_str
 
 #: (exclusive upper bound in millionths, None = ∞), term
 Band = tuple[Optional[int], str]
+#: Bands per condition.
+Lexicon = Mapping[Condition, tuple[Band, ...]]
 
 VOCABULARY: dict[Condition, tuple[str, ...]] = {
     Condition.CLOUDINESS: (
@@ -54,7 +57,7 @@ _BOUNDS: dict[Condition, tuple[Optional[int], ...]] = {
     Condition.SEA: (50, 125, 250, 400, 600, 900, 1400, None),  # cm wave height
     Condition.RAIN: (0, 2, 10, 20, None),  # mm/day
 }
-DEFAULT_BANDS: dict[Condition, tuple[Band, ...]] = {
+DEFAULT_LEXICON: dict[Condition, tuple[Band, ...]] = {
     condition: tuple((None if upper is None else upper * MILLION, term)
                      for upper, term in zip(bounds, VOCABULARY[condition]))
     for condition, bounds in _BOUNDS.items()
@@ -70,12 +73,6 @@ DIRECTION_PHRASES: dict[Compass, str] = {
     Compass.W: "from West",
     Compass.NW: "from North West",
 }
-
-
-class LexiconTable(NamedTuple):
-    """Bands per condition; `load_lexicon` checks a document's bands."""
-
-    bands: Mapping[Condition, tuple[Band, ...]] = DEFAULT_BANDS
 
 
 def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
@@ -106,15 +103,11 @@ def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
                                "(end with null, or reach 100 for percent conditions)")
 
 
-DEFAULT_LEXICON = LexiconTable()
-
-
-def classify(condition: Condition, value: Value,
-             table: LexiconTable = DEFAULT_LEXICON) -> str:
+def classify(condition: Condition, value: Value, lexicon: Lexicon = DEFAULT_LEXICON) -> str:
     """The term of the band containing the value's magnitude: the first band
     whose upper bound is above it, where a leading (0, term) band holds
-    exactly 0. A percent table that ends at 100 gives 100 its last term."""
-    bands = table.bands.get(condition)
+    exactly 0. Percent bands that end at 100 give 100 their last term."""
+    bands = lexicon.get(condition)
     if bands is None:
         raise LexiconError(
             f"no bands configured for {condition.value}; "
@@ -126,12 +119,12 @@ def classify(condition: Condition, value: Value,
     return bands[-1][1]
 
 
-def load_lexicon(data: bytes) -> LexiconTable:
+def load_lexicon(data: bytes) -> Lexicon:
     """Defaults overridden per condition from a JSON document, each
     condition's bands checked where they are read:
     {"cloudiness": [[10, "Clear or Sunny Skies"], ..., [null, "Overcast"]]}"""
     doc = read_json_object(data)
-    bands = dict(DEFAULT_BANDS)
+    bands = dict(DEFAULT_LEXICON)
     for key, raw_bands in doc.items():
         try:
             condition = Condition(key)
@@ -150,5 +143,5 @@ def load_lexicon(data: bytes) -> LexiconTable:
             parsed.append((bound, term))
         _check_bands(condition, parsed)
         bands[condition] = tuple(parsed)
-    return LexiconTable(bands)
+    return bands
 

@@ -39,8 +39,8 @@ from typing import NamedTuple, TextIO
 
 from .errors import SchemaError, TheoryError
 from .inputs import read_json_object
-from .theory import (_LIT, DefeasibleTheory, Literal, Rule, RuleKind, _literal,
-                     parse_literal, validate_theory)
+from .theory import (_LIT, DefeasibleTheory, Literal, Rule, RuleKind, parse_literal,
+                     validate_theory)
 
 
 class ConclusionSet(NamedTuple):
@@ -296,7 +296,7 @@ def conclusions_from_json(data: bytes) -> ConclusionSet:
         if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise SchemaError(key, "must be a list of literal strings")
         joined = "\n".join(items)
-        read = (_literal if joined.count("\n") == len(items) - 1 and canonical(joined)
+        read = (Literal if joined.count("\n") == len(items) - 1 and canonical(joined)
                 else parse_literal)
         try:
             sets[_JSON_KEYS[key]] = frozenset(map(read, items))

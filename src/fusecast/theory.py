@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import ForecastError, OpaqueAtomError, TheoryError, TheoryParseError
@@ -67,28 +66,23 @@ _COMPASS = {d.value: d for d in Compass}
 
 
 class Literal(str):
-    """The atom, or "-" and the atom: it hashes, sorts and joins as text, in C."""
+    """The atom, or "-" and the atom, built as `Literal(text)`: it hashes,
+    sorts and joins as text, in C."""
 
     __slots__ = ()
-
-    def __new__(cls, atom: str, positive: bool = True) -> "Literal":
-        return str.__new__(cls, atom if positive else "-" + atom)
 
     atom = property(lambda self: self[1:] if self.startswith("-") else str(self))
     positive = property(lambda self: not self.startswith("-"))
 
     def complement(self) -> "Literal":
-        return str.__new__(Literal, self[1:] if self.startswith("-") else "-" + self)
-
-
-_literal = partial(str.__new__, Literal)  # for text already spelled canonically
+        return Literal(self[1:] if self.startswith("-") else "-" + self)
 
 
 def parse_literal(text: str) -> Literal:
     """A literal from text: an optional "-", then an atom in the id grammar."""
     if _LITERAL_RE.match(text) is None:
         raise TheoryError(f"bad atom {text.strip().removeprefix('-').strip()!r}")
-    return str.__new__(Literal, "".join(text.split()))
+    return Literal("".join(text.split()))
 
 
 class RuleKind(Enum):
@@ -271,10 +265,10 @@ def parse_theory(text: str) -> DefeasibleTheory:
         if m is not None:
             fact, rid, body, arrow, head, winner, loser = m.groups()
             if fact is not None:
-                facts.append(_literal(fact))
+                facts.append(Literal(fact))
             elif rid is not None:
-                body = tuple(map(_literal, body.split(", "))) if body else ()
-                rules.append(Rule(rid, _KINDS[arrow], body, _literal(head)))
+                body = tuple(map(Literal, body.split(", "))) if body else ()
+                rules.append(Rule(rid, _KINDS[arrow], body, Literal(head)))
             else:
                 sups.append((winner, loser))
             continue

@@ -22,7 +22,8 @@ ATOMS = "abcdefgh"
 
 
 def random_literal(rng: random.Random, atoms: str = ATOMS) -> Literal:
-    return Literal(rng.choice(atoms), positive=rng.random() < 0.5)
+    atom = rng.choice(atoms)
+    return Literal(atom if rng.random() < 0.5 else "-" + atom)
 
 
 def random_theory(rng: random.Random, max_rules: int = 10,

@@ -27,7 +27,7 @@ def parse_literal(text: str) -> Literal:
     atom = text if positive else text[1:].strip()
     if not _ATOM_RE.match(atom):
         raise TheoryError(f"bad atom {atom!r}")
-    return Literal(atom, positive)
+    return Literal(atom if positive else "-" + atom)
 
 
 def parse_theory(text: str) -> DefeasibleTheory:

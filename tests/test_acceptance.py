@@ -87,9 +87,9 @@ def test_criterion_1_seaside_reasoner(seaside_reference_theory):
     # SPINdle listing spot checks.
     assert Literal("CNorth_h0_90") in cs.plus_definite
     assert Literal("CCenter_h1_78") in cs.plus_defeasible
-    assert Literal("CCenter_h1_88", False) in cs.plus_defeasible
+    assert Literal("-CCenter_h1_88") in cs.plus_defeasible
     assert Literal("CCenter_h1_88") in cs.minus_defeasible
-    assert Literal("CCenter_h1_78", False) in cs.minus_defeasible
+    assert Literal("-CCenter_h1_78") in cs.minus_defeasible
     assert Literal("Sea_h1_65") in cs.plus_defeasible
     assert Literal("Sea_h1_95") in cs.minus_defeasible
 
@@ -112,7 +112,7 @@ def test_criterion_2_rain_reasoner(rain_reference_theory):
 
     assert Literal("RNorth_h1_21") in cs.plus_defeasible
     assert Literal("RNorth_h1_7") in cs.minus_defeasible
-    assert Literal("RNorth_h1_7", False) in cs.plus_defeasible
+    assert Literal("-RNorth_h1_7") in cs.plus_defeasible
 
     assert elapsed < 1.0
     return f"16 conclusions, reasoning {elapsed * 1000:.1f} ms"
@@ -189,7 +189,7 @@ def test_criterion_4_lexicon_anchors():
 @criterion("5. day-1 bulletin lines")
 def test_criterion_5_bulletin_text(seaside_theory):
     text = render_document(
-        render_sharp(extract_scenario(conclusions(seaside_theory))), "text").decode()
+        render_sharp(extract_scenario(conclusions(seaside_theory))), "text")
     day1 = text.split("Tomorrow", 1)[1].split("Day after", 1)[0]
     assert "North: Mostly Cloudy, Light Winds from North East." in day1
     assert "Center: Mostly Cloudy, Light Winds from North East." in day1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fusecast.bulletin import (
     _DISPLAY_RANK,
+    DEFAULT_FRAGMENTS,
     BulletinDocument,
     BulletinEntry,
     BulletinHeader,
@@ -69,7 +70,7 @@ class TestExtractScenario:
         assert [e.witness for e in sc.entries] == ["CNorth_h1_78"]
 
     def test_negative_literals_ignored(self):
-        cs = ConclusionSet(plus_defeasible=frozenset([Literal("CNorth_h1_88", False)]))
+        cs = ConclusionSet(plus_defeasible=frozenset([Literal("-CNorth_h1_88")]))
         assert extract_scenario(cs).entries == ()
 
     def test_two_winners_on_one_slot_is_incoherent(self):
@@ -129,9 +130,9 @@ def _conclusions(draw):
     """+d literals: tagged and opaque atoms of either sign, repeated tags,
     negative untagged literals, one consistent winner per drawn slot, and
     maybe one more untagged positive that may clash with a winner."""
-    plus = {Literal(text, draw(st.booleans()))
+    plus = {Literal(text if draw(st.booleans()) else "-" + text)
             for text in draw(st.lists(st.one_of(_TAGGED, _OPAQUE), max_size=40))}
-    plus.update(Literal(text, False) for text in draw(st.lists(_UNTAGGED, max_size=5)))
+    plus.update(Literal("-" + text) for text in draw(st.lists(_UNTAGGED, max_size=5)))
     winners = draw(st.dictionaries(_SLOT, _MAGS, max_size=6))
     plus.update(Literal(f"{head}_h{k}_{mag}") for (head, k), mag in winners.items())
     plus.update(map(Literal, draw(st.lists(_UNTAGGED, max_size=1))))
@@ -209,7 +210,7 @@ def _renderable_conclusions(draw):
                           unique=True, max_size=14))
     plus = {Literal(f"{head}_h{k}_{draw(st.sampled_from(_VALUE_CODES[head[0]]))}")
             for head, k in slots}
-    plus.update(Literal(text, draw(st.booleans()))
+    plus.update(Literal(text if draw(st.booleans()) else "-" + text)
                 for text in draw(st.lists(st.one_of(_TAGGED, _OPAQUE), max_size=10)))
     return ConclusionSet(plus_defeasible=frozenset(plus))
 
@@ -292,13 +293,14 @@ class TestRenderDocument:
         assert horizon_heading(5) == "In 5 days"
 
     def test_text_contains_both_day_tables(self, seaside_scenario):
-        text = render_document(render_sharp(seaside_scenario), "text").decode()
+        text = render_document(render_sharp(seaside_scenario), "text")
         assert "Tomorrow" in text and "Day after tomorrow" in text
 
     def test_deterministic(self, seaside_scenario):
         doc = render_sharp(seaside_scenario, generated_at="h0")
         for fmt in ("text", "json", "html"):
-            assert render_document(doc, fmt) == render_document(doc, fmt)
+            text = render_document(doc, fmt)
+            assert type(text) is str and text == render_document(doc, fmt)
 
     def test_json_round_trip(self, seaside_scenario):
         doc = render_sharp(seaside_scenario, generated_at="h0")
@@ -312,7 +314,7 @@ class TestRenderDocument:
                                     "sections": []}
 
     def test_html_escapes_and_carries_lines(self, seaside_scenario):
-        html = render_document(render_sharp(seaside_scenario), "html").decode()
+        html = render_document(render_sharp(seaside_scenario), "html")
         assert "<strong>North</strong>: Mostly Cloudy, Light Winds from North East." in html
 
     def test_unknown_format(self, seaside_scenario):
@@ -323,6 +325,20 @@ class TestRenderDocument:
 
 
 class TestTemplateLoading:
+    def test_default_fragments(self):
+        """Every condition's clause is its term; wind's adds the direction."""
+        assert DEFAULT_FRAGMENTS == {
+            Condition.CLOUDINESS: "{term}",
+            Condition.WIND: "{term} {direction}",
+            Condition.SEA: "{term}",
+            Condition.RAIN: "{term}",
+            Condition.TEMPERATURE: "{term}",
+            Condition.PRESSURE: "{term}",
+            Condition.HUMIDITY: "{term}",
+            Condition.SNOW: "{term}",
+            Condition.VISIBILITY: "{term}",
+        }
+
     def test_override_fragment(self):
         templates = load_templates(b'{"sea": "sea state {term}"}')
         assert templates.fragments[Condition.SEA] == "sea state {term}"

@@ -615,6 +615,24 @@ class TestInputBoundary:
         assert exited.value.code == 2
         assert "the following arguments are required: --source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pipeline", "validate"])
+    @pytest.mark.parametrize("flag", ["--kb", "--obs", "--lexicon", "--templates"])
+    def test_document_flag_given_twice_is_refused(self, tmp_path, capsys, command, flag):
+        """argparse keeps the last copy of a single-valued flag and never
+        reads the first, so a second copy is refused before any document
+        is read; here the first copy names no file."""
+        out = tmp_path / "bulletin.txt"
+        argv = [command, flag, str(tmp_path / "missing.json"), *_seaside_inputs(),
+                *_overrides(tmp_path)]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + (["--out", str(out)] if command == "pipeline" else []))
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"usage: fusecast {command} ")
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"fusecast {command}: error: argument {flag}: may be given once"]
+
     def test_out_of_bounds_atoms_are_opaque_to_the_bulletin(self, tmp_path):
         conclusions = tmp_path / "conclusions.json"
         conclusions.write_text(json.dumps({"+d": [

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fusecast.errors import LexiconError, SchemaError
 from fusecast.lexicon import (
-    DEFAULT_BANDS,
     DEFAULT_LEXICON,
     DIRECTION_PHRASES,
     VOCABULARY,
@@ -82,7 +81,7 @@ class TestBoundaries:
 def test_default_bands_pass_the_document_check():
     """Importing the module checks no table, so the defaults are checked here
     as a document's bands are, and each spells its vocabulary in order."""
-    for condition, bands in DEFAULT_BANDS.items():
+    for condition, bands in DEFAULT_LEXICON.items():
         _check_bands(condition, bands)
         assert tuple(term for _, term in bands) == VOCABULARY[condition]
 
@@ -106,7 +105,7 @@ class TestInvariants:
            st.integers(0, 100), st.integers(0, 100))
     def test_monotone_in_magnitude(self, condition, m1, m2):
         lo, hi = sorted((m1, m2))
-        bands = [t for _, t in DEFAULT_LEXICON.bands[condition]]
+        bands = [t for _, t in DEFAULT_LEXICON[condition]]
         direction = Compass.N if condition is Condition.WIND else None
         t_lo = term(condition, lo, direction)
         t_hi = term(condition, hi, direction)
@@ -144,10 +143,10 @@ _OVERRIDE = load_lexicon(json.dumps({
 }).encode())
 
 
-@pytest.mark.parametrize("table", [DEFAULT_LEXICON, _OVERRIDE], ids=["default", "override"])
-def test_bisect_equals_the_linear_scan(table):
+@pytest.mark.parametrize("lexicon", [DEFAULT_LEXICON, _OVERRIDE], ids=["default", "override"])
+def test_bisect_equals_the_linear_scan(lexicon):
     """At 0, 100, every bound and one millionth either side of it."""
-    for condition, bands in table.bands.items():
+    for condition, bands in lexicon.items():
         points = {0, 100 * 10**6}
         for upper, _ in bands:
             if upper is not None:
@@ -155,7 +154,7 @@ def test_bisect_equals_the_linear_scan(table):
         direction = Compass.N if condition is Condition.WIND else None
         for micros in sorted(points):
             value = Value(micros, direction)
-            assert classify(condition, value, table) == _linear_classify(bands, micros), \
+            assert classify(condition, value, lexicon) == _linear_classify(bands, micros), \
                 (condition, micros)
 
 

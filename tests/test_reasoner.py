@@ -23,12 +23,8 @@ from fusecast.tournament import build_theory
 from genutil import random_theory, random_two_model_inputs
 
 
-def lit(s):
-    return Literal(s.lstrip("-"), positive=not s.startswith("-"))
-
-
 def lits(*ss):
-    return frozenset(lit(s) for s in ss)
+    return frozenset(map(Literal, ss))
 
 
 def to_json(cs: ConclusionSet) -> bytes:
@@ -62,34 +58,34 @@ class TestDefeasibleClosure:
     def test_unopposed_rule(self):
         t = parse_theory("r1: => A\n")
         cs = conclusions(t)
-        assert lit("A") in cs.plus_defeasible
-        assert lit("-A") in cs.minus_defeasible
+        assert Literal("A") in cs.plus_defeasible
+        assert Literal("-A") in cs.minus_defeasible
 
     def test_unresolved_conflict_blocks_both(self):
         t = parse_theory("r1: => A\nr2: => -A\n")
         cs = conclusions(t)
-        assert lit("A") in cs.minus_defeasible
-        assert lit("-A") in cs.minus_defeasible
+        assert Literal("A") in cs.minus_defeasible
+        assert Literal("-A") in cs.minus_defeasible
         assert cs.plus_defeasible == frozenset()
 
     def test_superiority_resolves_conflict(self):
         t = parse_theory("r1: => A\nr2: => -A\nr1 > r2\n")
         cs = conclusions(t)
-        assert lit("A") in cs.plus_defeasible
-        assert lit("-A") in cs.minus_defeasible
+        assert Literal("A") in cs.plus_defeasible
+        assert Literal("-A") in cs.minus_defeasible
 
     def test_fact_beats_defeasible_attack(self):
         t = parse_theory(">> -A\nr1: => A\n")
         cs = conclusions(t)
-        assert lit("-A") in cs.plus_definite
-        assert lit("A") in cs.minus_defeasible
+        assert Literal("-A") in cs.plus_definite
+        assert Literal("A") in cs.minus_defeasible
         assert cs.undetermined == frozenset()
 
     def test_defeater_blocks_but_never_supports(self):
         t = parse_theory("r1: => A\nd1: ~> -A\n")
         cs = conclusions(t)
-        assert lit("A") in cs.minus_defeasible  # blocked by the defeater
-        assert lit("-A") in cs.minus_defeasible  # defeaters cannot prove
+        assert Literal("A") in cs.minus_defeasible  # blocked by the defeater
+        assert Literal("-A") in cs.minus_defeasible  # defeaters cannot prove
 
     def test_team_defeat(self):
         # Neither supporter alone beats both attackers, but the team does.
@@ -98,7 +94,7 @@ class TestDefeasibleClosure:
             "r1 > s1\nr2 > s2\n"
         )
         cs = conclusions(t)
-        assert lit("A") in cs.plus_defeasible
+        assert Literal("A") in cs.plus_defeasible
 
     def test_ambiguity_blocking(self):
         # A vs -A unresolved; the -A side would support B, but blocking means
@@ -108,21 +104,21 @@ class TestDefeasibleClosure:
             "r3: -A => -B\nr4: => B\n"
         )
         cs = conclusions(t)
-        assert lit("-A") in cs.minus_defeasible
-        assert lit("B") in cs.plus_defeasible
+        assert Literal("-A") in cs.minus_defeasible
+        assert Literal("B") in cs.plus_defeasible
 
     def test_loop_reports_undetermined(self):
         t = parse_theory("r1: B => A\nr2: A => B\nr3: => -A\nr4: A => -B\n")
         cs = conclusions(t)
-        assert lit("-A") in cs.plus_defeasible
+        assert Literal("-A") in cs.plus_defeasible
         # A's own support loops through B and can never be discarded or fire.
-        assert lit("A") in cs.minus_defeasible or lit("A") in cs.undetermined
+        assert Literal("A") in cs.minus_defeasible or Literal("A") in cs.undetermined
 
     def test_seaside_single_slot_block(self, seaside_reference_theory):
         cs = conclusions(seaside_reference_theory)
-        assert lit("CNorth_h1_78") in cs.plus_defeasible
-        assert lit("-CNorth_h1_88") in cs.plus_defeasible
-        assert lit("CNorth_h1_88") in cs.minus_defeasible
+        assert Literal("CNorth_h1_78") in cs.plus_defeasible
+        assert Literal("-CNorth_h1_88") in cs.plus_defeasible
+        assert Literal("CNorth_h1_88") in cs.minus_defeasible
 
 
 class TestConclusionSetLaws:
@@ -167,7 +163,7 @@ def _reference_to_json(cs: ConclusionSet) -> bytes:
                 min_size=5, max_size=5))
 def test_json_writer_equals_the_indenting_writer(sets):
     """Byte for byte, for empty, one-item and larger tag sets."""
-    cs = ConclusionSet(*(frozenset(map(lit, s)) for s in sets))
+    cs = ConclusionSet(*(frozenset(map(Literal, s)) for s in sets))
     assert to_json(cs) == _reference_to_json(cs)
     assert conclusions_from_json(to_json(cs)) == cs
 
@@ -182,7 +178,7 @@ def test_json_writer_holds_one_list_not_the_document():
     the text of the two largest lists; a writer that holds the whole
     document, or dumps a whole list at once, exceeds it."""
     atoms = [f"CNorth_h{i % 4}_{i:05d}" for i in range(5_000)]
-    pos, neg = [lit(a) for a in atoms], [lit("-" + a) for a in atoms]
+    pos, neg = [Literal(a) for a in atoms], [Literal("-" + a) for a in atoms]
     cs = ConclusionSet(plus_definite=frozenset(pos[:100]),
                        minus_definite=frozenset(pos[100:] + neg),
                        plus_defeasible=frozenset(pos[:2_500] + neg[2_500:]),

@@ -1,7 +1,7 @@
 """Every record type is an immutable typing.NamedTuple with value equality,
-a literal is its own text, and each command loads only the fusecast modules
-it runs, and neither `dataclasses` nor `inspect` (nor `html`, which only the
-HTML format uses)."""
+a literal is its own text, built one way, and each command loads only the
+fusecast modules it runs, and neither `dataclasses` nor `inspect` (nor
+`html`, which only the HTML format uses)."""
 
 import copy
 import pickle
@@ -22,7 +22,6 @@ from fusecast.bulletin import (
 )
 from fusecast.errors import SchemaError
 from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride, load_kb
-from fusecast.lexicon import DEFAULT_BANDS, LexiconTable
 from fusecast.model import (
     AssertionalMap,
     Compass,
@@ -32,9 +31,17 @@ from fusecast.model import (
     TimeRef,
     Value,
 )
-from fusecast.reasoner import ConclusionSet
-from fusecast.theory import DecodedAtom, DefeasibleTheory, Literal, Rule, RuleKind
-from fusecast.tournament import Prevalence, PrevalenceBasis, Winner
+from fusecast.reasoner import ConclusionSet, conclusions, conclusions_from_json
+from fusecast.theory import (
+    DecodedAtom,
+    DefeasibleTheory,
+    Literal,
+    Rule,
+    RuleKind,
+    parse_theory,
+    serialize_theory,
+)
+from fusecast.tournament import Prevalence, PrevalenceBasis, Winner, build_theory
 
 from conftest import FIXTURES, run_python
 
@@ -55,7 +62,7 @@ def _label():
 
 
 def _rule():
-    return Rule("r1", RuleKind.DEFEASIBLE, (Literal("a"),), Literal("b", False))
+    return Rule("r1", RuleKind.DEFEASIBLE, (Literal("a"),), Literal("-b"))
 
 
 def _entry():
@@ -90,7 +97,6 @@ RECORDS = {
     "BulletinSection": (_section, True),
     "BulletinHeader": (lambda: BulletinHeader("h0", ("ecmwf", "gfs")), True),
     "BulletinDocument": (lambda: BulletinDocument(BulletinHeader(), (_section(),)), True),
-    "LexiconTable": (LexiconTable, False),
     "SmoothTemplates": (lambda: SmoothTemplates(lowercase_clauses=True), False),
 }
 
@@ -114,7 +120,7 @@ def test_record_is_immutable_with_value_equality(name):
 
 def test_literal_is_its_own_text():
     """A slotted str subclass, not a record: the atom, or "-" and the atom."""
-    pos, neg = Literal("CNorth_h1_75"), Literal("CNorth_h1_75", positive=False)
+    pos, neg = Literal("CNorth_h1_75"), Literal("-CNorth_h1_75")
     assert (pos, neg) == ("CNorth_h1_75", "-CNorth_h1_75")
     assert isinstance(pos, str) and not hasattr(pos, "_fields")
     assert (pos.atom, pos.positive) == ("CNorth_h1_75", True)
@@ -134,6 +140,26 @@ def test_literal_is_its_own_text():
         for other in copies:
             assert type(other) is Literal and other == lit
             assert (other.atom, other.positive) == (lit.atom, lit.positive)
+
+
+def test_literal_is_built_one_way(seaside_lams, seaside_kb, now_h0):
+    """`Literal(text)` is str's own constructor, and every reader and the
+    tournament hand back exact Literals, whichever path read the text."""
+    assert Literal.__new__ is str.__new__
+    with pytest.raises(TypeError):
+        Literal("a", False)  # no (atom, positive) form
+    built = build_theory(seaside_lams, seaside_kb, now_h0)
+    spaced = (FIXTURES / "rain" / "spaced_theory.dfl").read_text(encoding="utf-8")
+    theories = [built, parse_theory(serialize_theory(built)), parse_theory(spaced)]
+    sets = [conclusions_from_json((GOLDEN / "seaside_conclusions.json").read_bytes()),
+            conclusions_from_json(b'{"+d": [" - a", "b "], "-d": ["-c"]}'),
+            conclusions(built)]
+    lits = [lit for t in theories for lit in t.facts]
+    lits += [lit for t in theories for rule in t.rules for lit in (*rule.body, rule.head)]
+    lits += [lit for cs in sets for tags in cs for lit in tags]
+    lits += [lit.complement() for lit in lits]
+    assert len(lits) > 100
+    assert {type(lit) for lit in lits} == {Literal}
 
 
 def test_timeref_normalises_to_utc_whole_seconds():
@@ -161,14 +187,6 @@ def test_knowledge_base_sorts_and_validates():
     with pytest.raises(SchemaError) as err:
         load_kb(b'{"min_accuracy": 2}')
     assert str(err.value) == "min_accuracy: 2 outside [0, 1]"
-
-
-def test_lexicon_table_holds_its_bands():
-    bands = {Condition.RAIN: ((0, "No precipitation"), (2_000_000, "Very Light Rains"),
-                              (None, "Heavy Rains"))}
-    table = LexiconTable(bands)
-    assert table.bands == bands
-    assert LexiconTable().bands == DEFAULT_BANDS
 
 
 def test_smooth_templates_hold_their_fragments():

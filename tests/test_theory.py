@@ -425,14 +425,14 @@ class TestValidation:
     def test_superiority_over_complementary_heads_only(self):
         rules = (
             Rule("r1", RuleKind.DEFEASIBLE, (), Literal("A")),
-            Rule("r2", RuleKind.DEFEASIBLE, (), Literal("A", False)),
+            Rule("r2", RuleKind.DEFEASIBLE, (), Literal("-A")),
         )
         validate_theory(DefeasibleTheory((), rules, (("r1", "r2"),)))
         with pytest.raises(TheoryError):
             validate_theory(DefeasibleTheory((), rules, (("r1", "r1"),)))
 
     def test_superiority_chain_of_1500_rules(self):
-        rules = tuple(Rule(f"r{i}", RuleKind.DEFEASIBLE, (), Literal("A", i % 2 == 0))
+        rules = tuple(Rule(f"r{i}", RuleKind.DEFEASIBLE, (), Literal("-A" if i % 2 else "A"))
                       for i in range(1500))
         chain = tuple((f"r{i}", f"r{i + 1}") for i in range(1499))
         validate_theory(DefeasibleTheory((), rules, chain))
@@ -466,7 +466,8 @@ def _literal_text(draw):
     return draw(_BLANK) + sign + draw(_BLANK) + atom + draw(_BLANK)
 
 
-_CANONICAL_LITERAL = st.builds(Literal, _IDS, st.booleans())
+_CANONICAL_LITERAL = st.builds(lambda atom, positive: Literal(atom if positive else "-" + atom),
+                               _IDS, st.booleans())
 #: A line exactly as serialize_theory writes it.
 _CANONICAL_LINE = st.one_of(
     _CANONICAL_LITERAL.map(">> {}".format),
