@@ -22,7 +22,7 @@ from .errors import ForecastError, SchemaError, UnknownMethodError
 from .inputs import (
     MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
 from .model import NAME_RE, Condition, OBSERVATION_METHOD, decimal_str
-from .theory import check_method_id
+from .theory import atom_head, check_method_id
 
 
 class AccuracyRecord(NamedTuple):
@@ -170,6 +170,11 @@ def load_kb(data: bytes) -> KnowledgeBase:
             except ValueError:
                 raise SchemaError(f"overrides[{i}].condition",
                                   f"unknown condition {item['condition']!r}") from None
+        if condition is not None and location is not None:
+            try:
+                atom_head(condition, location)  # a sea override elsewhere than Sea never applies
+            except ForecastError as exc:
+                raise SchemaError(f"overrides[{i}].location", str(exc)) from None
         for role, method in (("winner", winner), ("loser", loser)):
             if method not in accs:  # the tournament refuses such a method
                 raise SchemaError(f"overrides[{i}].{role}",

@@ -286,7 +286,8 @@ def conclusions_to_json(cs: ConclusionSet, out: TextIO) -> None:
 
 
 def conclusions_from_json(data: bytes) -> ConclusionSet:
-    """Tag sets from `conclusions_to_json` output; only "+d" is required."""
+    """Tag sets from `conclusions_to_json` output; only "+d" is required.
+    No literal is under two of +d, -d and undetermined, or under both +D and -D."""
     doc = read_json_object(data)
     canonical = re.compile(f"(?:{_LIT}\n)*{_LIT}").fullmatch  # as conclusions_to_json writes it
     sets = {}
@@ -299,9 +300,15 @@ def conclusions_from_json(data: bytes) -> ConclusionSet:
         read = (Literal if joined.count("\n") == len(items) - 1 and canonical(joined)
                 else parse_literal)
         try:
-            sets[_JSON_KEYS[key]] = frozenset(map(read, items))
+            sets[key] = frozenset(map(read, items))
         except TheoryError as exc:
             raise SchemaError(key, f"bad literal: {exc}") from exc
     if "+d" not in doc:
         raise SchemaError("+d", "missing key")
-    return ConclusionSet(**sets)
+    for group in (("+D", "-D"), ("+d", "-d", "undetermined")):  # no proof gives two of a group
+        for i, key in enumerate(group):
+            both = [(q, earlier) for earlier in group[:i]
+                    for q in sets.get(key, frozenset()) & sets.get(earlier, frozenset())]
+            if both:
+                raise SchemaError(key, "literal {!r} is also under {!r}".format(*min(both)))
+    return ConclusionSet(**{_JSON_KEYS[key]: tags for key, tags in sets.items()})

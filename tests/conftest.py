@@ -14,13 +14,14 @@ from fusecast.tournament import build_theory
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_python(args, encoding: str = "utf-8", **env: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on `args` that imports the fusecast under test, with
-    `env` added to the environment; its output decoded, its status unchecked."""
+def run_python(args, encoding: str = "utf-8", cwd=None, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on `args` that imports the fusecast under test, in
+    `cwd` with `env` added to the environment; its output decoded, its status
+    unchecked."""
     src = str(Path(fusecast.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, **env, "PYTHONPATH": path},
-                          capture_output=True, encoding=encoding)
+                          capture_output=True, encoding=encoding, cwd=cwd)
 
 
 _acceptance_results: list[tuple[str, str, str]] = []

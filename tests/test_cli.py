@@ -697,10 +697,14 @@ class TestInputBoundary:
         ('{"winner": "O", "loser": "GFS"}', "overrides[0].winner"),
         ('{"winner": "GFS", "loser": "ECMWF", "location": "no such place"}',
          "overrides[0].location"),
-    ], ids=["mistyped-winner", "unrecorded-loser", "observation", "location-name"])
+        ('{"winner": "GFS", "loser": "ECMWF", "condition": "sea", "location": "North"}',
+         "overrides[0].location"),
+    ], ids=["mistyped-winner", "unrecorded-loser", "observation", "location-name",
+            "sea-off-sea"])
     def test_override_that_can_never_match(self, tmp_path, capsys, override, where):
-        """An override naming a method without an accuracy record, or a place
-        that is no location name, would be ignored without a word."""
+        """An override naming a method without an accuracy record, a place that
+        is no location name, or a sea scope off `Sea`, would be ignored without
+        a word."""
         bad = _seaside_with(tmp_path, "kb.json", ("overrides",), f"[{override}]")
         assert main(["validate", *_swap(_seaside_inputs(), "--kb", bad)]) == 1
         assert f"{bad}: error: {where}: " in capsys.readouterr().out

@@ -236,7 +236,9 @@ def knowledge_bases(draw):
             max_size=3))
     for winner, loser in winner_loser:
         scope_cond = draw(st.sampled_from([None, Condition.WIND, Condition.SEA]))
-        scope_loc = draw(st.sampled_from([None, "Sea", "North"]))
+        # load_kb refuses a sea override scoped to a location other than Sea.
+        scope_loc = draw(st.sampled_from([None, "Sea"] if scope_cond is Condition.SEA
+                                         else [None, "Sea", "North"]))
         overrides.append(PriorityOverride(winner, loser, scope_cond, scope_loc))
     scopes: dict[tuple, list] = {}
     for ov in overrides:

@@ -137,6 +137,29 @@ class TestConclusionSetLaws:
         with pytest.raises(SchemaError):
             conclusions_from_json(doc)
 
+    @pytest.mark.parametrize("doc, error", [
+        (b'{"+d": ["CNorth_h1_77"], "-d": ["CNorth_h1_77"]}',
+         "-d: literal 'CNorth_h1_77' is also under '+d'"),
+        (b'{"-d": ["b", "a"], "+d": ["a", "b"]}', "-d: literal 'a' is also under '+d'"),
+        (b'{"+d": [], "-d": ["x"], "undetermined": ["x"]}',
+         "undetermined: literal 'x' is also under '-d'"),
+        (b'{"+d": ["y"], "-d": ["x"], "undetermined": ["x", "y"]}',
+         "undetermined: literal 'x' is also under '-d'"),
+        (b'{"+D": ["a"], "-D": ["a"], "+d": ["a"]}', "-D: literal 'a' is also under '+D'"),
+    ], ids=["plus-and-minus", "document-order", "minus-and-undetermined", "smallest-literal",
+            "definite"])
+    def test_json_rejects_a_literal_under_two_exclusive_tags(self, doc, error):
+        """No proof gives a literal two of +d, -d and undetermined, or both +D
+        and -D; `bulletin` would render such a document without a word."""
+        with pytest.raises(SchemaError) as info:
+            conclusions_from_json(doc)
+        assert str(info.value) == error
+
+    def test_json_reads_a_literal_and_its_complement_under_plus_d(self):
+        """A contradictory strict part proves both."""
+        cs = conclusions_from_json(b'{"+D": ["-q", "q"], "+d": ["-q", "q"]}')
+        assert cs.plus_defeasible == lits("q", "-q")
+
     def test_json_sorted(self):
         cs = conclusions(parse_theory("r1: => B\nr2: => A\n"))
         data = to_json(cs).decode()
@@ -163,7 +186,8 @@ def _reference_to_json(cs: ConclusionSet) -> bytes:
                 min_size=5, max_size=5))
 def test_json_writer_equals_the_indenting_writer(sets):
     """Byte for byte, for empty, one-item and larger tag sets."""
-    cs = ConclusionSet(*(frozenset(map(Literal, s)) for s in sets))
+    d, nd, pd, md, u = (frozenset(map(Literal, s)) for s in sets)
+    cs = ConclusionSet(d, nd - d, pd, md - pd, u - pd - md)  # disjoint, as a reader requires
     assert to_json(cs) == _reference_to_json(cs)
     assert conclusions_from_json(to_json(cs)) == cs
 
