@@ -14,7 +14,7 @@ from fusecast import (
     serialize_theory,
 )
 from fusecast.inputs import MILLION
-from fusecast.kb import AccuracyRecord, KnowledgeBase
+from fusecast.kb import KnowledgeBase
 from fusecast.model import AssertionalMap, Label, LabeledAssertionalMap, TimeRef, Value
 
 NOW = TimeRef(horizon=0)
@@ -38,12 +38,8 @@ def lams_for(method: str) -> list[LabeledAssertionalMap]:
 
 
 def main() -> None:
-    kb = KnowledgeBase(accuracies=(  # accuracies in millionths
-        AccuracyRecord("IFS", 1, 850_000),
-        AccuracyRecord("IFS", 2, 800_000),
-        AccuracyRecord("GSM", 1, 450_000),
-        AccuracyRecord("GSM", 2, 400_000),
-    ))
+    kb = KnowledgeBase({"IFS": {1: 850_000, 2: 800_000},  # accuracies in millionths
+                        "GSM": {1: 450_000, 2: 400_000}})
     lams = lams_for("IFS") + lams_for("GSM") + lams_for("O")
 
     theory = build_theory(lams, kb, NOW)

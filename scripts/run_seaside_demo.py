@@ -19,7 +19,7 @@ from fusecast import (
     serialize_theory,
 )
 from fusecast.inputs import MILLION
-from fusecast.kb import AccuracyRecord, KnowledgeBase
+from fusecast.kb import KnowledgeBase
 from fusecast.model import AssertionalMap, Label, LabeledAssertionalMap, TimeRef, Value
 from fusecast.reasoner import conclusions_to_json
 
@@ -57,12 +57,8 @@ def model_lams(method: str, table) -> list[LabeledAssertionalMap]:
 
 
 def main() -> None:
-    kb = KnowledgeBase(accuracies=(  # accuracies in millionths
-        AccuracyRecord("IFS", 1, 850_000),
-        AccuracyRecord("IFS", 2, 800_000),
-        AccuracyRecord("GSM", 1, 450_000),
-        AccuracyRecord("GSM", 2, 400_000),
-    ))
+    kb = KnowledgeBase({"IFS": {1: 850_000, 2: 800_000},  # accuracies in millionths
+                        "GSM": {1: 450_000, 2: 400_000}})
     lams = model_lams("IFS", GLOBAL_A) + model_lams("GSM", GLOBAL_B)
     lams += model_lams("O", {0: OBSERVED})
 

@@ -1,7 +1,7 @@
 """Method accuracies, expert priority overrides, and the reliability threshold.
 
-The knowledge base is immutable after load and read-only everywhere else.
-File format (UTF-8 JSON, exact decimals preserved):
+The knowledge base is read-only after load. File format (UTF-8 JSON, exact
+decimals preserved):
 
     {"accuracies": {"ECMWF": {"1": 0.85, "2": 0.80}, ...},
      "overrides": [{"winner": "...", "loser": "...",
@@ -9,8 +9,9 @@ File format (UTF-8 JSON, exact decimals preserved):
      "min_accuracy": 0}
 
 `load_kb` checks each part where it reads it, so an error names the
-document's own path (`accuracies.GFS.01`, `overrides[2]`); the records it
-builds check nothing.
+document's own path (`accuracies.GFS.01`, `overrides[2]`). It keeps the
+accuracies in the document's shape and the overrides keyed by pair and
+scope, so each lookup is a few dict hits, whatever the document's size.
 """
 
 from __future__ import annotations
@@ -25,46 +26,19 @@ from .model import NAME_RE, Condition, OBSERVATION_METHOD, decimal_str
 from .theory import atom_head, check_method_id
 
 
-class AccuracyRecord(NamedTuple):
-    """A method's accuracy at one horizon, in millionths."""
+class KnowledgeBase(NamedTuple):
+    """The document's own lookup tables, with accuracies in millionths.
 
-    method: str
-    horizon: int
-    micros: int
+    `accuracies` maps a method to {horizon: accuracy}. `overrides` maps
+    (frozenset of the two methods, condition or None, location or None) to
+    the winner, where None means "any". `min_micros` is the reliability
+    threshold. Built without checks: `load_kb` checks a document where it
+    reads each part, at that part's path. The default tables are shared, as
+    every table is read-only after it is built."""
 
-
-class PriorityOverride(NamedTuple):
-    """An expert override: `winner` beats `loser`, optionally only within a
-    (condition, location) scope. Unset scope fields mean "any"."""
-
-    winner: str
-    loser: str
-    condition: Optional[Condition] = None
-    location: Optional[str] = None
-
-    @property
-    def specificity(self) -> int:
-        return 2 * (self.condition is not None) + (self.location is not None)
-
-
-class _KnowledgeBase(NamedTuple):
-    accuracies: tuple[AccuracyRecord, ...]
-    overrides: tuple[PriorityOverride, ...]
-    min_micros: int
-
-
-class KnowledgeBase(_KnowledgeBase):
-    """Records sorted by (method, horizon), overrides sorted, and the
-    reliability threshold in millionths. Built without checks: `load_kb`
-    checks a document where it reads each part, at that part's path."""
-
-    __slots__ = ()
-
-    def __new__(cls, accuracies=(), overrides=(), min_micros=0):
-        accuracies = tuple(sorted(accuracies, key=lambda r: (r.method, r.horizon)))
-        overrides = tuple(sorted(overrides, key=lambda o: (
-            o.winner, o.loser, o.condition.value if o.condition else "", o.location or "")))
-        return super().__new__(cls, accuracies, overrides, min_micros)
+    accuracies: dict[str, dict[int, int]] = {}
+    overrides: dict[tuple[frozenset[str], Optional[Condition], Optional[str]], str] = {}
+    min_micros: int = 0
 
 
 def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
@@ -77,11 +51,13 @@ def accuracy_of(kb: KnowledgeBase, method: str, horizon: int) -> int:
     """
     if method == OBSERVATION_METHOD:
         return MILLION
-    records = [rec for rec in kb.accuracies if rec.method == method]
-    if not records:
+    horizons = kb.accuracies.get(method)
+    if not horizons:
         raise UnknownMethodError(f"unknown method: {method!r}")
-    return next((rec for rec in reversed(records) if rec.horizon <= horizon),
-                records[0]).micros
+    if horizon not in horizons:
+        below = [h for h in horizons if h < horizon]
+        horizon = max(below) if below else min(horizons)
+    return horizons[horizon]
 
 
 def override_winner(
@@ -97,15 +73,12 @@ def override_winner(
     location-only > global. Antisymmetric in (a, b) by construction, and
     None when a == b, since no override has its winner as its loser.
     """
-    candidates = [
-        ov for ov in kb.overrides
-        if {ov.winner, ov.loser} == {a, b}
-        and (ov.condition is None or ov.condition is condition)
-        and (ov.location is None or ov.location == location)
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda ov: ov.specificity).winner
+    pair = frozenset((a, b))
+    for scope in ((condition, location), (condition, None), (None, location), (None, None)):
+        winner = kb.overrides.get((pair, *scope))
+        if winner is not None:
+            return winner
+    return None
 
 
 def load_kb(data: bytes) -> KnowledgeBase:
@@ -115,7 +88,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
         if key not in ("accuracies", "overrides", "min_accuracy"):
             raise SchemaError(key, "unknown key")
 
-    records = []
+    accuracies: dict[str, dict[int, int]] = {}
     accs = doc.get("accuracies", {})
     if not isinstance(accs, dict):
         raise SchemaError("accuracies", "must be an object keyed by method id")
@@ -132,7 +105,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
         if not isinstance(horizons, dict) or not horizons:
             raise SchemaError(f"accuracies.{method}",
                               "must be a non-empty object keyed by horizon")
-        seen = set()  # "1" and "01" name one horizon
+        table = accuracies[method] = {}  # "1" and "01" name one horizon
         for h, acc in horizons.items():
             path = f"accuracies.{method}.{h}"
             try:
@@ -142,15 +115,14 @@ def load_kb(data: bytes) -> KnowledgeBase:
             micros = exact_number(acc, path)
             if not 0 <= micros <= MILLION:
                 raise SchemaError(path, f"accuracy {decimal_str(micros)} outside [0, 1]")
-            if horizon in seen:
+            if horizon in table:
                 raise SchemaError(path, "duplicate (method, horizon) record")
-            seen.add(horizon)
-            records.append(AccuracyRecord(method, horizon, micros))
+            table[horizon] = micros
 
     raw_overrides = doc.get("overrides", [])
     if not isinstance(raw_overrides, list):
         raise SchemaError("overrides", "must be a list")
-    overrides = []
+    overrides = {}
     by_scope: dict[tuple, list[tuple[str, str]]] = {}
     for i, item in enumerate(raw_overrides):
         if not isinstance(item, dict):
@@ -161,7 +133,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
         winner, loser, location = item.get("winner"), item.get("loser"), item.get("location")
         if not (isinstance(winner, str) and isinstance(loser, str)):
             raise SchemaError(f"overrides[{i}]", "winner and loser must be method ids")
-        if location is not None and not (isinstance(location, str) and NAME_RE.match(location)):
+        if "location" in item and not (isinstance(location, str) and NAME_RE.match(location)):
             raise SchemaError(f"overrides[{i}].location", "must be a location name")
         condition = None
         if "condition" in item:
@@ -176,12 +148,12 @@ def load_kb(data: bytes) -> KnowledgeBase:
             except ForecastError as exc:
                 raise SchemaError(f"overrides[{i}].location", str(exc)) from None
         for role, method in (("winner", winner), ("loser", loser)):
-            if method not in accs:  # the tournament refuses such a method
+            if method not in accuracies:  # the tournament refuses such a method
                 raise SchemaError(f"overrides[{i}].{role}",
                                   f"no accuracy record for method {method!r}")
         if winner == loser:
             raise SchemaError(f"overrides[{i}]", "winner equals loser")
-        overrides.append(PriorityOverride(winner, loser, condition, location))
+        overrides[frozenset((winner, loser)), condition, location] = winner
         by_scope.setdefault((condition, location), []).append((winner, loser))
     for (condition, location), edges in by_scope.items():
         if has_cycle(edges):
@@ -192,4 +164,4 @@ def load_kb(data: bytes) -> KnowledgeBase:
     min_micros = exact_number(doc.get("min_accuracy", Decimal(0)), "min_accuracy")
     if not 0 <= min_micros <= MILLION:
         raise SchemaError("min_accuracy", f"{decimal_str(min_micros)} outside [0, 1]")
-    return KnowledgeBase(records, overrides, min_micros)
+    return KnowledgeBase(accuracies, overrides, min_micros)

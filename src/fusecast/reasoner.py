@@ -287,7 +287,8 @@ def conclusions_to_json(cs: ConclusionSet, out: TextIO) -> None:
 
 def conclusions_from_json(data: bytes) -> ConclusionSet:
     """Tag sets from `conclusions_to_json` output; only "+d" is required.
-    No literal is under two of +d, -d and undetermined, or under both +D and -D."""
+    No literal is under two of +d, -d and undetermined, or under both +D and -D;
+    +D lies within +d, and -d within -D when -D is given."""
     doc = read_json_object(data)
     canonical = re.compile(f"(?:{_LIT}\n)*{_LIT}").fullmatch  # as conclusions_to_json writes it
     sets = {}
@@ -311,4 +312,9 @@ def conclusions_from_json(data: bytes) -> ConclusionSet:
                     for q in sets.get(key, frozenset()) & sets.get(earlier, frozenset())]
             if both:
                 raise SchemaError(key, "literal {!r} is also under {!r}".format(*min(both)))
+    for key, superset in (("+D", "+d"), ("-d", "-D")):  # every proof gives +D ⊆ +d, -d ⊆ -D
+        if superset in sets:
+            missing = sets.get(key, frozenset()) - sets[superset]
+            if missing:
+                raise SchemaError(key, f"literal {min(missing)!r} is not under {superset!r}")
     return ConclusionSet(**{_JSON_KEYS[key]: tags for key, tags in sets.items()})

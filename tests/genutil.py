@@ -6,7 +6,7 @@ import random
 from typing import Sequence
 
 from fusecast.inputs import MILLION
-from fusecast.kb import AccuracyRecord, KnowledgeBase
+from fusecast.kb import KnowledgeBase
 from fusecast.model import (
     AssertionalMap,
     Compass,
@@ -103,11 +103,8 @@ def _random_value(rng: random.Random, condition: Condition):
 
 def random_two_model_inputs(rng: random.Random, methods: Sequence[str] = ("Alpha", "Beta")):
     """(lams, kb) for a randomized run of `methods`, sometimes with observations."""
-    records = []
-    for method in methods:
-        for horizon in (0, 1, 2):
-            records.append(AccuracyRecord(method, horizon, rng.randint(1, 99) * 10_000))
-    kb = KnowledgeBase(tuple(records))
+    kb = KnowledgeBase({method: {horizon: rng.randint(1, 99) * 10_000 for horizon in (0, 1, 2)}
+                        for method in methods})
 
     lams = []
     for method in methods:

@@ -109,6 +109,11 @@ ROWS = {
         files={"c.json": '{"+d": ["CNorth_h1_77"], "-d": ["CNorth_h1_77"]}'},
         stderr="fusecast: error [bulletin] (c.json): -d: literal 'CNorth_h1_77' is also "
                "under '+d'"),
+    "bulletin-definite-not-defeasible": Row(
+        "bulletin c.json --now h0", 1,
+        files={"c.json": '{"+D": ["CNorth_h1_77"], "+d": []}'},
+        stderr="fusecast: error [bulletin] (c.json): +D: literal 'CNorth_h1_77' is not "
+               "under '+d'"),
     # argparse: a command line without --source, and --kb given twice.
     **{f"{command}-without-source": Row(f"{command} --kb $S/kb.json --now h0", 2,
                                         stderr="the following arguments are required: --source")

@@ -5,14 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusecast.errors import SchemaError, UnknownMethodError
-from fusecast.kb import (
-    AccuracyRecord,
-    KnowledgeBase,
-    PriorityOverride,
-    accuracy_of,
-    load_kb,
-    override_winner,
-)
+from fusecast.kb import KnowledgeBase, accuracy_of, load_kb, override_winner
 from fusecast.ingest import parse_source_map
 from fusecast.inputs import has_cycle
 from fusecast.model import Condition
@@ -20,12 +13,12 @@ from fusecast.model import Condition
 
 @pytest.fixture
 def paper_kb():
-    return KnowledgeBase(accuracies=(
-        AccuracyRecord("ECMWF", 1, 850_000),
-        AccuracyRecord("ECMWF", 2, 800_000),
-        AccuracyRecord("GFS", 1, 450_000),
-        AccuracyRecord("GFS", 2, 400_000),
-    ))
+    return KnowledgeBase({"ECMWF": {1: 850_000, 2: 800_000}, "GFS": {1: 450_000, 2: 400_000}})
+
+
+def _overrides(*items) -> dict:
+    """The overrides table for (winner, loser, condition, location) items."""
+    return {(frozenset((w, l)), c, loc): w for w, l, c, loc in items}
 
 
 class TestAccuracyOf:
@@ -52,36 +45,34 @@ class TestOverrideWinner:
         assert override_winner(paper_kb, "GFS", "ECMWF") is None
 
     def test_global_override(self, paper_kb):
-        kb = KnowledgeBase(paper_kb.accuracies,
-                           (PriorityOverride("ECMWF", "GFS"),))
+        kb = KnowledgeBase(paper_kb.accuracies, _overrides(("ECMWF", "GFS", None, None)))
         assert override_winner(kb, "GFS", "ECMWF") == "ECMWF"
         assert override_winner(kb, "ECMWF", "GFS") == "ECMWF"  # antisymmetric
 
     def test_scoped_override_beats_global(self, paper_kb):
-        kb = KnowledgeBase(paper_kb.accuracies, (
-            PriorityOverride("ECMWF", "GFS"),
-            PriorityOverride("GFS", "ECMWF", Condition.WIND, "Sea"),
+        kb = KnowledgeBase(paper_kb.accuracies, _overrides(
+            ("ECMWF", "GFS", None, None),
+            ("GFS", "ECMWF", Condition.WIND, "Sea"),
         ))
         assert override_winner(kb, "GFS", "ECMWF", Condition.WIND, "Sea") == "GFS"
         assert override_winner(kb, "GFS", "ECMWF", Condition.WIND, "North") == "ECMWF"
         assert override_winner(kb, "GFS", "ECMWF", Condition.SEA, "Sea") == "ECMWF"
 
     def test_condition_scope_beats_location_scope(self, paper_kb):
-        kb = KnowledgeBase(paper_kb.accuracies, (
-            PriorityOverride("ECMWF", "GFS", None, "Sea"),
-            PriorityOverride("GFS", "ECMWF", Condition.WIND, None),
+        kb = KnowledgeBase(paper_kb.accuracies, _overrides(
+            ("ECMWF", "GFS", None, "Sea"),
+            ("GFS", "ECMWF", Condition.WIND, None),
         ))
         assert override_winner(kb, "GFS", "ECMWF", Condition.WIND, "Sea") == "GFS"
 
     def test_specificity_enumeration(self, paper_kb):
         # Every scope level answers for its own queries.
-        levels = [
-            PriorityOverride("A", "B"),
-            PriorityOverride("B", "A", None, "Sea"),
-            PriorityOverride("A", "B", Condition.WIND, None),
-            PriorityOverride("B", "A", Condition.WIND, "Sea"),
-        ]
-        kb = KnowledgeBase(paper_kb.accuracies, tuple(levels))
+        kb = KnowledgeBase(paper_kb.accuracies, _overrides(
+            ("A", "B", None, None),
+            ("B", "A", None, "Sea"),
+            ("A", "B", Condition.WIND, None),
+            ("B", "A", Condition.WIND, "Sea"),
+        ))
         assert override_winner(kb, "A", "B") == "A"
         assert override_winner(kb, "A", "B", Condition.SEA, "Sea") == "B"
         assert override_winner(kb, "A", "B", Condition.WIND, "North") == "A"
@@ -122,8 +113,8 @@ class TestValidation:
             {"winner": "A", "loser": "B"},
             {"winner": "B", "loser": "A", "condition": "wind"},
         ]}).encode())
-        assert kb.overrides == (PriorityOverride("A", "B"),
-                                PriorityOverride("B", "A", Condition.WIND))
+        assert kb.overrides == _overrides(("A", "B", None, None),
+                                          ("B", "A", Condition.WIND, None))
 
     def test_accuracy_bounds(self):
         err = _error({"accuracies": {"GFS": {"1": 1.3}}})
@@ -150,7 +141,7 @@ class TestValidation:
 class TestDocumentFormat:
     def test_minimal_document(self):
         kb = load_kb(b'{"accuracies": {"GFS": {"1": 0.5}}}')
-        assert kb.accuracies == (AccuracyRecord("GFS", 1, 500_000),)
+        assert kb.accuracies == {"GFS": {1: 500_000}}
         assert kb.min_micros == 0
 
     def test_paper_figures_round_trip(self, paper_kb):
@@ -176,6 +167,9 @@ class TestDocumentFormat:
         ('{"overrides": [{"winner": 5, "loser": "GFS"}]}', "overrides[0]"),
         ('{"overrides": [{"winner": "A", "loser": "B", "location": []}]}',
          "overrides[0].location"),
+        pytest.param('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}}, "overrides":'
+                     ' [{"winner": "GFS", "loser": "ECMWF", "location": null}]}',
+                     "overrides[0].location", id="null-location"),
         ('{"accuracies": {"GFS": {"1": 0.5}, "ECMWF": {"1": 0.8}},'
          ' "overrides": [{"winner": "GFS", "loser": "ECMWF", "location": "no such place"}]}',
          "overrides[0].location"),
@@ -224,10 +218,12 @@ _accuracy = st.integers(0, 1000).map(lambda n: n * 1000)  # millionths
 @st.composite
 def knowledge_bases(draw):
     pairs = draw(st.sets(st.tuples(_methods, st.integers(0, 5)), max_size=8))
-    records = tuple(AccuracyRecord(m, h, draw(_accuracy)) for m, h in pairs)
+    accuracies: dict[str, dict[int, int]] = {}
+    for m, h in sorted(pairs):
+        accuracies.setdefault(m, {})[h] = draw(_accuracy)
     overrides = []
     # load_kb refuses an override naming a method without an accuracy record.
-    recorded = sorted({m for m, _ in pairs})
+    recorded = sorted(accuracies)
     winner_loser = set()
     if len(recorded) > 1:
         winner_loser = draw(st.sets(
@@ -239,28 +235,28 @@ def knowledge_bases(draw):
         # load_kb refuses a sea override scoped to a location other than Sea.
         scope_loc = draw(st.sampled_from([None, "Sea"] if scope_cond is Condition.SEA
                                          else [None, "Sea", "North"]))
-        overrides.append(PriorityOverride(winner, loser, scope_cond, scope_loc))
+        overrides.append((winner, loser, scope_cond, scope_loc))
     scopes: dict[tuple, list] = {}
-    for ov in overrides:
-        scopes.setdefault((ov.condition, ov.location), []).append((ov.winner, ov.loser))
+    for winner, loser, *scope in overrides:
+        scopes.setdefault(tuple(scope), []).append((winner, loser))
     if any(has_cycle(edges) for edges in scopes.values()):  # load_kb refuses a cycle
         overrides = []
-    return KnowledgeBase(records, tuple(overrides), draw(_accuracy))
+    return KnowledgeBase(accuracies, _overrides(*overrides), draw(_accuracy))
 
 
 def _document(kb: KnowledgeBase) -> bytes:
-    """A KB document holding kb's records; every accuracy is a whole number
+    """A KB document holding kb's tables; every accuracy is a whole number
     of thousandths, so its float spells it exactly."""
-    accuracies: dict[str, dict[str, float]] = {}
-    for rec in kb.accuracies:
-        accuracies.setdefault(rec.method, {})[str(rec.horizon)] = rec.micros / 10**6
+    accuracies = {method: {str(h): micros / 10**6 for h, micros in horizons.items()}
+                  for method, horizons in kb.accuracies.items()}
     overrides = []
-    for ov in kb.overrides:
-        item = {"winner": ov.winner, "loser": ov.loser}
-        if ov.condition is not None:
-            item["condition"] = ov.condition.value
-        if ov.location is not None:
-            item["location"] = ov.location
+    for (pair, condition, location), winner in kb.overrides.items():
+        (loser,) = pair - {winner}
+        item = {"winner": winner, "loser": loser}
+        if condition is not None:
+            item["condition"] = condition.value
+        if location is not None:
+            item["location"] = location
         overrides.append(item)
     return json.dumps({"accuracies": accuracies, "overrides": overrides,
                        "min_accuracy": kb.min_micros / 10**6}).encode()
@@ -282,7 +278,7 @@ def test_override_winner_antisymmetric(kb, a, b):
 def test_accuracy_of_follows_its_rule(kb, method, horizon):
     """The record at the largest horizon <= h, or else the record at the
     smallest horizon; 1.0 for O; an error for a method with no records."""
-    by_horizon = {rec.horizon: rec.micros for rec in kb.accuracies if rec.method == method}
+    by_horizon = kb.accuracies.get(method, {})
     if method == "O":
         assert accuracy_of(kb, method, horizon) == 1_000_000
     elif not by_horizon:

@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from fusecast.bulletin import extract_scenario, render_document, render_sharp
-from fusecast.kb import AccuracyRecord, KnowledgeBase
+from fusecast.kb import KnowledgeBase
 from fusecast.model import Label, LabeledAssertionalMap, TimeRef, Value
 from fusecast.reasoner import conclusions
 from fusecast.theory import method_tag, serialize_theory
@@ -71,11 +71,10 @@ def test_a_duplicated_document_gives_the_same_theory(methods):
 @by_methods
 def test_a_model_below_min_accuracy_leaves_the_bulletin_as_it_is(methods):
     for lams, kb in _draws(methods):
-        floor = min(rec.micros for rec in kb.accuracies)
+        floor = min(min(horizons.values()) for horizons in kb.accuracies.values())
         kept = KnowledgeBase(kb.accuracies, kb.overrides, floor)
-        with_low = KnowledgeBase(kb.accuracies + tuple(
-            AccuracyRecord("Low", horizon, floor - 1) for horizon in (0, 1, 2)),
-            kb.overrides, floor)
+        with_low = KnowledgeBase({**kb.accuracies, "Low": dict.fromkeys((0, 1, 2), floor - 1)},
+                                 kb.overrides, floor)
         low = [LabeledAssertionalMap(Label("Low", NOW), lam.map._replace(
             value=Value(lam.map.value.micros // 2, lam.map.value.direction)))
             for lam in lams if lam.label.method == methods[0]]
@@ -143,11 +142,12 @@ def test_renamed_methods_give_the_same_bulletin_body(methods):
     sources and leaves every section as it is."""
     compared = 0
     for lams, kb in _draws(methods):
-        leads = [(rec.horizon, rec.micros) for rec in kb.accuracies]
+        leads = [lead for horizons in kb.accuracies.values() for lead in horizons.items()]
         if len(set(leads)) < len(leads):
             continue  # two methods equally accurate at one lead: a round may tie
-        renamed = KnowledgeBase([rec._replace(method=RENAMED[rec.method])
-                                 for rec in kb.accuracies], kb.overrides, kb.min_micros)
+        renamed = KnowledgeBase({RENAMED[method]: horizons
+                                 for method, horizons in kb.accuracies.items()},
+                                kb.overrides, kb.min_micros)
         relabeled = [lam._replace(label=lam.label._replace(method=RENAMED[lam.label.method]))
                      if lam.label.method in RENAMED else lam for lam in lams]
         expected = json.loads(_bulletin(lams, kb))

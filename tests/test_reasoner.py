@@ -155,6 +155,27 @@ class TestConclusionSetLaws:
             conclusions_from_json(doc)
         assert str(info.value) == error
 
+    @pytest.mark.parametrize("doc, error", [
+        (b'{"+D": ["CNorth_h1_77"], "+d": []}', "+D: literal 'CNorth_h1_77' is not under '+d'"),
+        (b'{"+D": ["b", "a", "c"], "+d": ["b"]}', "+D: literal 'a' is not under '+d'"),
+        (b'{"-D": ["a"], "+d": [], "-d": ["CNorth_h1_78", "a"]}',
+         "-d: literal 'CNorth_h1_78' is not under '-D'"),
+        (b'{"-D": [], "+d": [], "-d": ["a"]}', "-d: literal 'a' is not under '-D'"),
+    ], ids=["definite-not-defeasible", "smallest-literal", "defeasible-not-definite",
+            "empty-minus-definite"])
+    def test_json_rejects_a_literal_that_breaks_a_subset_law(self, doc, error):
+        """Every proof gives +D within +d and -d within -D; `bulletin` reads
+        only +d, so it would drop a +D literal without a word."""
+        with pytest.raises(SchemaError) as info:
+            conclusions_from_json(doc)
+        assert str(info.value) == error
+
+    def test_json_reads_minus_d_without_minus_definite(self):
+        """-D may be left out, as `bulletin` needs only +d."""
+        cs = conclusions_from_json(b'{"+d": ["a"], "-d": ["CNorth_h1_78"]}')
+        assert cs.minus_defeasible == lits("CNorth_h1_78")
+        assert cs.minus_definite == frozenset()
+
     def test_json_reads_a_literal_and_its_complement_under_plus_d(self):
         """A contradictory strict part proves both."""
         cs = conclusions_from_json(b'{"+D": ["-q", "q"], "+d": ["-q", "q"]}')
@@ -187,7 +208,9 @@ def _reference_to_json(cs: ConclusionSet) -> bytes:
 def test_json_writer_equals_the_indenting_writer(sets):
     """Byte for byte, for empty, one-item and larger tag sets."""
     d, nd, pd, md, u = (frozenset(map(Literal, s)) for s in sets)
-    cs = ConclusionSet(d, nd - d, pd, md - pd, u - pd - md)  # disjoint, as a reader requires
+    pd |= d  # +D within +d, -d within -D and the exclusive tags disjoint, as a reader requires
+    md -= pd
+    cs = ConclusionSet(d, (nd | md) - d, pd, md, u - pd - md)
     assert to_json(cs) == _reference_to_json(cs)
     assert conclusions_from_json(to_json(cs)) == cs
 

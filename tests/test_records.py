@@ -21,7 +21,7 @@ from fusecast.bulletin import (
     WeatherScenario,
 )
 from fusecast.errors import SchemaError
-from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride, load_kb
+from fusecast.kb import KnowledgeBase, load_kb
 from fusecast.model import (
     AssertionalMap,
     Compass,
@@ -81,9 +81,7 @@ RECORDS = {
     "AssertionalMap": (_map, True),
     "Label": (_label, True),
     "LabeledAssertionalMap": (lambda: LabeledAssertionalMap(_label(), _map()), True),
-    "AccuracyRecord": (lambda: AccuracyRecord("GFS", 1, 450_000), True),
-    "PriorityOverride": (lambda: PriorityOverride("ECMWF", "GFS", Condition.SEA), True),
-    "KnowledgeBase": (lambda: KnowledgeBase((AccuracyRecord("GFS", 1, 450_000),)), True),
+    "KnowledgeBase": (lambda: KnowledgeBase({"GFS": {1: 450_000}}), False),
     "Rule": (_rule, True),
     "DefeasibleTheory": (lambda: DefeasibleTheory((Literal("a"),), (_rule(),), ()), True),
     "DecodedAtom": (lambda: DecodedAtom(Condition.WIND, None, "North", 1, _value()), True),
@@ -171,15 +169,14 @@ def test_timeref_normalises_to_utc_whole_seconds():
     assert TimeRef(instant=datetime(2026, 8, 8, 12, 5, 7)) == t  # naive reads as UTC
 
 
-def test_knowledge_base_sorts_and_validates():
-    kb = KnowledgeBase(
-        (AccuracyRecord("GFS", 2, 400_000), AccuracyRecord("ECMWF", 1, 850_000),
-         AccuracyRecord("GFS", 1, 450_000)),
-        (PriorityOverride("GFS", "ECMWF"), PriorityOverride("ECMWF", "GFS", Condition.SEA)),
-        500_000)
-    assert [(r.method, r.horizon) for r in kb.accuracies] == [
-        ("ECMWF", 1), ("GFS", 1), ("GFS", 2)]
-    assert [o.winner for o in kb.overrides] == ["ECMWF", "GFS"]
+def test_knowledge_base_keeps_its_tables_and_load_kb_validates():
+    accuracies = {"GFS": {2: 400_000, 1: 450_000}, "ECMWF": {1: 850_000}}
+    pair = frozenset(("GFS", "ECMWF"))
+    overrides = {(pair, None, None): "GFS", (pair, Condition.SEA, None): "ECMWF"}
+    kb = KnowledgeBase(accuracies, overrides, 500_000)
+    assert kb.accuracies is accuracies and kb.overrides is overrides  # neither copied nor sorted
+    assert kb == KnowledgeBase({"ECMWF": {1: 850_000}, "GFS": {1: 450_000, 2: 400_000}},
+                               dict(reversed(overrides.items())), 500_000)
     # The constructor checks nothing; load_kb checks the document it reads.
     with pytest.raises(SchemaError) as err:
         load_kb(b'{"accuracies": {"GFS": {"1": 0.000001, "01": 0.000002}}}')

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusecast.errors import ForecastError
-from fusecast.kb import AccuracyRecord, KnowledgeBase, PriorityOverride
+from fusecast.kb import KnowledgeBase
 from fusecast.model import (
     AssertionalMap,
     Compass,
@@ -48,10 +48,7 @@ def lam(method, gen_h, condition, loc, valid_h, magnitude, direction=None):
 
 @pytest.fixture
 def flat_kb():
-    return KnowledgeBase(accuracies=(
-        AccuracyRecord("Alpha", 0, 500_000),
-        AccuracyRecord("Beta", 0, 500_000),
-    ))
+    return KnowledgeBase({"Alpha": {0: 500_000}, "Beta": {0: 500_000}})
 
 
 class TestSift:
@@ -78,7 +75,7 @@ class TestSift:
             sift([future], flat_kb, H(1))
 
     def test_below_threshold_removed_but_observations_survive(self, flat_kb):
-        kb = KnowledgeBase(flat_kb.accuracies, (), 750_000)
+        kb = KnowledgeBase(flat_kb.accuracies, {}, 750_000)
         model = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
         obs = lam("O", 0, Condition.RAIN, "North", 0, 5)
         assert sift([model, obs], kb, H(0)) == [obs]
@@ -109,8 +106,7 @@ class TestSift:
         """Accuracies one millionth apart, the finest a KB can hold, still
         order the pair; no float stands in for them."""
         low, high = 333_333, 333_334
-        kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, low),
-                                       AccuracyRecord("Beta", 1, high)))
+        kb = KnowledgeBase({"Alpha": {1: low}, "Beta": {1: high}})
         alpha = lam("Alpha", 0, Condition.RAIN, "North", 1, 5)
         beta = lam("Beta", 0, Condition.RAIN, "North", 1, 7)
         assert sift([alpha, beta], kb, H(0)) == [beta, alpha]
@@ -163,7 +159,7 @@ class TestPrevails:
 
     def test_override_beats_accuracy(self, seaside_kb):
         kb = KnowledgeBase(seaside_kb.accuracies,
-                           (PriorityOverride("GFS", "ECMWF"),))
+                           {(frozenset(("GFS", "ECMWF")), None, None): "GFS"})
         e = lam("ECMWF", 0, Condition.CLOUDINESS, "North", 1, 75)
         g = lam("GFS", 0, Condition.CLOUDINESS, "North", 1, 90)
         verdict = prevails(e, g, kb)
@@ -286,10 +282,7 @@ class TestBuildTheory:
     def test_recency_orients_priorities_at_equal_accuracy(self):
         from datetime import datetime, timezone
 
-        kb = KnowledgeBase(accuracies=(
-            AccuracyRecord("Alpha", 0, 800_000),
-            AccuracyRecord("Beta", 0, 800_000),
-        ))
+        kb = KnowledgeBase({"Alpha": {0: 800_000}, "Beta": {0: 800_000}})
         early = TimeRef(instant=datetime(2026, 8, 8, 6, 0, tzinfo=timezone.utc))
         late = TimeRef(instant=datetime(2026, 8, 8, 12, 0, tzinfo=timezone.utc))
         now = TimeRef(instant=datetime(2026, 8, 8, 13, 0, tzinfo=timezone.utc))
@@ -309,7 +302,8 @@ class TestBuildTheory:
 
     def test_override_orients_priorities_toward_the_challenger(self, seaside_kb):
         # ECMWF (0.85) leads sift's order; the override lets GFS (0.45) win.
-        kb = KnowledgeBase(seaside_kb.accuracies, (PriorityOverride("GFS", "ECMWF"),))
+        kb = KnowledgeBase(seaside_kb.accuracies,
+                           {(frozenset(("GFS", "ECMWF")), None, None): "GFS"})
         lams = [lam("ECMWF", 0, Condition.CLOUDINESS, "North", 1, 75),
                 lam("GFS", 0, Condition.CLOUDINESS, "North", 1, 90)]
         t = build_theory(lams, kb, H(0))
@@ -323,11 +317,8 @@ class TestBuildTheory:
         assert Literal("CNorth_h1_77") in cs.minus_defeasible
 
     def test_challenger_that_wins_carries_its_accuracy_into_the_next_round(self):
-        kb = KnowledgeBase((
-            AccuracyRecord("Alpha", 0, 850_000),
-            AccuracyRecord("Beta", 0, 450_000),
-            AccuracyRecord("Gamma", 0, 300_000),
-        ), (PriorityOverride("Beta", "Alpha"),))
+        kb = KnowledgeBase({"Alpha": {0: 850_000}, "Beta": {0: 450_000}, "Gamma": {0: 300_000}},
+                           {(frozenset(("Beta", "Alpha")), None, None): "Beta"})
         lams = [lam("Alpha", 0, Condition.CLOUDINESS, "North", 1, 75),
                 lam("Beta", 0, Condition.CLOUDINESS, "North", 1, 90),
                 lam("Gamma", 0, Condition.CLOUDINESS, "North", 1, 10)]
@@ -341,11 +332,9 @@ class TestBuildTheory:
     def test_challenger_that_wins_a_vacuous_round_carries_its_accuracy(self):
         from fusecast.bulletin import extract_scenario
 
-        kb = KnowledgeBase((
-            AccuracyRecord("A", 1, 600_000),
-            AccuracyRecord("B", 1, 400_000),
-            AccuracyRecord("C", 1, 400_000),
-        ), (PriorityOverride("B", "A"), PriorityOverride("C", "B")))
+        kb = KnowledgeBase({"A": {1: 600_000}, "B": {1: 400_000}, "C": {1: 400_000}},
+                           {(frozenset(("B", "A")), None, None): "B",
+                            (frozenset(("C", "B")), None, None): "C"})
         lams = [lam("A", 0, Condition.CLOUDINESS, "North", 1, 10),
                 lam("B", 0, Condition.CLOUDINESS, "North", 1, 12),
                 lam("C", 0, Condition.CLOUDINESS, "North", 1, 30)]
@@ -398,9 +387,7 @@ class TestBuildTheory:
         for _ in range(40):
             n = rng.randint(3, 6)
             methods = [f"M{i}" for i in range(n)]
-            kb = KnowledgeBase(tuple(
-                AccuracyRecord(m, 0, rng.randint(0, 100) * 10_000)
-                for m in methods))
+            kb = KnowledgeBase({m: {0: rng.randint(0, 100) * 10_000} for m in methods})
             lams = [
                 lam(m, 0, Condition.SEA, "Sea", 1, rng.randint(0, 30))
                 for m in methods if rng.random() < 0.9
@@ -430,18 +417,13 @@ class TestBuildTheory:
         assert build_theory(seaside_lams + gfs, seaside_kb, now_h0) == seaside_theory
 
     def test_reserved_tag_methods_rejected(self, flat_kb):
-        kb = KnowledgeBase(flat_kb.accuracies + (
-            AccuracyRecord("XR0", 0, 500_000),))
+        kb = KnowledgeBase({**flat_kb.accuracies, "XR0": {0: 500_000}})
         lams = [lam("XR0", 0, Condition.RAIN, "North", 1, 5)]
         with pytest.raises(ForecastError):
             build_theory(lams, kb, H(0))
 
     def test_three_source_fold_keeps_one_untagged_winner(self):
-        kb = KnowledgeBase(accuracies=(
-            AccuracyRecord("Alpha", 0, 900_000),
-            AccuracyRecord("Beta", 0, 500_000),
-            AccuracyRecord("Gamma", 0, 200_000),
-        ))
+        kb = KnowledgeBase({"Alpha": {0: 900_000}, "Beta": {0: 500_000}, "Gamma": {0: 200_000}})
         lams = [
             lam("Alpha", 0, Condition.SEA, "Sea", 1, 100),
             lam("Beta", 0, Condition.SEA, "Sea", 1, 50),
@@ -463,14 +445,14 @@ def _many_model_inputs(rng):
     from datetime import datetime, timedelta, timezone
 
     methods = [f"M{i}" for i in range(rng.randint(3, 16))]
-    kb = KnowledgeBase(tuple(
-        AccuracyRecord(m, h, rng.choice((400_000, 700_000)))
-        for m in methods for h in range(rng.randint(1, 3))),
-        tuple({(w, l, c, loc): PriorityOverride(w, l, c, loc)
-               for c, loc in [(None, None), (Condition.RAIN, None), (None, "North"),
-                              (Condition.RAIN, "North")]
-               for w, l in [rng.sample(methods, 2) for _ in range(rng.randint(0, 3))]
-               if methods.index(w) < methods.index(l)}.values()))
+    kb = KnowledgeBase(
+        {m: {h: rng.choice((400_000, 700_000)) for h in range(rng.randint(1, 3))}
+         for m in methods},
+        {(frozenset((w, l)), c, loc): w
+         for c, loc in [(None, None), (Condition.RAIN, None), (None, "North"),
+                        (Condition.RAIN, "North")]
+         for w, l in [rng.sample(methods, 2) for _ in range(rng.randint(0, 3))]
+         if methods.index(w) < methods.index(l)})
     symbolic = rng.random() < 0.5
     start = datetime(2026, 8, 10, 6, 0, tzinfo=timezone.utc)
     now = H(2) if symbolic else TimeRef(instant=start)
@@ -533,8 +515,7 @@ def test_full_tie_goes_to_the_method_id_that_sorts_first(alpha, beta, fused):
     leans toward Alpha's value whichever model says what."""
     from fusecast.bulletin import extract_scenario
 
-    kb = KnowledgeBase(accuracies=(AccuracyRecord("Alpha", 1, 700_000),
-                                   AccuracyRecord("Beta", 1, 700_000)), min_micros=350_000)
+    kb = KnowledgeBase({"Alpha": {1: 700_000}, "Beta": {1: 700_000}}, min_micros=350_000)
     a = lam("Alpha", 0, Condition.CLOUDINESS, "North", 1, alpha)
     b = lam("Beta", 0, Condition.CLOUDINESS, "North", 1, beta)
     assert prevails(a, b, kb) == (Winner.TIE, None)
