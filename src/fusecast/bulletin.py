@@ -15,9 +15,9 @@ from string import Formatter
 from typing import NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
-from .inputs import read_json_object
+from .inputs import check_at, read_json_object
 from .lexicon import DEFAULT_LEXICON, DIRECTION_PHRASES, Lexicon, classify
-from .model import Condition, Value, decimal_str
+from .model import Condition, Value, condition_named, decimal_str
 from .reasoner import ConclusionSet
 from .theory import RESERVED_TAG_RE, OpaqueAtomError, decode_atom
 
@@ -215,10 +215,7 @@ def load_templates(data: bytes) -> SmoothTemplates:
                 raise SchemaError(key, "must be a boolean")
             lowercase = value
         else:
-            try:
-                condition = Condition(key)
-            except ValueError:
-                raise SchemaError(key, "unknown condition kind") from None
+            condition = check_at("", key, condition_named, key)
             if not isinstance(value, str) or not _plain_fragment(value):
                 raise SchemaError(key, "fragment must be a string whose only "
                                        "placeholders are {term} and {direction}")

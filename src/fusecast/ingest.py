@@ -18,26 +18,26 @@ known.
 
 from __future__ import annotations
 
-from .errors import ForecastError, SchemaError
-from .inputs import MAX_HORIZON, exact_number, read_json_object
+from .errors import SchemaError
+from .inputs import MAX_HORIZON, check_at, check_keys, exact_number, read_json_object
 from .model import (
     AssertionalMap,
     Compass,
-    Condition,
     Label,
     LabeledAssertionalMap,
-    NAME_RE,
     OBSERVATION_METHOD,
     TimeRef,
     Value,
     check_value,
+    condition_named,
     horizon_index,
     parse_timeref,
     place,
 )
 from .theory import atom_head, check_method_id
 
-_CONDITIONS = {c.value: c for c in Condition}
+#: A set, so that checking an entry's key is one hash probe.
+_ENTRY_KEYS = frozenset(("condition", "location", "valid_at", "magnitude", "direction"))
 
 
 def parse_source_map(data: bytes, observation: bool = False) -> list[LabeledAssertionalMap]:
@@ -46,21 +46,14 @@ def parse_source_map(data: bytes, observation: bool = False) -> list[LabeledAsse
     `observation` map must spell OBSERVATION_METHOD, entries or none),
     `generated_at`, `entries`, then each entry in turn."""
     doc = read_json_object(data)
-    for key in doc:
-        if key not in ("method", "generated_at", "entries"):
-            raise SchemaError(key, "unknown key")
+    check_keys(doc, ("method", "generated_at", "entries"))
     method = doc.get("method")
-    try:
-        check_method_id(method)
-    except ForecastError as exc:
-        raise SchemaError("method", str(exc)) from None
+    check_at("", "method", check_method_id, method)
     if observation and method != OBSERVATION_METHOD:
         raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
                                     f"map, not {method!r}")
-    try:
-        label = Label(method, parse_timeref(str(doc.get("generated_at", ""))))
-    except ForecastError as exc:
-        raise SchemaError("generated_at", str(exc)) from None
+    label = Label(method, check_at("", "generated_at", parse_timeref,
+                                   doc.get("generated_at", "")))
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
         raise SchemaError("entries", "must be a list")
@@ -89,17 +82,11 @@ def check_times(lams: list[LabeledAssertionalMap], now: TimeRef) -> list[Labeled
     one slot (one condition at one location on one day from `now` on). The
     generation is placed once, and each entry's validity once."""
     if lams:
-        try:
-            place(lams[0].label.generated_at, now)
-        except ForecastError as exc:
-            raise SchemaError("generated_at", str(exc)) from None
+        check_at("", "generated_at", place, lams[0].label.generated_at, now)
     slots: dict[tuple, int] = {}
     for i, lam in enumerate(lams):
         m = lam.map
-        try:
-            horizon = horizon_index(m.valid_at, now)
-        except ForecastError as exc:
-            raise SchemaError(f"entries[{i}].valid_at", str(exc)) from None
+        horizon = check_at(f"entries[{i}]", "valid_at", horizon_index, m.valid_at, now)
         if horizon > MAX_HORIZON:
             raise SchemaError(f"entries[{i}].valid_at", f"lies {horizon} days after "
                               f"{now}; atoms encode horizons 0..{MAX_HORIZON}")
@@ -116,44 +103,25 @@ def _parse_entry(raw, path: str, times: dict[str, TimeRef]) -> AssertionalMap:
     TimeRef per time string across the document's entries."""
     if not isinstance(raw, dict):
         raise SchemaError(path, "entry must be an object")
-    for key in raw:
-        if key not in ("condition", "location", "valid_at", "magnitude", "direction"):
-            raise SchemaError(f"{path}.{key}", "unknown key")
-    condition = raw.get("condition")
-    condition = _CONDITIONS.get(condition) if isinstance(condition, str) else None
-    if condition is None:
-        raise SchemaError(f"{path}.condition",
-                          f"unknown condition kind {raw.get('condition')!r}")
-
+    check_keys(raw, _ENTRY_KEYS, path)
+    condition = check_at(path, "condition", condition_named, raw.get("condition"))
     location = raw.get("location")
-    if not isinstance(location, str):
-        raise SchemaError(f"{path}.location", "must be a location name")
-    if not NAME_RE.match(location):
-        raise SchemaError(f"{path}.location",
-                          f"location name {location!r} must match [A-Za-z][A-Za-z0-9]*")
-    try:
-        atom_head(condition, location)
-    except ForecastError as exc:
-        raise SchemaError(f"{path}.location", str(exc)) from None
+    check_at(path, "location", atom_head, condition, location)
 
-    text = str(raw.get("valid_at", ""))
-    valid_at = times.get(text)
+    text = raw.get("valid_at", "")
+    valid_at = times.get(text) if isinstance(text, str) else None
     if valid_at is None:
-        try:
-            valid_at = times[text] = parse_timeref(text)
-        except ForecastError as exc:
-            raise SchemaError(f"{path}.valid_at", str(exc)) from None
+        valid_at = times[text] = check_at(path, "valid_at", parse_timeref, text)
 
     micros = exact_number(raw.get("magnitude"), f"{path}.magnitude")
     direction = None
     if "direction" in raw:
+        name = raw["direction"]
+        if not isinstance(name, str):
+            raise SchemaError(f"{path}.direction", "must be a compass point")
         try:
-            direction = Compass(raw["direction"])
+            direction = Compass(name)
         except ValueError:
-            raise SchemaError(f"{path}.direction",
-                              f"unknown compass point {raw['direction']!r}") from None
-    try:
-        value = check_value(condition, Value(micros, direction))
-    except ForecastError as exc:
-        raise SchemaError(path, str(exc)) from None
+            raise SchemaError(f"{path}.direction", f"unknown compass point {name!r}") from None
+    value = check_at(path, None, check_value, condition, Value(micros, direction))
     return AssertionalMap(condition, location, valid_at, value)

@@ -1,5 +1,7 @@
-"""The input boundary: one JSON reader, one number check, one horizon parser,
-and the cycle check that KB overrides and theory superiority share.
+"""The input boundary: one JSON reader, one unknown-key check, one number
+check, one horizon parser, the one re-raise of a check's ForecastError as a
+SchemaError at its path, and the cycle check that KB overrides and theory
+superiority share. Each joins a path only when its check fails.
 
 The bounds are fixed. A value outside them is an error at its path; it is
 never expanded into an oversized integer first.
@@ -11,7 +13,7 @@ import json
 import re
 from collections import Counter
 from decimal import Decimal, InvalidOperation
-from typing import Hashable, Iterable
+from typing import Callable, Container, Hashable, Iterable, Optional, TypeVar
 
 from .errors import ForecastError, SchemaError
 
@@ -32,6 +34,8 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 #: Stands in for every value of a key that an object repeats.
 _REPEATED = object()
+
+T = TypeVar("T")
 
 
 def read_json_object(data: bytes) -> dict:
@@ -61,11 +65,11 @@ def read_json_object(data: bytes) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("", "top level must be an object")
     if repeats or _SURROGATE_ESCAPE_RE.search(text):
-        _check_keys(doc)
+        _check_repeats_and_surrogates(doc)
     return doc
 
 
-def _check_keys(doc: dict) -> None:
+def _check_repeats_and_surrogates(doc: dict) -> None:
     """Walk the document without recursion for lone surrogates and repeated
     keys; the error names the key path, which holds only keys already
     checked."""
@@ -79,10 +83,30 @@ def _check_keys(doc: dict) -> None:
         if isinstance(node, dict):
             if any(_SURROGATE_RE.search(key) for key in node):
                 raise SchemaError(path, "key holds a lone surrogate")
-            stack.extend((f"{path}.{key}" if path else key, child)
-                         for key, child in node.items())
+            stack.extend((_under(path, key), child) for key, child in node.items())
         elif isinstance(node, list):
             stack.extend((f"{path}[{i}]", child) for i, child in enumerate(node))
+
+
+def _under(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def check_keys(obj: dict, allowed: Container[str], path: str = "") -> None:
+    """Refuse the first key of `obj` that is not in `allowed`, at its path
+    under `path`."""
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(_under(path, key), "unknown key")
+
+
+def check_at(path: str, key: Optional[str], check: Callable[..., T], *args) -> T:
+    """check(*args), with a ForecastError it raises re-raised as a
+    SchemaError at `key` under `path`, or at `path` itself when key is None."""
+    try:
+        return check(*args)
+    except ForecastError as exc:
+        raise SchemaError(path if key is None else _under(path, key), str(exc)) from None
 
 
 def exact_number(value, path: str) -> int:

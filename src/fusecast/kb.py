@@ -20,10 +20,10 @@ from decimal import Decimal
 from typing import NamedTuple, Optional
 
 from .errors import ForecastError, SchemaError, UnknownMethodError
-from .inputs import (
-    MAX_HORIZON, MILLION, exact_number, has_cycle, parse_horizon, read_json_object)
-from .model import NAME_RE, Condition, OBSERVATION_METHOD, decimal_str
-from .theory import atom_head, check_method_id
+from .inputs import (MAX_HORIZON, MILLION, check_at, check_keys, exact_number, has_cycle,
+                     parse_horizon, read_json_object)
+from .model import Condition, OBSERVATION_METHOD, condition_named, decimal_str
+from .theory import atom_head, check_location, check_method_id
 
 
 class KnowledgeBase(NamedTuple):
@@ -84,9 +84,7 @@ def override_winner(
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse and check a KB document; an error names its path in the document."""
     doc = read_json_object(data)
-    for key in doc:
-        if key not in ("accuracies", "overrides", "min_accuracy"):
-            raise SchemaError(key, "unknown key")
+    check_keys(doc, ("accuracies", "overrides", "min_accuracy"))
 
     accuracies: dict[str, dict[int, int]] = {}
     accs = doc.get("accuracies", {})
@@ -98,10 +96,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
                 f"accuracies.{method}",
                 "the observation method has implicit accuracy 1.0 and may not be overridden",
             )
-        try:
-            check_method_id(method)  # as ingest checks a source map's method
-        except ForecastError as exc:
-            raise SchemaError(f"accuracies.{method}", str(exc)) from None
+        check_at("accuracies", method, check_method_id, method)  # as ingest checks it
         if not isinstance(horizons, dict) or not horizons:
             raise SchemaError(f"accuracies.{method}",
                               "must be a non-empty object keyed by horizon")
@@ -125,34 +120,26 @@ def load_kb(data: bytes) -> KnowledgeBase:
     overrides = {}
     by_scope: dict[tuple, list[tuple[str, str]]] = {}
     for i, item in enumerate(raw_overrides):
+        path = f"overrides[{i}]"
         if not isinstance(item, dict):
-            raise SchemaError(f"overrides[{i}]", "must be an object")
-        for key in item:
-            if key not in ("winner", "loser", "condition", "location"):
-                raise SchemaError(f"overrides[{i}].{key}", "unknown key")
+            raise SchemaError(path, "must be an object")
+        check_keys(item, ("winner", "loser", "condition", "location"), path)
         winner, loser, location = item.get("winner"), item.get("loser"), item.get("location")
         if not (isinstance(winner, str) and isinstance(loser, str)):
-            raise SchemaError(f"overrides[{i}]", "winner and loser must be method ids")
-        if "location" in item and not (isinstance(location, str) and NAME_RE.match(location)):
-            raise SchemaError(f"overrides[{i}].location", "must be a location name")
+            raise SchemaError(path, "winner and loser must be method ids")
+        if "location" in item:
+            check_at(path, "location", check_location, location)
         condition = None
         if "condition" in item:
-            try:
-                condition = Condition(item["condition"])
-            except ValueError:
-                raise SchemaError(f"overrides[{i}].condition",
-                                  f"unknown condition {item['condition']!r}") from None
-        if condition is not None and location is not None:
-            try:
-                atom_head(condition, location)  # a sea override elsewhere than Sea never applies
-            except ForecastError as exc:
-                raise SchemaError(f"overrides[{i}].location", str(exc)) from None
+            condition = check_at(path, "condition", condition_named, item["condition"])
+            if location is not None:  # a sea override elsewhere than Sea never applies
+                check_at(path, "location", atom_head, condition, location)
         for role, method in (("winner", winner), ("loser", loser)):
             if method not in accuracies:  # the tournament refuses such a method
-                raise SchemaError(f"overrides[{i}].{role}",
+                raise SchemaError(f"{path}.{role}",
                                   f"no accuracy record for method {method!r}")
         if winner == loser:
-            raise SchemaError(f"overrides[{i}]", "winner equals loser")
+            raise SchemaError(path, "winner equals loser")
         overrides[frozenset((winner, loser)), condition, location] = winner
         by_scope.setdefault((condition, location), []).append((winner, loser))
     for (condition, location), edges in by_scope.items():

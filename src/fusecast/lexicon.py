@@ -16,16 +16,19 @@ in code is not checked.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import LexiconError, SchemaError
-from .inputs import MILLION, exact_number, read_json_object
-from .model import Compass, Condition, Value, decimal_str
+from .inputs import MILLION, check_at, exact_number, read_json_object
+from .model import Compass, Condition, Value, condition_named, decimal_str
 
 #: (exclusive upper bound in millionths, None = ∞), term
 Band = tuple[Optional[int], str]
 #: Bands per condition.
 Lexicon = Mapping[Condition, tuple[Band, ...]]
+_UPPER = itemgetter(0)
 
 VOCABULARY: dict[Condition, tuple[str, ...]] = {
     Condition.CLOUDINESS: (
@@ -105,18 +108,17 @@ def _check_bands(condition: Condition, bands: Sequence[Band]) -> None:
 
 def classify(condition: Condition, value: Value, lexicon: Lexicon = DEFAULT_LEXICON) -> str:
     """The term of the band containing the value's magnitude: the first band
-    whose upper bound is above it, where a leading (0, term) band holds
-    exactly 0. Percent bands that end at 100 give 100 their last term."""
+    whose upper bound is above it, found by bisection, or else the last band,
+    so percent bands that end at 100 give 100 their last term. 0 is always
+    in the first band, so a leading (0, term) band holds exactly 0."""
     bands = lexicon.get(condition)
     if bands is None:
         raise LexiconError(
             f"no bands configured for {condition.value}; "
             "supply a lexicon override to classify it")
     micros = value.micros
-    for upper, term in bands:
-        if upper is None or micros < upper or micros == upper == 0:
-            return term
-    return bands[-1][1]
+    i = bisect_right(bands, micros, 0, len(bands) - 1, key=_UPPER) if micros else 0
+    return bands[i][1]
 
 
 def load_lexicon(data: bytes) -> Lexicon:
@@ -126,10 +128,7 @@ def load_lexicon(data: bytes) -> Lexicon:
     doc = read_json_object(data)
     bands = dict(DEFAULT_LEXICON)
     for key, raw_bands in doc.items():
-        try:
-            condition = Condition(key)
-        except ValueError:
-            raise SchemaError(key, f"unknown condition kind {key!r}") from None
+        condition = check_at("", key, condition_named, key)
         if not isinstance(raw_bands, list):
             raise SchemaError(key, "must be a list of [bound, term] pairs")
         parsed: list[Band] = []

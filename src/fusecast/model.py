@@ -52,6 +52,20 @@ class Condition(Enum):
         return self in (Condition.HUMIDITY, Condition.CLOUDINESS)
 
 
+_CONDITIONS = {c.value: c for c in Condition}
+
+
+def condition_named(name: object) -> Condition:
+    """The condition kind a document names: refused as a non-string, or as
+    a string no kind spells."""
+    if not isinstance(name, str):
+        raise ForecastError("must be a condition name")
+    condition = _CONDITIONS.get(name)
+    if condition is None:
+        raise ForecastError(f"unknown condition kind {name!r}")
+    return condition
+
+
 class Compass(Enum):
     """Eight-point compass rose for wind direction."""
 
@@ -148,9 +162,12 @@ _ISO_RE = re.compile(
     r"(?P<zone>Z|[+-][0-9]{2}:[0-9]{2})?)?\Z")
 
 
-def parse_timeref(text: str) -> TimeRef:
+def parse_timeref(text: object) -> TimeRef:
     """Parse "h<k>" (bounded by parse_horizon) or an ISO-8601 timestamp in
-    _ISO_RE's grammar, whose fraction of a second TimeRef drops anyway."""
+    _ISO_RE's grammar, whose fraction of a second TimeRef drops anyway; a
+    non-string is refused for its type."""
+    if not isinstance(text, str):
+        raise ForecastError("must be a time reference")
     text = text.strip()
     if text.startswith("h"):
         return TimeRef(horizon=parse_horizon(text))

@@ -38,7 +38,7 @@ import re
 from typing import NamedTuple, TextIO
 
 from .errors import SchemaError, TheoryError
-from .inputs import read_json_object
+from .inputs import check_keys, read_json_object
 from .theory import (_LIT, DefeasibleTheory, Literal, Rule, RuleKind, parse_literal,
                      validate_theory)
 
@@ -290,11 +290,10 @@ def conclusions_from_json(data: bytes) -> ConclusionSet:
     No literal is under two of +d, -d and undetermined, or under both +D and -D;
     +D lies within +d, and -d within -D when -D is given."""
     doc = read_json_object(data)
+    check_keys(doc, _JSON_KEYS)
     canonical = re.compile(f"(?:{_LIT}\n)*{_LIT}").fullmatch  # as conclusions_to_json writes it
     sets = {}
     for key, items in doc.items():
-        if key not in _JSON_KEYS:
-            raise SchemaError(key, "unknown key")
         if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise SchemaError(key, "must be a list of literal strings")
         joined = "\n".join(items)

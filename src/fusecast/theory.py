@@ -177,8 +177,19 @@ def check_method_id(method: object) -> None:
     method_tag(method)
 
 
-def atom_head(condition: Condition, location: str) -> str:
-    """The <COND><LOC> head of an atom; a sea atom implies its location."""
+def check_location(location: object) -> None:
+    """Refuse a location no atom can embed: a non-string, or a string that
+    is not a name. Each message reads after the location's path."""
+    if not isinstance(location, str):
+        raise ForecastError("must be a location name")
+    if not NAME_RE.match(location):
+        raise ForecastError(f"location name {location!r} must match [A-Za-z][A-Za-z0-9]*")
+
+
+def atom_head(condition: Condition, location: object) -> str:
+    """The <COND><LOC> head of an atom, for a location check_location
+    accepts; a sea atom implies its location."""
+    check_location(location)
     if condition is Condition.SEA:
         if location != "Sea":
             raise ForecastError(f"sea atoms imply location 'Sea', got {location!r}")
@@ -189,8 +200,6 @@ def atom_head(condition: Condition, location: str) -> str:
 def slot_segments(condition: Condition, location: str, horizon: int) -> tuple[str, str]:
     """The checked parts of a slot's atoms: the <COND><LOC> head and the
     "_h<k>_" segment before the value code. A source tag goes between them."""
-    if not NAME_RE.match(location):
-        raise ForecastError(f"location name {location!r} cannot be embedded in an atom")
     head = atom_head(condition, location)
     if not 0 <= horizon <= MAX_HORIZON:
         raise ForecastError(f"atoms encode horizons 0..{MAX_HORIZON}, not {horizon}")

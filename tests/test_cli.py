@@ -412,6 +412,24 @@ VALIDATE = ["validate", "--kb", str(SEASIDE / "kb.json"),
             "--source", str(SEASIDE / "gfs.json"), "--now", "h0"]
 
 
+def _map(method='"GFS"', generated_at='"h0"', top="", **entry):
+    """A one-entry source map as JSON text, every member given as raw JSON:
+    `entry` replaces a field of a wind entry, or drops it when None, and
+    `top` adds members to the top level."""
+    fields = {"condition": '"wind"', "location": '"North"', "valid_at": '"h1"',
+              "magnitude": "5", "direction": '"N"', **entry}
+    body = ", ".join(f'"{key}": {raw}' for key, raw in fields.items() if raw is not None)
+    return (f'{{"method": {method}, "generated_at": {generated_at}, {top}'
+            f'"entries": [{{{body}}}]}}')
+
+
+def _kb(override="", top=""):
+    """A KB document as JSON text: GFS and ECMWF, one override of GFS over
+    ECMWF with the raw JSON members `override`, and members `top`."""
+    return ('{"accuracies": {"GFS": {"1": 0.45}, "ECMWF": {"1": 0.85}}, '
+            f'"overrides": [{{"winner": "GFS", "loser": "ECMWF"{override}}}]{top}}}')
+
+
 class TestInputBoundary:
     """Out-of-bounds input ends in a staged error, in `validate` as in `pipeline`."""
 
@@ -749,16 +767,66 @@ class TestInputBoundary:
          "sea[0]: term 'Choppy' is not in the vocabulary"),
         ("--lexicon", '{"sea": [[100, "Calm"]]}', "sea: bands must cover the whole range "
          "(end with null, or reach 100 for percent conditions)"),
+        ("--lexicon", '{"hail": [[null, "Hail"]]}', "hail: unknown condition kind 'hail'"),
+        ("--templates", '{"hail": "{term}"}', "hail: unknown condition kind 'hail'"),
+        ("--kb", _kb(top=', "zz": 1'), "zz: unknown key"),
+        ("--kb", _kb(', "zz": 1'), "overrides[0].zz: unknown key"),
+        ("--kb", _kb(', "condition": "hail"'),
+         "overrides[0].condition: unknown condition kind 'hail'"),
+        ("--kb", _kb(', "condition": 2'), "overrides[0].condition: must be a condition name"),
+        ("--kb", _kb(', "location": null'), "overrides[0].location: must be a location name"),
+        ("--kb", _kb(', "location": "x y"'),
+         "overrides[0].location: location name 'x y' must match [A-Za-z][A-Za-z0-9]*"),
+        ("--kb", _kb(', "condition": "sea", "location": "North"'),
+         "overrides[0].location: sea atoms imply location 'Sea', got 'North'"),
+        ("--source", _map(top='"zz": 1, '), "zz: unknown key"),
+        ("--source", _map(zz="1"), "entries[0].zz: unknown key"),
+        ("--obs", _map(method='"O"', zz="1"), "entries[0].zz: unknown key"),
+        ("--source", _map(method="5"),
+         "method: must be an identifier matching [A-Za-z][A-Za-z0-9]*"),
+        ("--source", _map(generated_at='"soon"'),
+         "generated_at: unparseable time reference: 'soon'"),
+        ("--source", _map(generated_at="null"), "generated_at: must be a time reference"),
+        ("--source", _map(generated_at='"2024-01-01T00:00:00Z"'), "generated_at: cannot place "
+         "an absolute time reference against a symbolic 'now'"),
+        ("--source", _map(valid_at='"soon"'),
+         "entries[0].valid_at: unparseable time reference: 'soon'"),
+        ("--source", _map(valid_at=None), "entries[0].valid_at: unparseable time reference: ''"),
+        ("--source", _map(valid_at="[1, true]"), "entries[0].valid_at: must be a time reference"),
+        ("--obs", _map(method='"O"', valid_at='"2024-01-01T00:00:00Z"'), "entries[0].valid_at: "
+         "cannot place an absolute time reference against a symbolic 'now'"),
+        ("--source", _map(location="5"), "entries[0].location: must be a location name"),
+        ("--source", _map(location='"x_y"'),
+         "entries[0].location: location name 'x_y' must match [A-Za-z][A-Za-z0-9]*"),
+        ("--source", _map(condition='"sea"', direction=None),
+         "entries[0].location: sea atoms imply location 'Sea', got 'North'"),
+        ("--source", _map(condition='"hail"'),
+         "entries[0].condition: unknown condition kind 'hail'"),
+        ("--source", _map(condition="5"), "entries[0].condition: must be a condition name"),
+        ("--source", _map(condition=None), "entries[0].condition: must be a condition name"),
+        ("--source", _map(magnitude="-1"), "entries[0]: magnitude must be non-negative, got -1"),
+        ("--source", _map(direction='"NNE"'), "entries[0].direction: unknown compass point 'NNE'"),
+        ("--source", _map(direction="1.50"), "entries[0].direction: must be a compass point"),
     ], ids=["kb-duplicate-horizon", "kb-accuracy", "kb-observation", "kb-min-accuracy",
             "kb-winner-is-loser", "kb-scoped-cycle", "kb-method-not-an-identifier",
             "kb-method-on-a-fold-tag", "kb-method-on-a-horizon", "lexicon-falling-bounds",
-            "lexicon-term", "lexicon-uncovered"])
+            "lexicon-term", "lexicon-uncovered", "lexicon-condition", "templates-condition",
+            "kb-key", "kb-override-key", "kb-override-condition",
+            "kb-override-condition-not-a-string", "kb-override-location-null",
+            "kb-override-location-name", "kb-override-sea-off-sea", "source-key",
+            "source-entry-key", "obs-entry-key", "source-method", "source-generated-at",
+            "source-generated-at-null", "source-generated-at-unplaceable", "source-valid-at",
+            "source-valid-at-missing", "source-valid-at-not-a-string", "obs-valid-at-unplaceable",
+            "source-location-not-a-string", "source-location-name", "source-sea-off-sea",
+            "source-condition", "source-condition-not-a-string", "source-condition-missing",
+            "source-value", "source-direction", "source-direction-not-a-string"])
     def test_kb_or_lexicon_fault_named_at_its_path(self, tmp_path, capsys, flag, doc, error):
-        """validate and pipeline stop at the same stage, file and path."""
+        """validate and pipeline stop at the same stage, file and path, for
+        every document flag."""
         bad = tmp_path / "doc.json"
         bad.write_text(doc)
-        inputs = _swap(_seaside_inputs(), flag, bad) if flag == "--kb" else \
-            [*_seaside_inputs(), flag, str(bad)]
+        inputs = _swap(_seaside_inputs(), flag, bad) if flag in ("--kb", "--source", "--obs") \
+            else [*_seaside_inputs(), flag, str(bad)]
         assert main(["validate", *inputs]) == 1
         assert f"{bad}: error: {error}" in capsys.readouterr().out.splitlines()
         assert main(["pipeline", *inputs, "--out", str(tmp_path / "bulletin.txt")]) == 1

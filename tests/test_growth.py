@@ -1,10 +1,12 @@
-"""The knowledge base's work grows with its input, not faster.
+"""The knowledge base's and the lexicon's work grows with the input, not faster.
 
-`sys.settrace` counts the lines `fusecast/kb.py` runs while `load_kb` reads
-a KB document and `build_theory` folds the assertions, on two shapes at
-n = 100, 200 and 400. On one Python version a count is the same on every
+`sys.settrace` counts the lines one module runs on shapes at n = 100, 200
+and 400: the lines of `fusecast/kb.py` while `load_kb` reads a KB document
+and `build_theory` folds the assertions, on two shapes, and the lines of
+`fusecast/lexicon.py` while `load_lexicon` reads n bands and `classify`
+places n values in them. On one Python version a count is the same on every
 run and every host, so a bound on it holds where timings would be noise.
-A lookup that scans the whole KB shows up as about 4x per doubling.
+A lookup that scans the whole document shows up as about 4x per doubling.
 """
 
 import json
@@ -12,7 +14,7 @@ import sys
 
 import pytest
 
-from fusecast import kb
+from fusecast import kb, lexicon
 from fusecast.inputs import MILLION
 from fusecast.model import AssertionalMap, Condition, Label, LabeledAssertionalMap, TimeRef, Value
 from fusecast.tournament import build_theory
@@ -44,8 +46,8 @@ def _models_on_one_slot(n: int):
     return json.dumps(doc).encode(), lams
 
 
-def _kb_lines(document: bytes, lams) -> int:
-    """Lines of kb.py run by load_kb and build_theory on one input."""
+def _lines(module, run) -> int:
+    """Lines of `module`'s file run by the call run()."""
     count = 0
 
     def count_lines(frame, event, arg):
@@ -54,19 +56,40 @@ def _kb_lines(document: bytes, lams) -> int:
         return count_lines
 
     def on_call(frame, event, arg):
-        return count_lines if frame.f_code.co_filename == kb.__file__ else None
+        return count_lines if frame.f_code.co_filename == module.__file__ else None
 
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        build_theory(lams, kb.load_kb(document), NOW)
+        run()
     finally:
         sys.settrace(previous)
     return count
 
 
-@pytest.mark.parametrize("shape", [_grid_with_overrides, _models_on_one_slot])
-def test_kb_lines_grow_at_most_linearly(shape):
-    counts = [_kb_lines(*shape(n)) for n in SIZES]
+def _assert_linear(counts):
     for small, large in zip(counts, counts[1:]):
         assert large <= MAX_GROWTH * small, counts
+
+
+@pytest.mark.parametrize("shape", [_grid_with_overrides, _models_on_one_slot])
+def test_kb_lines_grow_at_most_linearly(shape):
+    inputs = [shape(n) for n in SIZES]
+    _assert_linear([_lines(kb, lambda: build_theory(lams, kb.load_kb(document), NOW))
+                    for document, lams in inputs])
+
+
+def test_lexicon_lines_grow_at_most_linearly():
+    """n temperature bands, one unit wide, and a value in each of them."""
+    def run(n):
+        bands = [[i + 1, f"T{i}"] for i in range(n)] + [[None, "Hot"]]
+        document = json.dumps({"temperature": bands}).encode()
+        values = [Value(i * MILLION + MILLION // 2) for i in range(n)]
+
+        def classify_all():
+            table = lexicon.load_lexicon(document)
+            for value in values:
+                lexicon.classify(Condition.TEMPERATURE, value, table)
+        return _lines(lexicon, classify_all)
+
+    _assert_linear([run(n) for n in SIZES])

@@ -14,7 +14,7 @@ from fusecast.lexicon import (
     classify,
     load_lexicon,
 )
-from fusecast.model import Compass, Condition, Value
+from fusecast.model import Compass, Condition, Value, decimal_str
 
 M = 1_000_000  # one unit in millionths
 
@@ -156,6 +156,39 @@ def test_bisect_equals_the_linear_scan(lexicon):
             value = Value(micros, direction)
             assert classify(condition, value, lexicon) == _linear_classify(bands, micros), \
                 (condition, micros)
+
+
+@st.composite
+def _accepted_lexicons(draw):
+    """A condition and a band list that load_lexicon accepts, read from the
+    document it was drawn as: increasing bounds, perhaps a leading (0, term)
+    band, and an unbounded last band unless percent bands reach 100."""
+    condition = draw(st.sampled_from(list(Condition)))
+    terms = st.sampled_from(VOCABULARY.get(condition, ("Cold", "Mild", "Hot")))
+    uppers = sorted(draw(st.sets(st.integers(1, 150 * M), max_size=12)))
+    if draw(st.booleans()):
+        uppers.insert(0, 0)
+    closed = condition.is_percent and uppers and uppers[-1] >= 100 * M and draw(st.booleans())
+    bands = [[decimal_str(upper), draw(terms)] for upper in uppers]
+    if not closed:
+        bands.append(["null", draw(terms)])
+    document = "{%s: [%s]}" % (json.dumps(condition.value), ", ".join(
+        f"[{bound}, {json.dumps(term)}]" for bound, term in bands))
+    return condition, load_lexicon(document.encode())
+
+
+@given(_accepted_lexicons(), st.lists(st.integers(0, 200 * M), max_size=20))
+def test_bisect_equals_the_linear_scan_on_any_accepted_lexicon(drawn, magnitudes):
+    """At random values, and at 0, 100 and every bound and a millionth
+    either side of it."""
+    condition, lexicon = drawn
+    bands = lexicon[condition]
+    points = {0, 100 * M, *magnitudes}
+    points.update(p for upper, _ in bands if upper is not None
+                  for p in (upper - 1, upper, upper + 1) if p >= 0)
+    for micros in points:
+        assert classify(condition, Value(micros), lexicon) == _linear_classify(bands, micros), \
+            (bands, micros)
 
 
 class TestOverrides:
