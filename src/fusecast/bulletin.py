@@ -12,7 +12,7 @@ import json
 from itertools import groupby
 from operator import attrgetter
 from string import Formatter
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import ScenarioError, SchemaError, TemplateError
 from .inputs import check_at, read_json_object
@@ -143,24 +143,14 @@ def render_sharp(scenario: WeatherScenario,
 # Smooth rendering
 # ---------------------------------------------------------------------------
 
-DEFAULT_FRAGMENTS: dict[Condition, str] = {
+#: A sentence fragment per condition, as a lexicon is bands per condition.
+Templates = Mapping[Condition, str]
+DEFAULT_TEMPLATES: dict[Condition, str] = {
     c: "{term} {direction}" if c is Condition.WIND else "{term}" for c in Condition}
 
 
-class SmoothTemplates(NamedTuple):
-    """Sentence fragments per condition. `lowercase_clauses` joins the
-    per-condition clauses in lowercase instead of the vocabulary casing.
-    """
-
-    fragments: dict[Condition, str] = DEFAULT_FRAGMENTS
-    lowercase_clauses: bool = False
-
-
-DEFAULT_TEMPLATES = SmoothTemplates()
-
-
 def render_smooth(doc: BulletinDocument,
-                  templates: SmoothTemplates = DEFAULT_TEMPLATES) -> str:
+                  templates: Templates = DEFAULT_TEMPLATES) -> str:
     """One sentence per location: "North: Mostly Cloudy, Light Winds from
     North East." Horizon sections are separated by their heading lines."""
     lines: list[str] = []
@@ -173,18 +163,16 @@ def render_smooth(doc: BulletinDocument,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _sentence_body(block: LocationBlock, templates: SmoothTemplates) -> str:
+def _sentence_body(block: LocationBlock, templates: Templates) -> str:
     clauses = []
     for entry in block.entries:
-        fragment = templates.fragments.get(entry.condition)
+        fragment = templates.get(entry.condition)
         if fragment is None:
             raise TemplateError(f"no template for condition {entry.condition.value!r}")
         try:
             clause = fragment.format(term=entry.term, direction=entry.phrase or "")
         except (KeyError, IndexError) as exc:
             raise TemplateError(f"bad template for {entry.condition.value!r}: {exc}")
-        if templates.lowercase_clauses:
-            clause = clause.lower()
         clauses.append(clause.strip())
     return ", ".join(clauses)
 
@@ -199,28 +187,19 @@ def horizon_heading(horizon: int) -> str:
     return f"In {horizon} days"
 
 
-def load_templates(data: bytes) -> SmoothTemplates:
-    """Template override file: a flat mapping of condition kinds to fragments
-    with {term}/{direction} placeholders, plus an optional lowercase switch:
-
-        {"wind": "{term} {direction}", "sea": "sea state {term}",
-         "lowercase_clauses": false}
-    """
+def load_templates(data: bytes) -> Templates:
+    """Defaults overridden per condition from a JSON document of fragments
+    whose only placeholders are {term} and {direction}:
+    {"wind": "{term} {direction}", "sea": "sea state {term}"}"""
     doc = read_json_object(data)
-    fragments = dict(DEFAULT_FRAGMENTS)
-    lowercase = False
-    for key, value in doc.items():
-        if key == "lowercase_clauses":
-            if not isinstance(value, bool):
-                raise SchemaError(key, "must be a boolean")
-            lowercase = value
-        else:
-            condition = check_at("", key, condition_named, key)
-            if not isinstance(value, str) or not _plain_fragment(value):
-                raise SchemaError(key, "fragment must be a string whose only "
-                                       "placeholders are {term} and {direction}")
-            fragments[condition] = value
-    return SmoothTemplates(fragments=fragments, lowercase_clauses=lowercase)
+    templates = dict(DEFAULT_TEMPLATES)
+    for key, fragment in doc.items():
+        condition = check_at("", key, condition_named, key)
+        if not isinstance(fragment, str) or not _plain_fragment(fragment):
+            raise SchemaError(key, "fragment must be a string whose only "
+                                   "placeholders are {term} and {direction}")
+        templates[condition] = fragment
+    return templates
 
 
 def _plain_fragment(fragment: str) -> bool:
@@ -239,7 +218,7 @@ def _plain_fragment(fragment: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def render_document(doc: BulletinDocument, format: str = "text",
-                    templates: SmoothTemplates = DEFAULT_TEMPLATES) -> str:
+                    templates: Templates = DEFAULT_TEMPLATES) -> str:
     if format == "text":
         return render_smooth(doc, templates)
     if format == "json":
@@ -280,7 +259,7 @@ def _to_json(doc: BulletinDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _to_html(doc: BulletinDocument, templates: SmoothTemplates) -> str:
+def _to_html(doc: BulletinDocument, templates: Templates) -> str:
     import html as _html  # only this format escapes; every other command skips the import
     parts = [
         "<!DOCTYPE html>",

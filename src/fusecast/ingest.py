@@ -48,12 +48,12 @@ def parse_source_map(data: bytes, observation: bool = False) -> list[LabeledAsse
     doc = read_json_object(data)
     check_keys(doc, ("method", "generated_at", "entries"))
     method = doc.get("method")
-    check_at("", "method", check_method_id, method)
+    check_at("", "method", check_method_id, method, within=doc)
     if observation and method != OBSERVATION_METHOD:
         raise SchemaError("method", f"must be {OBSERVATION_METHOD!r} in an observation "
                                     f"map, not {method!r}")
     label = Label(method, check_at("", "generated_at", parse_timeref,
-                                   doc.get("generated_at", "")))
+                                   doc.get("generated_at"), within=doc))
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
         raise SchemaError("entries", "must be a list")
@@ -104,16 +104,18 @@ def _parse_entry(raw, path: str, times: dict[str, TimeRef]) -> AssertionalMap:
     if not isinstance(raw, dict):
         raise SchemaError(path, "entry must be an object")
     check_keys(raw, _ENTRY_KEYS, path)
-    condition = check_at(path, "condition", condition_named, raw.get("condition"))
+    condition = check_at(path, "condition", condition_named, raw.get("condition"),
+                         within=raw)
     location = raw.get("location")
-    check_at(path, "location", atom_head, condition, location)
+    check_at(path, "location", atom_head, condition, location, within=raw)
 
-    text = raw.get("valid_at", "")
+    text = raw.get("valid_at")
     valid_at = times.get(text) if isinstance(text, str) else None
     if valid_at is None:
-        valid_at = times[text] = check_at(path, "valid_at", parse_timeref, text)
+        valid_at = times[text] = check_at(path, "valid_at", parse_timeref, text, within=raw)
 
-    micros = exact_number(raw.get("magnitude"), f"{path}.magnitude")
+    # exact_number raises at the path it is given: "" leaves check_at to name it.
+    micros = check_at(path, "magnitude", exact_number, raw.get("magnitude"), "", within=raw)
     direction = None
     if "direction" in raw:
         name = raw["direction"]

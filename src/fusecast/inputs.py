@@ -1,7 +1,8 @@
-"""The input boundary: one JSON reader, one unknown-key check, one number
-check, one horizon parser, the one re-raise of a check's ForecastError as a
-SchemaError at its path, and the cycle check that KB overrides and theory
-superiority share. Each joins a path only when its check fails.
+"""The input boundary: one JSON reader, one unknown-key and one missing-key
+check, one number check, one horizon parser, the one re-raise of a check's
+ForecastError as a SchemaError at its path, and the cycle check that KB
+overrides and theory superiority share. Each joins a path only when its
+check fails.
 
 The bounds are fixed. A value outside them is an error at its path; it is
 never expanded into an oversized integer first.
@@ -100,13 +101,25 @@ def check_keys(obj: dict, allowed: Container[str], path: str = "") -> None:
             raise SchemaError(_under(path, key), "unknown key")
 
 
-def check_at(path: str, key: Optional[str], check: Callable[..., T], *args) -> T:
+def require_key(obj: dict, key: str, path: str = "") -> None:
+    """Refuse `obj` at `key` under `path` when it lacks that key."""
+    if key not in obj:
+        raise SchemaError(_under(path, key), "missing key")
+
+
+def check_at(path: str, key: Optional[str], check: Callable[..., T], *args,
+             within: Optional[dict] = None) -> T:
     """check(*args), with a ForecastError it raises re-raised as a
-    SchemaError at `key` under `path`, or at `path` itself when key is None."""
+    SchemaError at `key` under `path`, or at `path` itself when key is None.
+    When the checked value was read from `within`, and `within` lacks `key`,
+    the error says the key is missing instead."""
     try:
         return check(*args)
     except ForecastError as exc:
-        raise SchemaError(path if key is None else _under(path, key), str(exc)) from None
+        error = SchemaError(path if key is None else _under(path, key), str(exc))
+    if within is not None:
+        require_key(within, key, path)
+    raise error
 
 
 def exact_number(value, path: str) -> int:

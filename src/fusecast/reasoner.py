@@ -38,7 +38,7 @@ import re
 from typing import NamedTuple, TextIO
 
 from .errors import SchemaError, TheoryError
-from .inputs import check_keys, read_json_object
+from .inputs import check_keys, read_json_object, require_key
 from .theory import (_LIT, DefeasibleTheory, Literal, Rule, RuleKind, parse_literal,
                      validate_theory)
 
@@ -303,8 +303,7 @@ def conclusions_from_json(data: bytes) -> ConclusionSet:
             sets[key] = frozenset(map(read, items))
         except TheoryError as exc:
             raise SchemaError(key, f"bad literal: {exc}") from exc
-    if "+d" not in doc:
-        raise SchemaError("+d", "missing key")
+    require_key(doc, "+d")
     for group in (("+D", "-D"), ("+d", "-d", "undetermined")):  # no proof gives two of a group
         for i, key in enumerate(group):
             both = [(q, earlier) for earlier in group[:i]

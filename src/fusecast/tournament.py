@@ -222,8 +222,8 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
     each assertion's tagged literal is shared by its r_ rule, the fold and the
     pass-through rule. A rule id (kind prefix, then head) fixes the rule, so a
     repeated id is kept once, and a repeated assertion (one label, one value
-    on one slot) plays the fold once. Observations that disagree on a slot are
-    an error.
+    on one slot) plays the fold once. One label giving a slot two values, and
+    observations that disagree on a slot, are errors.
     """
     lams = sift(metarules, kb, now)
     tags = _method_tags(lams)
@@ -243,8 +243,14 @@ def build_theory(metarules: Sequence[LabeledAssertionalMap], kb: KnowledgeBase,
             if not lam.is_observation:
                 tagged = Literal(f"{stem}_{tags[lam.label.method]}{when}"
                                  + value_code(cond, lam.map.value))
-                if models and tagged == models[-1][1] and lam.label == models[-1][0].label:
-                    continue  # a repeated assertion, which sift puts next to its copy
+                if models and lam.label == models[-1][0].label:
+                    # sift puts one label's assertions on a slot side by side
+                    if tagged == models[-1][1]:
+                        continue  # a repeated assertion plays once
+                    raise ForecastError(
+                        f"{lam.label.method} generated at {lam.label.generated_at} gives "
+                        f"two values for {cond.value} @ {location} @ h{horizon}: "
+                        f"{models[-1][0].map.value} and {lam.map.value}")
                 rule = Rule("r_" + tagged, RuleKind.DEFEASIBLE, (), tagged)
                 rules.setdefault(rule.id, rule)
                 models.append((lam, tagged, acc))

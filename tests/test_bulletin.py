@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from fusecast.bulletin import (
     _DISPLAY_RANK,
-    DEFAULT_FRAGMENTS,
+    DEFAULT_TEMPLATES,
     BulletinDocument,
     BulletinEntry,
     BulletinHeader,
     BulletinSection,
     LocationBlock,
     ScenarioEntry,
-    SmoothTemplates,
     WeatherScenario,
     extract_scenario,
     horizon_heading,
@@ -245,7 +244,7 @@ class TestRenderSmooth:
 
     def test_missing_template_is_an_error(self, seaside_scenario):
         doc = render_sharp(seaside_scenario)
-        broken = SmoothTemplates(fragments={Condition.CLOUDINESS: "{term}"})
+        broken = {Condition.CLOUDINESS: "{term}"}
         with pytest.raises(TemplateError):
             render_smooth(doc, broken)
 
@@ -327,7 +326,7 @@ class TestRenderDocument:
 class TestTemplateLoading:
     def test_default_fragments(self):
         """Every condition's clause is its term; wind's adds the direction."""
-        assert DEFAULT_FRAGMENTS == {
+        assert DEFAULT_TEMPLATES == {
             Condition.CLOUDINESS: "{term}",
             Condition.WIND: "{term} {direction}",
             Condition.SEA: "{term}",
@@ -341,14 +340,18 @@ class TestTemplateLoading:
 
     def test_override_fragment(self):
         templates = load_templates(b'{"sea": "sea state {term}"}')
-        assert templates.fragments[Condition.SEA] == "sea state {term}"
-        assert templates.fragments[Condition.WIND] == "{term} {direction}"
+        assert templates[Condition.SEA] == "sea state {term}"
+        assert templates[Condition.WIND] == "{term} {direction}"
 
     def test_unknown_condition_rejected(self):
+        """A key names a condition; the old `lowercase_clauses` switch is
+        refused as any other unknown one, never ignored."""
         from fusecast.errors import SchemaError
 
-        with pytest.raises(SchemaError):
-            load_templates(b'{"fog": "{term}"}')
+        for key in ("fog", "lowercase_clauses"):
+            with pytest.raises(SchemaError) as err:
+                load_templates(json.dumps({key: "{term}"}).encode())
+            assert str(err.value) == f"{key}: unknown condition kind {key!r}"
 
     @pytest.mark.parametrize("fragment", [
         "{term.upper}", "{term:>999999999}", "{term!r}", "{0}", "{", "{term[0]}",
@@ -358,8 +361,3 @@ class TestTemplateLoading:
 
         with pytest.raises(SchemaError, match="placeholders"):
             load_templates(json.dumps({"wind": fragment}).encode())
-
-    def test_lowercase_clause_joining(self, seaside_scenario):
-        templates = load_templates(b'{"lowercase_clauses": true}')
-        text = render_smooth(render_sharp(seaside_scenario), templates)
-        assert "North: mostly cloudy, light winds from north east." in text

@@ -412,15 +412,18 @@ VALIDATE = ["validate", "--kb", str(SEASIDE / "kb.json"),
             "--source", str(SEASIDE / "gfs.json"), "--now", "h0"]
 
 
+def _members(fields: dict) -> str:
+    return ", ".join(f'"{key}": {raw}' for key, raw in fields.items() if raw is not None)
+
+
 def _map(method='"GFS"', generated_at='"h0"', top="", **entry):
     """A one-entry source map as JSON text, every member given as raw JSON:
-    `entry` replaces a field of a wind entry, or drops it when None, and
-    `top` adds members to the top level."""
-    fields = {"condition": '"wind"', "location": '"North"', "valid_at": '"h1"',
-              "magnitude": "5", "direction": '"N"', **entry}
-    body = ", ".join(f'"{key}": {raw}' for key, raw in fields.items() if raw is not None)
-    return (f'{{"method": {method}, "generated_at": {generated_at}, {top}'
-            f'"entries": [{{{body}}}]}}')
+    `method`, `generated_at` or a field of a wind entry in `entry` is
+    replaced, or dropped when None, and `top` adds members to the top level."""
+    head = _members({"method": method, "generated_at": generated_at})
+    body = _members({"condition": '"wind"', "location": '"North"', "valid_at": '"h1"',
+                     "magnitude": "5", "direction": '"N"', **entry})
+    return f'{{{head}, {top}"entries": [{{{body}}}]}}'
 
 
 def _kb(override="", top=""):
@@ -784,18 +787,21 @@ class TestInputBoundary:
         ("--obs", _map(method='"O"', zz="1"), "entries[0].zz: unknown key"),
         ("--source", _map(method="5"),
          "method: must be an identifier matching [A-Za-z][A-Za-z0-9]*"),
+        ("--source", _map(method=None), "method: missing key"),
         ("--source", _map(generated_at='"soon"'),
          "generated_at: unparseable time reference: 'soon'"),
         ("--source", _map(generated_at="null"), "generated_at: must be a time reference"),
+        ("--source", _map(generated_at=None), "generated_at: missing key"),
         ("--source", _map(generated_at='"2024-01-01T00:00:00Z"'), "generated_at: cannot place "
          "an absolute time reference against a symbolic 'now'"),
         ("--source", _map(valid_at='"soon"'),
          "entries[0].valid_at: unparseable time reference: 'soon'"),
-        ("--source", _map(valid_at=None), "entries[0].valid_at: unparseable time reference: ''"),
+        ("--source", _map(valid_at=None), "entries[0].valid_at: missing key"),
         ("--source", _map(valid_at="[1, true]"), "entries[0].valid_at: must be a time reference"),
         ("--obs", _map(method='"O"', valid_at='"2024-01-01T00:00:00Z"'), "entries[0].valid_at: "
          "cannot place an absolute time reference against a symbolic 'now'"),
         ("--source", _map(location="5"), "entries[0].location: must be a location name"),
+        ("--source", _map(location=None), "entries[0].location: missing key"),
         ("--source", _map(location='"x_y"'),
          "entries[0].location: location name 'x_y' must match [A-Za-z][A-Za-z0-9]*"),
         ("--source", _map(condition='"sea"', direction=None),
@@ -803,8 +809,10 @@ class TestInputBoundary:
         ("--source", _map(condition='"hail"'),
          "entries[0].condition: unknown condition kind 'hail'"),
         ("--source", _map(condition="5"), "entries[0].condition: must be a condition name"),
-        ("--source", _map(condition=None), "entries[0].condition: must be a condition name"),
+        ("--source", _map(condition=None), "entries[0].condition: missing key"),
         ("--source", _map(magnitude="-1"), "entries[0]: magnitude must be non-negative, got -1"),
+        ("--source", _map(magnitude="true"), "entries[0].magnitude: must be a number"),
+        ("--source", _map(magnitude=None), "entries[0].magnitude: missing key"),
         ("--source", _map(direction='"NNE"'), "entries[0].direction: unknown compass point 'NNE'"),
         ("--source", _map(direction="1.50"), "entries[0].direction: must be a compass point"),
     ], ids=["kb-duplicate-horizon", "kb-accuracy", "kb-observation", "kb-min-accuracy",
@@ -814,12 +822,14 @@ class TestInputBoundary:
             "kb-key", "kb-override-key", "kb-override-condition",
             "kb-override-condition-not-a-string", "kb-override-location-null",
             "kb-override-location-name", "kb-override-sea-off-sea", "source-key",
-            "source-entry-key", "obs-entry-key", "source-method", "source-generated-at",
-            "source-generated-at-null", "source-generated-at-unplaceable", "source-valid-at",
+            "source-entry-key", "obs-entry-key", "source-method", "source-method-missing",
+            "source-generated-at", "source-generated-at-null", "source-generated-at-missing",
+            "source-generated-at-unplaceable", "source-valid-at",
             "source-valid-at-missing", "source-valid-at-not-a-string", "obs-valid-at-unplaceable",
-            "source-location-not-a-string", "source-location-name", "source-sea-off-sea",
-            "source-condition", "source-condition-not-a-string", "source-condition-missing",
-            "source-value", "source-direction", "source-direction-not-a-string"])
+            "source-location-not-a-string", "source-location-missing", "source-location-name",
+            "source-sea-off-sea", "source-condition", "source-condition-not-a-string",
+            "source-condition-missing", "source-value", "source-magnitude-not-a-number",
+            "source-magnitude-missing", "source-direction", "source-direction-not-a-string"])
     def test_kb_or_lexicon_fault_named_at_its_path(self, tmp_path, capsys, flag, doc, error):
         """validate and pipeline stop at the same stage, file and path, for
         every document flag."""

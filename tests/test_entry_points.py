@@ -83,6 +83,20 @@ ROWS = {
                '{"method": "GFS", "generated_at": "h0", "entries": []}', _NOT_AN_OBS),
     **_refused("repeated-key", "lexicon", f"{SEASIDE} --lexicon bad.json", "bad.json",
                '{"sea": [[null, "Calm"]], "sea": [[null, "Rough"]]}', "sea: duplicate key"),
+    **_refused("lowercase-clauses", "templates", f"{SEASIDE} --templates t.json", "t.json",
+               '{"lowercase_clauses": true}',
+               "lowercase_clauses: unknown condition kind 'lowercase_clauses'"),
+    "pipeline-templates": Row(f"pipeline {SEASIDE} --templates t.json",
+                              files={"t.json": '{"sea": "sea state {term}"}'},
+                              stdout="Sea: sea state Slight."),
+    # Two documents of one model run (one method, one generation time) that
+    # give one slot two values: each passes alone, the tournament refuses both.
+    **{f"{command}-one-model-run-two-values": Row(
+        f"{command} --kb $S/kb.json --source a.json --source b.json --now h0", 1,
+        files={"a.json": _BAD_MAP % (1, 20), "b.json": _BAD_MAP % (1, 90)},
+        stderr="fusecast: error [tournament]: GFS generated at h0 gives two values for "
+               "cloudiness @ North @ h1: 20 and 90")
+       for command in ("validate", "pipeline")},
     # `validate` names a KB's or a lexicon's fault at its own key.
     "validate-kb-horizon-01": Row(
         f"validate --kb kb01.json {MAPS} --now h0", 1,

@@ -1,12 +1,19 @@
-"""The knowledge base's and the lexicon's work grows with the input, not faster.
+"""The knowledge base's, the lexicon's, ingest's and the bulletin's work
+grows with the input, not faster.
 
 `sys.settrace` counts the lines one module runs on shapes at n = 100, 200
-and 400: the lines of `fusecast/kb.py` while `load_kb` reads a KB document
-and `build_theory` folds the assertions, on two shapes, and the lines of
-`fusecast/lexicon.py` while `load_lexicon` reads n bands and `classify`
-places n values in them. On one Python version a count is the same on every
-run and every host, so a bound on it holds where timings would be noise.
-A lookup that scans the whole document shows up as about 4x per doubling.
+and 400:
+- `fusecast/kb.py` while `load_kb` reads a KB document and `build_theory`
+  folds the assertions, on two shapes;
+- `fusecast/lexicon.py` while `load_lexicon` reads n bands and `classify`
+  places n values in them;
+- `fusecast/ingest.py` while `check_times(parse_source_map(...))` reads a
+  source map of n entries;
+- `fusecast/bulletin.py` while `extract_scenario`, `render_sharp` and
+  `render_document`, in all three formats, handle n slots.
+On one Python version a count is the same on every run and every host, so a
+bound on it holds where timings would be noise. A lookup that scans the
+whole document shows up as about 4x per doubling.
 """
 
 import json
@@ -14,9 +21,11 @@ import sys
 
 import pytest
 
-from fusecast import kb, lexicon
+from fusecast import bulletin, ingest, kb, lexicon
 from fusecast.inputs import MILLION
 from fusecast.model import AssertionalMap, Condition, Label, LabeledAssertionalMap, TimeRef, Value
+from fusecast.reasoner import ConclusionSet
+from fusecast.theory import Literal
 from fusecast.tournament import build_theory
 
 SIZES = (100, 200, 400)
@@ -91,5 +100,32 @@ def test_lexicon_lines_grow_at_most_linearly():
             for value in values:
                 lexicon.classify(Condition.TEMPERATURE, value, table)
         return _lines(lexicon, classify_all)
+
+    _assert_linear([run(n) for n in SIZES])
+
+
+def test_ingest_lines_grow_at_most_linearly():
+    """A source map of n entries, one slot each, at n locations."""
+    def run(n):
+        document = json.dumps({"method": "GFS", "generated_at": "h0", "entries": [
+            {"condition": "cloudiness", "location": f"L{i}", "valid_at": "h1",
+             "magnitude": i % 101} for i in range(n)]}).encode()
+        return _lines(ingest, lambda: ingest.check_times(ingest.parse_source_map(document), NOW))
+
+    _assert_linear([run(n) for n in SIZES])
+
+
+def test_bulletin_lines_grow_at_most_linearly():
+    """n slots at n locations, each concluded untagged and under a source
+    tag, rendered in every format."""
+    def run(n):
+        concluded = ConclusionSet(plus_defeasible=frozenset(
+            Literal(f"CL{i}{tag}_h1_{i % 101}") for i in range(n) for tag in ("", "_gfs")))
+
+        def render_all():
+            doc = bulletin.render_sharp(bulletin.extract_scenario(concluded))
+            for out_format in ("text", "json", "html"):
+                bulletin.render_document(doc, out_format)
+        return _lines(bulletin, render_all)
 
     _assert_linear([run(n) for n in SIZES])

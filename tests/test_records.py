@@ -10,15 +10,15 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from fusecast.bulletin import (
-    DEFAULT_FRAGMENTS,
+    DEFAULT_TEMPLATES,
     BulletinDocument,
     BulletinEntry,
     BulletinHeader,
     BulletinSection,
     LocationBlock,
     ScenarioEntry,
-    SmoothTemplates,
     WeatherScenario,
+    load_templates,
 )
 from fusecast.errors import SchemaError
 from fusecast.kb import KnowledgeBase, load_kb
@@ -95,7 +95,6 @@ RECORDS = {
     "BulletinSection": (_section, True),
     "BulletinHeader": (lambda: BulletinHeader("h0", ("ecmwf", "gfs")), True),
     "BulletinDocument": (lambda: BulletinDocument(BulletinHeader(), (_section(),)), True),
-    "SmoothTemplates": (lambda: SmoothTemplates(lowercase_clauses=True), False),
 }
 
 
@@ -186,11 +185,12 @@ def test_knowledge_base_keeps_its_tables_and_load_kb_validates():
     assert str(err.value) == "min_accuracy: 2 outside [0, 1]"
 
 
-def test_smooth_templates_hold_their_fragments():
-    fragments = {Condition.SEA: "sea state {term}"}
-    templates = SmoothTemplates(fragments)
-    assert templates.fragments == {Condition.SEA: "sea state {term}"}
-    assert SmoothTemplates().fragments == DEFAULT_FRAGMENTS
+def test_templates_are_a_new_dict_of_the_defaults():
+    """A template set is its fragments dict, as a lexicon is its bands dict;
+    loading one copies the defaults, so they are never changed."""
+    templates = load_templates(b"{}")
+    assert type(templates) is dict and templates == DEFAULT_TEMPLATES
+    assert templates is not DEFAULT_TEMPLATES
 
 
 #: The fusecast modules `import fusecast.cli` loads, and those each command

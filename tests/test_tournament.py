@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusecast.errors import ForecastError
+from fusecast.ingest import parse_source_map
 from fusecast.kb import KnowledgeBase
 from fusecast.model import (
     AssertionalMap,
@@ -16,6 +18,7 @@ from fusecast.model import (
     LabeledAssertionalMap,
     TimeRef,
     Value,
+    parse_timeref,
 )
 from fusecast.reasoner import conclusions
 from fusecast.theory import Literal, decode_atom, serialize_theory
@@ -415,6 +418,19 @@ class TestBuildTheory:
         # would play a second round against the blend.
         gfs = [l for l in seaside_lams if l.label.method == "GFS"]
         assert build_theory(seaside_lams + gfs, seaside_kb, now_h0) == seaside_theory
+
+    def test_one_model_run_giving_a_slot_two_values_is_refused(self, seaside_kb):
+        """A document read without check_times may hold two readings on one
+        day: one model run claiming two values for a slot, never blended."""
+        doc = {"method": "GFS", "generated_at": "2024-01-01T00:00:00Z", "entries": [
+            {"condition": "cloudiness", "location": "North",
+             "valid_at": f"2024-01-02T{hour}:00:00Z", "magnitude": magnitude}
+            for hour, magnitude in (("06", 90), ("18", 20))]}
+        lams = parse_source_map(json.dumps(doc).encode())
+        with pytest.raises(ForecastError) as err:
+            build_theory(lams, seaside_kb, parse_timeref("2024-01-01T12:00:00Z"))
+        assert str(err.value) == ("GFS generated at 2024-01-01T00:00:00Z gives two values "
+                                  "for cloudiness @ North @ h1: 20 and 90")
 
     def test_reserved_tag_methods_rejected(self, flat_kb):
         kb = KnowledgeBase({**flat_kb.accuracies, "XR0": {0: 500_000}})
